@@ -61,30 +61,26 @@ class CirculationEngine:
             for i in range(self.n)
         ]
 
-    def local_updates(self, objective) -> list:
+    def local_updates(self, objective) -> np.ndarray:
         """Each agent evaluates the gradient at its own primal point and keeps
-        only the block it owns."""
-        return [
-            objective.gradient(self._X[i])[list(self.blocks.blocks[i])]
-            for i in range(self.n)
-        ]
+        the coordinates it owns: one row-wise gradient of the stacked points,
+        gathered into a length-p vector in coordinate order."""
+        G = objective.gradient(self._X)
+        return G[self.blocks.owner, np.arange(self.p)]
 
-    def step(self, updates: list, alpha: float) -> None:
-        if len(updates) != self.n:
-            raise ConfigError(f"expected {self.n} updates, got {len(updates)}")
+    def step(self, u: np.ndarray, alpha: float) -> None:
+        """Mix the duals and inject each owned gradient entry u[k], scaled by
+        1/r of its owner, into the owner's row."""
         if alpha <= 0:
             raise ValueError(f"step size must be positive, got {alpha}")
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.p,):
+            raise ConfigError(f"update has shape {u.shape}, expected ({self.p},)")
         r = self.topology.pair.r
+        owner = self.blocks.owner
         U = np.zeros((self.n, self.p))
-        for k, u in enumerate(updates):
-            idx = list(self.blocks.blocks[k])
-            u = np.asarray(u, dtype=float)
-            if u.shape != (len(idx),):
-                raise ConfigError(
-                    f"update for agent {k} has shape {u.shape}, block size is {len(idx)}"
-                )
-            U[k, idx] = u / r[k]
-            self._u_total[idx] += u
+        U[owner, np.arange(self.p)] = u / r[owner]
+        self._u_total += u
         self._Z = self.topology.pair.M @ self._Z + U
         self._X = np.clip(
             -alpha * self._Z, self.box.lo[None, :], self.box.hi[None, :]

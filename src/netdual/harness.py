@@ -2,8 +2,9 @@
 
 One run wires an engine, an environment and a step schedule together:
 each round reveals the network action assembled from the owned blocks, the
-environment answers with a loss, every agent reads its own gradient block,
-and the engine mixes and steps. Everything random flows through a single
+environment answers with a loss, every agent reads the gradient entries it
+owns at its own point (one row-wise gradient of the stacked points), and the
+engine mixes and steps. Everything random flows through a single
 PCG64 generator keyed by (seed, horizon), so a sweep row and a standalone
 run at the same horizon are bit-identical.
 """
@@ -370,7 +371,7 @@ class RunHistory:
     config: RunConfig
     objectives: list
     actions: np.ndarray        # (T, p) network actions
-    updates: np.ndarray        # (T, p) stacked gradient blocks
+    updates: np.ndarray        # (T, p) owned gradient entries, coordinate order
     primals: np.ndarray        # (T, n, p) per-agent points the blocks were read at
     disagreement: np.ndarray
     disagreement_squared: np.ndarray
@@ -422,15 +423,19 @@ def simulate(config: RunConfig) -> RunHistory:
         X = engine.primal_matrix()
         x_t = X[owner, cols]
         obj = env.next_objective(t, x_t, rng)
-        blocks_u = engine.local_updates(obj)
-        u_full = np.zeros(p)
-        for k, u in enumerate(blocks_u):
-            u_full[list(config.blocks.blocks[k])] = u
-        engine.step(blocks_u, alpha(t - 1))
+        if not isinstance(obj, QuadraticLoss):
+            # bounds are certified for quadratic losses only; reject before
+            # this round's step rather than after the whole horizon
+            raise ConfigError(
+                "bound certification needs quadratic objectives; round "
+                f"{t} returned {type(obj).__name__}"
+            )
+        u = engine.local_updates(obj)
+        engine.step(u, alpha(t - 1))
 
         objectives.append(obj)
         actions[t - 1] = x_t
-        updates[t - 1] = u_full
+        updates[t - 1] = u
         primals[t - 1] = X
         disagreement[t - 1] = engine.disagreement()
         disagreement_sq[t - 1] = engine.disagreement_squared()
@@ -452,16 +457,12 @@ def simulate(config: RunConfig) -> RunHistory:
 
 
 def _certified_constants(objectives, box: ActionBox) -> tuple:
-    """Gradient and curvature constants valid for every observed objective."""
+    """Gradient and curvature constants valid for every observed objective
+    (each a QuadraticLoss: simulate rejects any other kind)."""
     L = 0.0
     G = 0.0
     by_matrix = {}
     for obj in objectives:
-        if not isinstance(obj, QuadraticLoss):
-            raise ConfigError(
-                "bound certification needs quadratic objectives; got "
-                f"{type(obj).__name__}"
-            )
         key = obj.A.tobytes()
         by_matrix.setdefault(key, (obj.A, []))[1].append(float(np.linalg.norm(obj.q)))
     for A, q_norms in by_matrix.values():

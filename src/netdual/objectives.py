@@ -15,7 +15,13 @@ from .errors import ConfigError
 
 
 class Objective(ABC):
-    """Differentiable convex function of the stacked decision vector."""
+    """Differentiable convex function of the stacked decision vector.
+
+    ``value`` takes one point of shape (p,). ``gradient`` takes one point
+    (p,) or a stack of points (m, p) and returns the gradient at each row,
+    with the same shape: the engines read every agent's gradient at its own
+    point in one call on the (n, p) primal matrix.
+    """
 
     @abstractmethod
     def value(self, x: np.ndarray) -> float: ...
@@ -25,7 +31,11 @@ class Objective(ABC):
 
 
 class QuadraticLoss(Objective):
-    """f(x) = 0.5 * ||A x - q||^2 with gradient A^T (A x - q)."""
+    """f(x) = 0.5 * ||A x - q||^2 with gradient A^T (A x - q).
+
+    The gradient is computed as (x A^T - q) A, which serves a single point
+    and a stack of points (one per row) alike.
+    """
 
     def __init__(self, A: np.ndarray, q: np.ndarray):
         A = np.asarray(A, dtype=float)
@@ -40,7 +50,7 @@ class QuadraticLoss(Objective):
         return 0.5 * float(np.dot(r, r))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.A.T @ (self.A @ x - self.q)
+        return (x @ self.A.T - self.q) @ self.A
 
 
 def power_iteration(S: np.ndarray, tol: float = 1e-9, max_iter: int = 100_000) -> float:

@@ -58,30 +58,24 @@ class PushSumEngine:
             for i in range(self.n)
         ]
 
-    def local_updates(self, objective) -> list:
-        return [
-            objective.gradient(self._X[i])[list(self.blocks.blocks[i])]
-            for i in range(self.n)
-        ]
+    def local_updates(self, objective) -> np.ndarray:
+        """Owned gradient entries, each read at its owner's primal point, as
+        one length-p vector in coordinate order."""
+        G = objective.gradient(self._X)
+        return G[self.blocks.owner, np.arange(self.p)]
 
-    def step(self, updates: list, alpha: float) -> None:
-        """Mix with the matrix for the current slot, inject scaled gradients,
-        then act on the debiased duals."""
-        if len(updates) != self.n:
-            raise ConfigError(f"expected {self.n} updates, got {len(updates)}")
+    def step(self, u: np.ndarray, alpha: float) -> None:
+        """Mix with the matrix for the current slot, inject n * u[k] into the
+        owner's row, then act on the debiased duals."""
         if alpha <= 0:
             raise ValueError(f"step size must be positive, got {alpha}")
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.p,):
+            raise ConfigError(f"update has shape {u.shape}, expected ({self.p},)")
         A = self.schedule.matrix_at(self.rounds)
         U = np.zeros((self.n, self.p))
-        for k, u in enumerate(updates):
-            idx = list(self.blocks.blocks[k])
-            u = np.asarray(u, dtype=float)
-            if u.shape != (len(idx),):
-                raise ConfigError(
-                    f"update for agent {k} has shape {u.shape}, block size is {len(idx)}"
-                )
-            U[k, idx] = self.n * u
-            self._u_total[idx] += u
+        U[self.blocks.owner, np.arange(self.p)] = self.n * u
+        self._u_total += u
         self._Z = A @ self._Z + U
         self._w = A @ self._w
         Y = self._Z / self._w[:, None]
@@ -126,11 +120,11 @@ def unrolled_dual_check(
 ) -> float:
     """Verify the engine's duals against the explicit matrix-product expansion.
 
-    After t steps fed by update_history (one list of per-agent blocks per
-    step), each dual must equal the injected gradients carried forward
-    through the backward products of the broadcast matrices. Returns the max
-    absolute deviation. The expansion is accumulated backward so each matrix
-    is multiplied in once.
+    After t steps fed by update_history (one length-p vector of owned
+    gradient entries per step), each dual must equal the injected gradients
+    carried forward through the backward products of the broadcast matrices.
+    Returns the max absolute deviation. The expansion is accumulated backward
+    so each matrix is multiplied in once.
     """
     t = len(update_history)
     if engine.rounds != t:
@@ -138,13 +132,12 @@ def unrolled_dual_check(
             f"engine has taken {engine.rounds} steps but history has {t} entries"
         )
     n, p = engine.n, engine.p
+    cols = np.arange(p)
     expected = np.zeros((n, p))
     R = np.eye(n)
     for s in range(t - 1, -1, -1):
         U = np.zeros((n, p))
-        for k, u in enumerate(update_history[s]):
-            idx = list(engine.blocks.blocks[k])
-            U[k, idx] = n * np.asarray(u, dtype=float)
+        U[engine.blocks.owner, cols] = n * np.asarray(update_history[s], dtype=float)
         expected += R @ U
         R = R @ engine.schedule.matrix_at(s)
     return float(np.max(np.abs(engine._Z - expected))) if t else 0.0

@@ -88,7 +88,7 @@ def test_criterion_03_recursive_duals_match_product_formula():
     )
     history = []
     for t in range(1, 21):
-        u = [rng.uniform(-3.0, 3.0, 1) for _ in range(3)]
+        u = rng.uniform(-3.0, 3.0, 3)
         engine.step(u, 1.0 / math.sqrt(t))
         history.append(u)
     gap = unrolled_dual_check(engine, history)

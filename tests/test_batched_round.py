@@ -1,0 +1,147 @@
+"""The batched round against the per-agent round it replaced.
+
+The reference below is the engines' former round: one gradient call per
+agent at its own primal point, and one injection per agent. The batched
+round must reproduce it to 1e-12 from an identical state and over whole runs
+at n <= 5. Longer runs at larger n amplify summation-order differences
+through the box clamps, so the n=50 run is held to the run invariants
+instead of to exact equality.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from conftest import random_digraph_schedule
+
+from netdual import (
+    ActionBox,
+    BlockMap,
+    CirculationEngine,
+    PushSumEngine,
+    QuadraticLoss,
+    RunConfig,
+    lazy_cycle_pair,
+    run,
+    simulate,
+    split_ring_schedule,
+)
+
+GROUPED = BlockMap(blocks=((0, 5), (1, 2), (3,), (4, 6, 7, 8, 9)))
+
+
+def reference_local_updates(engine, objective):
+    u = np.zeros(engine.p)
+    for i, block in enumerate(engine.blocks.blocks):
+        g = objective.A.T @ (objective.A @ engine._X[i] - objective.q)
+        u[list(block)] = g[list(block)]
+    return u
+
+
+def reference_step(engine, u, alpha):
+    pushsum = isinstance(engine, PushSumEngine)
+    U = np.zeros((engine.n, engine.p))
+    for k, block in enumerate(engine.blocks.blocks):
+        idx = list(block)
+        U[k, idx] = engine.n * u[idx] if pushsum else u[idx] / engine.topology.pair.r[k]
+        engine._u_total[idx] += u[idx]
+    if pushsum:
+        A = engine.schedule.matrix_at(engine.rounds)
+        engine._Z = A @ engine._Z + U
+        engine._w = A @ engine._w
+        Y = engine._Z / engine._w[:, None]
+    else:
+        engine._Z = engine.topology.pair.M @ engine._Z + U
+        Y = engine._Z
+    engine._X = np.clip(-alpha * Y, engine.box.lo[None, :], engine.box.hi[None, :])
+    engine.rounds += 1
+
+
+def engine_state(engine):
+    state = [engine._Z, engine._X, engine._u_total]
+    if isinstance(engine, PushSumEngine):
+        state.append(engine._w)
+    return state
+
+
+def engines(rng):
+    """Both engines on scalar and grouped block maps, n <= 10."""
+    yield CirculationEngine(
+        topology=lazy_cycle_pair(10), blocks=BlockMap.scalar(10), box=ActionBox.uniform(-3, 3, 10)
+    )
+    yield CirculationEngine(
+        topology=lazy_cycle_pair(4), blocks=GROUPED, box=ActionBox.uniform(-3, 3, 10)
+    )
+    yield PushSumEngine(
+        schedule=split_ring_schedule(10, 4),
+        blocks=BlockMap.scalar(10),
+        box=ActionBox.uniform(-3, 3, 10),
+    )
+    yield PushSumEngine(
+        schedule=random_digraph_schedule(4, 3, rng), blocks=GROUPED, box=ActionBox.uniform(-3, 3, 10)
+    )
+
+
+def test_one_step_matches_reference_from_identical_state():
+    rng = np.random.default_rng(2)
+    for engine in engines(rng):
+        p = engine.p
+        # a nontrivial state: some rounds of random injections, some clamped
+        for t in range(1, 8):
+            engine.step(rng.uniform(-2, 2, p), alpha=0.5 / np.sqrt(t))
+        obj = QuadraticLoss(A=np.eye(p) + 0.1 * rng.uniform(-1, 1, (p, p)), q=rng.normal(size=p))
+        ref = copy.deepcopy(engine)
+
+        u = engine.local_updates(obj)
+        u_ref = reference_local_updates(ref, obj)
+        assert u.shape == (p,)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12
+
+        engine.step(u, alpha=0.3)
+        reference_step(ref, u_ref, alpha=0.3)
+        assert engine.rounds == ref.rounds
+        for got, want in zip(engine_state(engine), engine_state(ref)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig("oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=2000, seed=3),
+        RunConfig("oda-ps", split_ring_schedule(5, 3), ActionBox.uniform(-10, 10, 5), T=2000, seed=3),
+        RunConfig(
+            "oda-ps", random_digraph_schedule(4, 3, np.random.default_rng(9), 0.8),
+            ActionBox.uniform(-10, 10, 10), T=2000, seed=4, blocks=GROUPED,
+        ),
+    ],
+    ids=["oda-c", "oda-ps", "oda-ps-grouped"],
+)
+def test_full_run_matches_reference(config, monkeypatch):
+    history = simulate(config)
+    engine_class = CirculationEngine if config.algorithm == "oda-c" else PushSumEngine
+    monkeypatch.setattr(engine_class, "local_updates", reference_local_updates)
+    monkeypatch.setattr(engine_class, "step", reference_step)
+    ref = simulate(config)
+    for field in ("actions", "updates", "primals"):
+        gap = np.max(np.abs(getattr(history, field) - getattr(ref, field)))
+        assert gap <= 1e-12, f"{field} differs by {gap:.3g}"
+    # the disagreement records grow to 1e3-1e4: compare them relatively
+    for field in ("disagreement", "disagreement_squared"):
+        got, want = getattr(history, field), getattr(ref, field)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_pushsum_n50_meets_run_invariants():
+    config = RunConfig(
+        "oda-ps",
+        split_ring_schedule(50, 5),
+        ActionBox.uniform(-10, 10, 50),
+        T=500,
+        seed=11,
+    )
+    trace = run(config)
+    assert np.max(trace.mean_field_residual) <= 1e-8
+    assert trace.constants["max_weight_residual"] <= 1e-9
+    assert np.all(trace.regret_partial <= trace.bound_partial + 1e-9)
+    bound = trace.constants["disagreement_bound"]
+    assert np.all(trace.disagreement_squared <= bound * (1 + 1e-12) + 1e-12)

@@ -73,7 +73,7 @@ class TestConstruction:
 class TestStepDynamics:
     def test_first_injection_scales_by_inverse_weight(self):
         eng = cycle_engine()
-        eng.step([np.array([1.0]), np.array([2.0]), np.array([3.0])], alpha=0.5)
+        eng.step(np.array([1.0, 2.0, 3.0]), alpha=0.5)
         # r_i = 1/3 so agent k's dual gets 3 * g_k at its own coordinate
         assert np.allclose(eng.states[0].z, [3.0, 0.0, 0.0])
         assert np.allclose(eng.states[1].z, [0.0, 6.0, 0.0])
@@ -84,9 +84,8 @@ class TestStepDynamics:
 
     def test_second_step_mixes_by_hand_computed_matrix(self):
         eng = cycle_engine()
-        eng.step([np.array([1.0]), np.array([2.0]), np.array([3.0])], alpha=0.5)
-        zeros = [np.zeros(1)] * 3
-        eng.step(zeros, alpha=0.3)
+        eng.step(np.array([1.0, 2.0, 3.0]), alpha=0.5)
+        eng.step(np.zeros(3), alpha=0.3)
         # M rows are (1/2, 1/4, 1/4) cyclically; duals were diag(3, 6, 9)
         expected = np.array(
             [
@@ -108,28 +107,28 @@ class TestStepDynamics:
             topology=eye, blocks=BlockMap.scalar(3), box=ActionBox.uniform(-10, 10, 3)
         )
         for g in ([1.0, 1.0, 1.0], [2.0, 0.0, -1.0]):
-            eng.step([np.array([v]) for v in g], alpha=1.0)
+            eng.step(np.array(g), alpha=1.0)
         Z = np.array([s.z for s in eng.states])
         assert np.allclose(Z, np.diag([9.0, 3.0, 0.0]))
 
     def test_rejects_wrong_update_count(self):
         eng = cycle_engine()
         with pytest.raises(ConfigError):
-            eng.step([np.array([1.0])], alpha=1.0)
+            eng.step(np.array([1.0]), alpha=1.0)
 
     def test_rejects_wrong_block_size(self):
         eng = cycle_engine()
         with pytest.raises(ConfigError):
-            eng.step([np.array([1.0, 2.0])] * 3, alpha=1.0)
+            eng.step(np.ones((3, 2)), alpha=1.0)
 
     def test_rejects_nonpositive_alpha(self):
         eng = cycle_engine()
         with pytest.raises(ValueError):
-            eng.step([np.array([1.0])] * 3, alpha=0.0)
+            eng.step(np.ones(3), alpha=0.0)
 
     def test_local_updates_read_own_primal_rows(self):
         eng = cycle_engine()
-        eng.step([np.array([1.0]), np.array([2.0]), np.array([3.0])], alpha=0.5)
+        eng.step(np.array([1.0, 2.0, 3.0]), alpha=0.5)
         obj = QuadraticLoss(A=np.eye(3), q=np.zeros(3))
         X = eng.primal_matrix()
         updates = eng.local_updates(obj)
@@ -152,7 +151,7 @@ class TestMeanFieldInvariance:
             for t in range(1, 31):
                 g = rng.uniform(-4, 4, n)
                 total += g
-                eng.step([np.array([v]) for v in g], alpha=inv_sqrt_step(t - 1))
+                eng.step(g, alpha=inv_sqrt_step(t - 1))
                 assert eng.mean_field_residual() <= 1e-9
                 assert np.allclose(eng.gradient_sum(), total)
 
@@ -160,7 +159,7 @@ class TestMeanFieldInvariance:
         rng = np.random.default_rng(41)
         eng = cycle_engine(5)
         for t in range(10):
-            eng.step([rng.uniform(-3, 3, 1) for _ in range(5)], alpha=0.5)
+            eng.step(rng.uniform(-3, 3, 5), alpha=0.5)
         Z = np.array([s.z for s in eng.states])
         zbar = eng.mean_field()
         sq = float(np.sum((Z - zbar) ** 2))
@@ -172,7 +171,7 @@ class TestMeanFieldInvariance:
 
     def test_primal_disagreement_sum(self):
         eng = cycle_engine(3)
-        eng.step([np.array([1.0])] * 3, alpha=1.0)
+        eng.step(np.ones(3), alpha=1.0)
         ref = np.array([0.5, -0.5, 0.0])
         X = eng.primal_matrix()
         expected = sum(np.linalg.norm(X[i] - ref) for i in range(3))
@@ -190,7 +189,7 @@ class TestSingleAgentEquivalence:
         updates = rng.uniform(-3, 3, size=(15, 1))
         xs = []
         for t in range(1, 16):
-            eng.step([updates[t - 1]], alpha=inv_sqrt_step(t - 1))
+            eng.step(updates[t - 1], alpha=inv_sqrt_step(t - 1))
             xs.append(eng.primal_matrix()[0].copy())
         refs = centralized_reference(updates, ActionBox.uniform(-2.0, 2.0, 1))
         for t in range(1, 16):

@@ -262,6 +262,19 @@ class TestSimulate:
             for i in range(5):
                 assert hist.actions[t, i] == hist.primals[t, i, i]
 
+    @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+    def test_one_gradient_call_per_round(self, algorithm, monkeypatch):
+        calls = []
+        gradient = QuadraticLoss.gradient
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return gradient(self, x)
+
+        monkeypatch.setattr(QuadraticLoss, "gradient", counted)
+        simulate(base_config(algorithm, T=7))
+        assert calls == [(5, 5)] * 7
+
     def test_run_generator_keyed_by_seed_and_horizon(self):
         a = run_generator(base_config(T=10, seed=3)).random(4)
         b = run_generator(base_config(T=10, seed=3)).random(4)
@@ -286,8 +299,11 @@ class TestFinalize:
     def test_non_quadratic_objectives_rejected(self):
         class _Odd:
             p = 5
+            asked = 0
 
             def next_objective(self, t, x_t, rng):
+                _Odd.asked += 1
+
                 class L:
                     def value(self, x):
                         return float(np.sum(np.abs(x)))
@@ -300,6 +316,8 @@ class TestFinalize:
         cfg = base_config(T=2, environment=lambda p, rng: _Odd())
         with pytest.raises(ConfigError, match="quadratic"):
             run(cfg)
+        # rejected on the round the objective appears, not after the horizon
+        assert _Odd.asked == 1
 
     def test_trace_shapes_and_constants(self):
         trace = run(base_config(T=12, seed=7))

@@ -54,7 +54,7 @@ class TestConstruction:
 class TestStepDynamics:
     def test_hand_one_step(self):
         eng = two_node_engine()
-        eng.step([np.array([3.0]), np.array([-1.0])], alpha=0.5)
+        eng.step(np.array([3.0, -1.0]), alpha=0.5)
         # injections are n * u_k at the owner's row: (6, 0) and (0, -2)
         Z = np.array([s.z for s in eng.states])
         assert np.allclose(Z, [[6.0, 0.0], [0.0, -2.0]])
@@ -67,8 +67,8 @@ class TestStepDynamics:
 
     def test_second_step_mixes_duals_and_weights(self):
         eng = two_node_engine()
-        eng.step([np.array([3.0]), np.array([-1.0])], alpha=0.5)
-        eng.step([np.zeros(1), np.zeros(1)], alpha=0.5)
+        eng.step(np.array([3.0, -1.0]), alpha=0.5)
+        eng.step(np.zeros(2), alpha=0.5)
         A = np.array([[0.5, 0.0], [0.5, 1.0]])
         assert np.allclose(
             np.array([s.z for s in eng.states]), A @ np.array([[6.0, 0.0], [0.0, -2.0]])
@@ -79,7 +79,7 @@ class TestStepDynamics:
         rng = np.random.default_rng(13)
         eng = ring_engine()
         for t in range(1, 61):
-            eng.step([rng.uniform(-2, 2, 1) for _ in range(5)], alpha=inv_sqrt_step(t - 1))
+            eng.step(rng.uniform(-2, 2, 5), alpha=inv_sqrt_step(t - 1))
             assert eng.weight_conservation_residual() <= 1e-12
             assert np.all(eng.weights > 0)
 
@@ -90,20 +90,20 @@ class TestStepDynamics:
         for t in range(1, 41):
             g = rng.uniform(-3, 3, 5)
             total += g
-            eng.step([np.array([v]) for v in g], alpha=0.4)
+            eng.step(g, alpha=0.4)
             assert eng.mean_field_residual() <= 1e-9
             assert np.allclose(eng.gradient_sum(), total)
 
     def test_uses_matrix_for_current_slot(self):
         eng = ring_engine()
         sched = eng.schedule
-        eng.step([np.zeros(1)] * 5, alpha=1.0)
+        eng.step(np.zeros(5), alpha=1.0)
         # after one step the weights equal A(0) @ ones
         assert np.allclose(eng.weights, sched.matrix_at(0) @ np.ones(5))
 
     def test_local_updates_read_own_rows(self):
         eng = ring_engine()
-        eng.step([np.array([float(i)]) for i in range(5)], alpha=0.7)
+        eng.step(np.arange(5.0), alpha=0.7)
         obj = QuadraticLoss(A=np.eye(5), q=np.ones(5))
         X = eng.primal_matrix()
         for i, u in enumerate(eng.local_updates(obj)):
@@ -112,7 +112,7 @@ class TestStepDynamics:
     def test_rejects_wrong_update_count(self):
         eng = ring_engine()
         with pytest.raises(ConfigError):
-            eng.step([np.zeros(1)] * 4, alpha=1.0)
+            eng.step(np.zeros(4), alpha=1.0)
 
 
 class TestUnrolledEquivalence:
@@ -121,7 +121,7 @@ class TestUnrolledEquivalence:
         eng = ring_engine()
         history = []
         for t in range(1, 13):
-            u = [rng.uniform(-5, 5, 1) for _ in range(5)]
+            u = rng.uniform(-5, 5, 5)
             eng.step(u, alpha=inv_sqrt_step(t - 1))
             history.append(u)
         assert unrolled_dual_check(eng, history) <= 1e-12
@@ -134,7 +134,7 @@ class TestUnrolledEquivalence:
         )
         history = []
         for t in range(1, 21):
-            u = [rng.uniform(-4, 4, 1) for _ in range(4)]
+            u = rng.uniform(-4, 4, 4)
             eng.step(u, alpha=0.3)
             history.append(u)
         assert unrolled_dual_check(eng, history) <= 1e-11
@@ -144,7 +144,7 @@ class TestUnrolledEquivalence:
 
     def test_rejects_history_length_mismatch(self):
         eng = ring_engine()
-        eng.step([np.zeros(1)] * 5, alpha=1.0)
+        eng.step(np.zeros(5), alpha=1.0)
         with pytest.raises(ConfigError):
             unrolled_dual_check(eng, [])
 
@@ -158,7 +158,7 @@ class TestSingleAgentEquivalence:
         updates = rng.uniform(-3, 3, size=(12, 1))
         xs = []
         for t in range(1, 13):
-            eng.step([updates[t - 1]], alpha=inv_sqrt_step(t - 1))
+            eng.step(updates[t - 1], alpha=inv_sqrt_step(t - 1))
             assert eng.weights[0] == 1.0
             xs.append(eng.primal_matrix()[0].copy())
         refs = centralized_reference(updates, box)
