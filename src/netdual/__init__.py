@@ -4,12 +4,18 @@ A network of agents, each owning one block of a global decision vector,
 plays against a stream of convex losses. Agents share dual information over
 a communication structure: a static undirected graph with reversible
 mixing weights, or a time-varying sequence of directed graphs driven by
-push-sum. The package provides the two engines, certified disagreement and
-regret bounds, a deterministic simulation harness, and a CLI.
+push-sum. The package provides one dual-averaging engine over both kinds
+of network, certified disagreement and regret bounds, a deterministic
+simulation harness, and a CLI.
 """
 
-from .circulation import CirculationEngine
-from .core import ActionBox, AgentState, BlockMap, NetworkAction, extract_network_action
+from .core import ActionBox, BlockMap
+from .engine import (
+    CirculationEngine,
+    DualAveragingEngine,
+    PushSumEngine,
+    unrolled_dual_check,
+)
 from .errors import ComparatorError, ConfigError, TopologyError
 from .harness import (
     FixedEnvironment,
@@ -26,8 +32,7 @@ from .harness import (
     write_trace_csv,
 )
 from .objectives import Objective, QuadraticLoss, lipschitz_constants, power_iteration
-from .prox import ProximalFunction, project, prox_sup
-from .pushsum import PushSumEngine, unrolled_dual_check
+from .prox import project, prox_sup
 from .regret import (
     ComparatorResult,
     RegretTrace,
@@ -65,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionBox",
-    "AgentState",
     "BlockMap",
     "CirculationEngine",
     "ComparatorError",
@@ -73,11 +77,10 @@ __all__ = [
     "ConfigError",
     "ContractionConstants",
     "DigraphSchedule",
+    "DualAveragingEngine",
     "FixedEnvironment",
     "GraphReport",
-    "NetworkAction",
     "Objective",
-    "ProximalFunction",
     "PushSumEngine",
     "QuadraticLoss",
     "RegretTrace",
@@ -97,7 +100,6 @@ __all__ = [
     "config_from_dict",
     "contraction_constants",
     "decomposition_terms",
-    "extract_network_action",
     "finalize",
     "inv_sqrt_step",
     "lazy_cycle_pair",

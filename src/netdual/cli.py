@@ -80,6 +80,12 @@ def _trace_checks(trace) -> dict:
     }
     if "max_weight_residual" in trace.constants:
         checks["max_weight_residual"] = trace.constants["max_weight_residual"]
+    # a check against an infinite bound passes without proving anything
+    checks["vacuous_bounds"] = [
+        name
+        for name, bound in (("disagreement_bound", d_bound), ("theory_bound", trace.theory_bound))
+        if not math.isfinite(bound)
+    ]
     return checks
 
 

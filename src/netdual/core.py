@@ -1,4 +1,4 @@
-"""Shared value types: feasible box, coordinate ownership, actions, agent states.
+"""Shared value types: feasible box and coordinate ownership.
 
 Conventions used throughout the package:
 
@@ -9,7 +9,7 @@ Conventions used throughout the package:
   initial state (zero duals, primal = projection of the zero dual).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,50 +104,3 @@ class BlockMap:
     def owner(self) -> np.ndarray:
         """owner[k] = index of the agent whose block contains coordinate k."""
         return self._owner
-
-
-@dataclass(frozen=True)
-class NetworkAction:
-    """The stacked decision vector scored at round ``t`` (t >= 1)."""
-
-    x: np.ndarray
-    round: int
-
-
-@dataclass
-class AgentState:
-    """One agent's iterates: dual ``z``, primal ``x``, broadcast weight ``w``.
-
-    ``w`` is fixed at 1.0 and unused by the circulation engine; the push-sum
-    engine keeps it strictly positive.
-    """
-
-    z: np.ndarray
-    x: np.ndarray
-    w: float = 1.0
-
-
-def extract_network_action(states, blocks: BlockMap, t: int) -> NetworkAction:
-    """Assemble x(t): coordinate k is taken from the agent that owns k.
-
-    Raises ConfigError when the state list does not match the block map.
-    """
-    if len(states) != blocks.n:
-        raise ConfigError(f"expected {blocks.n} agent states, got {len(states)}")
-    p = blocks.p
-    x = np.empty(p)
-    for i, b in enumerate(blocks.blocks):
-        for k in b:
-            x[k] = states[i].x[k]
-    return NetworkAction(x=x, round=t)
-
-
-def block_embed(agent: int, u: np.ndarray, blocks: BlockMap, p: int) -> np.ndarray:
-    """Place agent ``agent``'s block values into a length-``p`` vector, zeros elsewhere."""
-    b = blocks.blocks[agent]
-    u = np.asarray(u, dtype=float)
-    if u.shape != (len(b),):
-        raise ConfigError(f"agent {agent} owns {len(b)} coordinates, got {u.shape}")
-    out = np.zeros(p)
-    out[list(b)] = u
-    return out

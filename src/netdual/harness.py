@@ -17,12 +17,12 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .circulation import CirculationEngine
 from .core import ActionBox, BlockMap
+# bench/tracer.py wraps the engine's methods under the two alias names in this module
+from .engine import CirculationEngine, DualAveragingEngine, PushSumEngine  # noqa: F401
 from .errors import ConfigError, TopologyError
 from .objectives import QuadraticLoss, lipschitz_constants
 from .prox import prox_sup
-from .pushsum import PushSumEngine
 from .regret import (
     RegretTrace,
     circulation_disagreement_bound,
@@ -218,6 +218,8 @@ class RunConfig:
             raise ConfigError(f'algorithm must be "oda-c" or "oda-ps", got {self.algorithm!r}')
         if self.T < 0:
             raise ConfigError(f"horizon must be nonnegative, got {self.T}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.algorithm == "oda-c" and not isinstance(self.topology, StaticTopology):
             raise ConfigError("oda-c runs on a static topology (graph + weight pair)")
         if self.algorithm == "oda-ps" and not isinstance(self.topology, DigraphSchedule):
@@ -247,13 +249,29 @@ class RunConfig:
         return self.blocks.p
 
 
+def _integer(value, name: str, minimum: int) -> int:
+    """A JSON integer (not a bool, not a float) no smaller than ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """A JSON number (not a bool) as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _alpha_from_spec(spec) -> Callable[[int], float] | None:
     if spec is None:
         return None
     if not isinstance(spec, dict):
         raise ConfigError('alpha must be an object like {"rule": "inv-sqrt"}')
     if "values" in spec:
-        values = [float(v) for v in spec["values"]]
+        values = [_real(v, "alpha value") for v in spec["values"]]
         if any(v <= 0 for v in values):
             raise ConfigError("alpha values must be positive")
 
@@ -274,7 +292,7 @@ def _alpha_from_spec(spec) -> Callable[[int], float] | None:
 
 def _box_from_spec(spec, p: int) -> ActionBox:
     if isinstance(spec, (list, tuple)) and len(spec) == 2 and np.isscalar(spec[0]):
-        return ActionBox.uniform(float(spec[0]), float(spec[1]), p)
+        return ActionBox.uniform(_real(spec[0], "box lo"), _real(spec[1], "box hi"), p)
     if isinstance(spec, dict) and "lo" in spec and "hi" in spec:
         return ActionBox(
             lo=np.asarray(spec["lo"], dtype=float),
@@ -326,26 +344,41 @@ def config_from_dict(d: dict) -> RunConfig:
         if blocks_spec != n:
             raise ConfigError(f'"blocks": {blocks_spec} disagrees with n={n} agents')
         blocks = BlockMap.scalar(n)
+    elif isinstance(blocks_spec, (list, tuple)) and all(
+        isinstance(b, (list, tuple)) for b in blocks_spec
+    ):
+        blocks = BlockMap(
+            blocks=tuple(tuple(_integer(k, "block entry", 0) for k in b) for b in blocks_spec)
+        )
     else:
-        blocks = BlockMap(blocks=tuple(tuple(int(i) for i in b) for b in blocks_spec))
+        raise ConfigError('"blocks" must be the agent count or a list of coordinate lists')
 
     box = _box_from_spec(d.get("box", [-10.0, 10.0]), blocks.p)
     if "T" not in d:
         raise ConfigError('config needs a horizon "T"')
 
+    regular = d.get("regular", False)
+    if not isinstance(regular, bool):
+        raise ConfigError(f'"regular" must be true or false, got {regular!r}')
+    sigma2_sup = d.get("sigma2_sup")
+    b_cap = d.get("b_cap")
+    comparator_tol = _real(d.get("comparator_tol", 1e-8), '"comparator_tol"')
+    if not (comparator_tol > 0 and math.isfinite(comparator_tol)):
+        raise ConfigError(f'"comparator_tol" must be positive and finite, got {comparator_tol}')
+
     return RunConfig(
         algorithm=algorithm,
         topology=topology,
         box=box,
-        T=int(d["T"]),
-        seed=int(d.get("seed", 0)),
+        T=_integer(d["T"], '"T"', 0),
+        seed=_integer(d.get("seed", 0), '"seed"', 0),
         blocks=blocks,
         alpha=_alpha_from_spec(d.get("alpha")),
         environment=_environment_from_spec(d.get("environment")),
-        regular=bool(d.get("regular", False)),
-        sigma2_sup=d.get("sigma2_sup"),
-        b_cap=d.get("b_cap"),
-        comparator_tol=float(d.get("comparator_tol", 1e-8)),
+        regular=regular,
+        sigma2_sup=None if sigma2_sup is None else _real(sigma2_sup, '"sigma2_sup"'),
+        b_cap=None if b_cap is None else _integer(b_cap, '"b_cap"', 1),
+        comparator_tol=comparator_tol,
     )
 
 
@@ -379,16 +412,6 @@ class RunHistory:
     weight_residual: np.ndarray  # push-sum only; zeros for oda-c
 
 
-def _build_engine(config: RunConfig):
-    if config.algorithm == "oda-c":
-        return CirculationEngine(
-            topology=config.topology, blocks=config.blocks, box=config.box
-        )
-    return PushSumEngine(
-        schedule=config.topology, blocks=config.blocks, box=config.box
-    )
-
-
 def run_generator(config: RunConfig) -> np.random.Generator:
     """The run's generator: PCG64 keyed by (seed, horizon)."""
     return np.random.Generator(
@@ -399,7 +422,7 @@ def run_generator(config: RunConfig) -> np.random.Generator:
 def simulate(config: RunConfig) -> RunHistory:
     """Execute the round loop and record everything needed for measurement."""
     rng = run_generator(config)
-    engine = _build_engine(config)
+    engine = DualAveragingEngine(config.topology, config.blocks, config.box)
     n, p, T = config.n, config.p, config.T
     alpha = config.alpha or inv_sqrt_step
     env_factory = config.environment or sensing_environment_factory()
@@ -417,7 +440,7 @@ def simulate(config: RunConfig) -> RunHistory:
     disagreement_sq = np.empty(T)
     mf_residual = np.empty(T)
     w_residual = np.zeros(T)
-    is_pushsum = isinstance(engine, PushSumEngine)
+    is_pushsum = config.algorithm == "oda-ps"
 
     for t in range(1, T + 1):
         X = engine.primal_matrix()
@@ -502,13 +525,11 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     actions = history.actions[:T]
     L, G = _certified_constants(objectives, box)
     comp = offline_comparator(objectives, box, tol=config.comparator_tol)
-    regret_partial = network_regret(objectives, actions, comp.y)
+    regret_partial, costs, comparator_costs = network_regret(objectives, actions, comp.y)
     terms = decomposition_terms(
         history.updates[:T], history.primals[:T], objectives, box, L, C, alpha
     )
     rounds = np.arange(1, T + 1)
-    costs = np.array([obj.value(x) for obj, x in zip(objectives, actions)])
-    comparator_costs = np.array([obj.value(comp.y) for obj in objectives])
 
     constants = {"L": L, "G": G, "D": D, "C": C, "n": n}
     if config.algorithm == "oda-c":

@@ -19,7 +19,7 @@ class Objective(ABC):
 
     ``value`` takes one point of shape (p,). ``gradient`` takes one point
     (p,) or a stack of points (m, p) and returns the gradient at each row,
-    with the same shape: the engines read every agent's gradient at its own
+    with the same shape: the engine reads every agent's gradient at its own
     point in one call on the (n, p) primal matrix.
     """
 
@@ -99,21 +99,3 @@ def lipschitz_constants(
     L = opnorm * (opnorm * box.radius + rho_q)
     return L, G
 
-
-def finite_diff_check(
-    obj: Objective, x: np.ndarray, h: float = 1e-6, box: ActionBox | None = None
-) -> float:
-    """Max relative deviation between the gradient and central differences of value."""
-    x = np.asarray(x, dtype=float)
-    if box is not None and not (
-        np.all(x - box.lo > h) and np.all(box.hi - x > h)
-    ):
-        raise ValueError("x must be interior to the box by more than h")
-    g = obj.gradient(x)
-    worst = 0.0
-    for k in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[k] = h
-        d = (obj.value(x + e) - obj.value(x - e)) / (2 * h)
-        worst = max(worst, abs(d - g[k]) / max(1.0, abs(g[k])))
-    return worst

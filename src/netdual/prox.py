@@ -5,26 +5,12 @@ The proximal function is fixed to psi(x) = 0.5 * ||x||^2, which is
 
     project(z, alpha) = argmin_x  <z, x> + psi(x) / alpha
 
-has the coordinate-wise closed form clamp(-alpha * z). The ProximalFunction
-type exists as a seam for other strongly convex choices; only the Euclidean
-kind is implemented.
+has the coordinate-wise closed form clamp(-alpha * z).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ActionBox
-
-
-@dataclass(frozen=True)
-class ProximalFunction:
-    kind: str = "euclidean-half-square"
-
-    def value(self, x: np.ndarray) -> float:
-        if self.kind != "euclidean-half-square":
-            raise NotImplementedError(self.kind)
-        return 0.5 * float(np.dot(x, x))
 
 
 def project(z: np.ndarray, alpha: float, box: ActionBox) -> np.ndarray:

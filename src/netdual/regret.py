@@ -119,11 +119,13 @@ def offline_comparator(
     )
 
 
-def network_regret(objectives, actions, y: np.ndarray) -> np.ndarray:
-    """Cumulative regret partial sums against the fixed point y.
+def network_regret(objectives, actions, y: np.ndarray) -> tuple:
+    """Cumulative regret partial sums against the fixed point y, with the
+    per-round costs they are built from.
 
-    Entry t-1 is sum_{s<=t} [f_s(x(s)) - f_s(y)]; the final entry is the
-    full-horizon regret.
+    Returns (partial, costs, comparator_costs): costs[t-1] = f_t(x(t)),
+    comparator_costs[t-1] = f_t(y), and partial[t-1] = sum_{s<=t}
+    [f_s(x(s)) - f_s(y)]; the final partial is the full-horizon regret.
     """
     if len(objectives) != len(actions):
         raise ConfigError(
@@ -132,7 +134,7 @@ def network_regret(objectives, actions, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     costs = np.array([obj.value(np.asarray(x, float)) for obj, x in zip(objectives, actions)])
     comp = np.array([obj.value(y) for obj in objectives])
-    return np.cumsum(costs - comp)
+    return np.cumsum(costs - comp), costs, comp
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Communication structures for the two engines.
+"""Communication structures: the two mixing operators of the engine.
 
 Static side: an undirected connected graph with a reversible weight pair
 (r, M), meaning M is row-stochastic, r is a positive probability vector,
@@ -197,14 +197,13 @@ class DigraphSchedule:
     """Directed edge sets over time; edge (i, j) means i sends to j.
 
     ``period`` >= 1 cycles through ``graphs``; period 0 means ``graphs`` is an
-    explicit finite list indexed directly by t. ``B`` is the claimed
-    connectivity window (unvalidated until validate_b_strong is called).
+    explicit finite list indexed directly by t. The connectivity window is
+    found by validate_b_strong.
     """
 
     n: int
     graphs: tuple
     period: int = 1
-    B: int | None = None
     _matrices: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -225,9 +224,6 @@ class DigraphSchedule:
                 cur.add((int(i), int(j)))
             norm.append(frozenset(cur))
         object.__setattr__(self, "graphs", tuple(norm))
-
-    def __len__(self) -> int:
-        return len(self.graphs)
 
     def graph_at(self, t: int) -> frozenset:
         if t < 0:
@@ -492,7 +488,7 @@ def split_ring_schedule(n: int = 5, phases: int = 3) -> DigraphSchedule:
     for ph in range(phases):
         part = ring[ph * chunk : (ph + 1) * chunk]
         graphs.append(frozenset(loops | set(part)))
-    return DigraphSchedule(n=n, graphs=tuple(graphs), period=phases, B=phases)
+    return DigraphSchedule(n=n, graphs=tuple(graphs), period=phases)
 
 
 def topology_from_dict(spec: dict):

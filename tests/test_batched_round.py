@@ -18,6 +18,7 @@ from netdual import (
     ActionBox,
     BlockMap,
     CirculationEngine,
+    DigraphSchedule,
     PushSumEngine,
     QuadraticLoss,
     RunConfig,
@@ -39,19 +40,19 @@ def reference_local_updates(engine, objective):
 
 
 def reference_step(engine, u, alpha):
-    pushsum = isinstance(engine, PushSumEngine)
+    pushsum = isinstance(engine.network, DigraphSchedule)
     U = np.zeros((engine.n, engine.p))
     for k, block in enumerate(engine.blocks.blocks):
         idx = list(block)
-        U[k, idx] = engine.n * u[idx] if pushsum else u[idx] / engine.topology.pair.r[k]
+        U[k, idx] = engine.n * u[idx] if pushsum else u[idx] / engine.network.pair.r[k]
         engine._u_total[idx] += u[idx]
     if pushsum:
-        A = engine.schedule.matrix_at(engine.rounds)
+        A = engine.network.matrix_at(engine.rounds)
         engine._Z = A @ engine._Z + U
         engine._w = A @ engine._w
         Y = engine._Z / engine._w[:, None]
     else:
-        engine._Z = engine.topology.pair.M @ engine._Z + U
+        engine._Z = engine.network.pair.M @ engine._Z + U
         Y = engine._Z
     engine._X = np.clip(-alpha * Y, engine.box.lo[None, :], engine.box.hi[None, :])
     engine.rounds += 1
@@ -59,7 +60,7 @@ def reference_step(engine, u, alpha):
 
 def engine_state(engine):
     state = [engine._Z, engine._X, engine._u_total]
-    if isinstance(engine, PushSumEngine):
+    if isinstance(engine.network, DigraphSchedule):
         state.append(engine._w)
     return state
 
@@ -67,18 +68,18 @@ def engine_state(engine):
 def engines(rng):
     """Both engines on scalar and grouped block maps, n <= 10."""
     yield CirculationEngine(
-        topology=lazy_cycle_pair(10), blocks=BlockMap.scalar(10), box=ActionBox.uniform(-3, 3, 10)
+        network=lazy_cycle_pair(10), blocks=BlockMap.scalar(10), box=ActionBox.uniform(-3, 3, 10)
     )
     yield CirculationEngine(
-        topology=lazy_cycle_pair(4), blocks=GROUPED, box=ActionBox.uniform(-3, 3, 10)
+        network=lazy_cycle_pair(4), blocks=GROUPED, box=ActionBox.uniform(-3, 3, 10)
     )
     yield PushSumEngine(
-        schedule=split_ring_schedule(10, 4),
+        network=split_ring_schedule(10, 4),
         blocks=BlockMap.scalar(10),
         box=ActionBox.uniform(-3, 3, 10),
     )
     yield PushSumEngine(
-        schedule=random_digraph_schedule(4, 3, rng), blocks=GROUPED, box=ActionBox.uniform(-3, 3, 10)
+        network=random_digraph_schedule(4, 3, rng), blocks=GROUPED, box=ActionBox.uniform(-3, 3, 10)
     )
 
 

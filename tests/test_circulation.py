@@ -7,6 +7,7 @@ from netdual import (
     BlockMap,
     CirculationEngine,
     ConfigError,
+    DualAveragingEngine,
     QuadraticLoss,
     ReversiblePair,
     StaticTopology,
@@ -19,7 +20,7 @@ from netdual import (
 
 def cycle_engine(n=3, lo=-10.0, hi=10.0):
     return CirculationEngine(
-        topology=lazy_cycle_pair(n),
+        network=lazy_cycle_pair(n),
         blocks=BlockMap.scalar(n),
         box=ActionBox.uniform(lo, hi, n),
     )
@@ -28,13 +29,12 @@ def cycle_engine(n=3, lo=-10.0, hi=10.0):
 class TestConstruction:
     def test_initial_state_is_projected_zero(self):
         eng = CirculationEngine(
-            topology=lazy_cycle_pair(3),
+            network=lazy_cycle_pair(3),
             blocks=BlockMap.scalar(3),
             box=ActionBox.uniform(1.0, 2.0, 3),
         )
-        for s in eng.states:
-            assert np.array_equal(s.z, np.zeros(3))
-            assert np.array_equal(s.x, np.full(3, 1.0))  # clamp of zero
+        assert np.array_equal(eng._Z, np.zeros((3, 3)))
+        assert np.array_equal(eng.primal_matrix(), np.full((3, 3), 1.0))  # clamp of zero
         assert eng.rounds == 0
         assert eng.mean_field_residual() == 0.0
 
@@ -45,13 +45,13 @@ class TestConstruction:
         bad = StaticTopology(graph=topo.graph, pair=ReversiblePair(r=topo.pair.r, M=M))
         with pytest.raises(TopologyError, match="row_stochastic"):
             CirculationEngine(
-                topology=bad, blocks=BlockMap.scalar(3), box=ActionBox.uniform(-1, 1, 3)
+                network=bad, blocks=BlockMap.scalar(3), box=ActionBox.uniform(-1, 1, 3)
             )
 
     def test_rejects_agent_count_mismatch(self):
         with pytest.raises(ConfigError):
             CirculationEngine(
-                topology=lazy_cycle_pair(3),
+                network=lazy_cycle_pair(3),
                 blocks=BlockMap.scalar(4),
                 box=ActionBox.uniform(-1, 1, 4),
             )
@@ -59,15 +59,30 @@ class TestConstruction:
     def test_rejects_box_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             CirculationEngine(
-                topology=lazy_cycle_pair(3),
+                network=lazy_cycle_pair(3),
                 blocks=BlockMap.scalar(3),
                 box=ActionBox.uniform(-1, 1, 2),
             )
 
     def test_states_are_copies(self):
         eng = cycle_engine()
-        eng.states[0].z[0] = 99.0
-        assert eng.states[0].z[0] == 0.0
+        eng.primal_matrix()[0, 0] = 99.0
+        assert eng.primal_matrix()[0, 0] == 0.0
+
+    def test_tracks_no_weight_vector(self):
+        eng = cycle_engine()
+        eng.step(np.array([1.0, 2.0, 3.0]), alpha=0.5)
+        assert eng._w is None
+        assert eng.weight_conservation_residual() == 0.0
+        assert np.array_equal(eng.ratios(), eng._Z)
+
+    def test_rejects_network_of_wrong_type(self):
+        with pytest.raises(ConfigError, match="StaticTopology or a DigraphSchedule"):
+            DualAveragingEngine(
+                network=lazy_cycle_pair(3).pair,
+                blocks=BlockMap.scalar(3),
+                box=ActionBox.uniform(-1, 1, 3),
+            )
 
 
 class TestStepDynamics:
@@ -75,10 +90,10 @@ class TestStepDynamics:
         eng = cycle_engine()
         eng.step(np.array([1.0, 2.0, 3.0]), alpha=0.5)
         # r_i = 1/3 so agent k's dual gets 3 * g_k at its own coordinate
-        assert np.allclose(eng.states[0].z, [3.0, 0.0, 0.0])
-        assert np.allclose(eng.states[1].z, [0.0, 6.0, 0.0])
-        assert np.allclose(eng.states[2].z, [0.0, 0.0, 9.0])
-        assert np.allclose(eng.states[0].x, [-1.5, 0.0, 0.0])
+        assert np.allclose(eng._Z[0], [3.0, 0.0, 0.0])
+        assert np.allclose(eng._Z[1], [0.0, 6.0, 0.0])
+        assert np.allclose(eng._Z[2], [0.0, 0.0, 9.0])
+        assert np.allclose(eng.primal_matrix()[0], [-1.5, 0.0, 0.0])
         assert np.allclose(eng.mean_field(), [1.0, 2.0, 3.0])
         assert eng.rounds == 1
 
@@ -94,7 +109,7 @@ class TestStepDynamics:
                 [0.75, 1.5, 4.5],
             ]
         )
-        assert np.allclose(np.array([s.z for s in eng.states]), expected)
+        assert np.allclose(eng._Z, expected)
         assert np.allclose(eng.mean_field(), [1.0, 2.0, 3.0])
         assert eng.mean_field_residual() <= 1e-15
 
@@ -104,12 +119,11 @@ class TestStepDynamics:
             graph=topo.graph, pair=ReversiblePair(r=topo.pair.r, M=np.eye(3))
         )
         eng = CirculationEngine(
-            topology=eye, blocks=BlockMap.scalar(3), box=ActionBox.uniform(-10, 10, 3)
+            network=eye, blocks=BlockMap.scalar(3), box=ActionBox.uniform(-10, 10, 3)
         )
         for g in ([1.0, 1.0, 1.0], [2.0, 0.0, -1.0]):
             eng.step(np.array(g), alpha=1.0)
-        Z = np.array([s.z for s in eng.states])
-        assert np.allclose(Z, np.diag([9.0, 3.0, 0.0]))
+        assert np.allclose(eng._Z, np.diag([9.0, 3.0, 0.0]))
 
     def test_rejects_wrong_update_count(self):
         eng = cycle_engine()
@@ -143,7 +157,7 @@ class TestMeanFieldInvariance:
             topo = metropolis_topology(int(rng.integers(2, 7)), rng)
             n = topo.pair.n
             eng = CirculationEngine(
-                topology=topo,
+                network=topo,
                 blocks=BlockMap.scalar(n),
                 box=ActionBox.uniform(-5, 5, n),
             )
@@ -153,14 +167,14 @@ class TestMeanFieldInvariance:
                 total += g
                 eng.step(g, alpha=inv_sqrt_step(t - 1))
                 assert eng.mean_field_residual() <= 1e-9
-                assert np.allclose(eng.gradient_sum(), total)
+                assert np.allclose(eng._u_total, total)
 
     def test_disagreement_definitions_match_states(self):
         rng = np.random.default_rng(41)
         eng = cycle_engine(5)
         for t in range(10):
             eng.step(rng.uniform(-3, 3, 5), alpha=0.5)
-        Z = np.array([s.z for s in eng.states])
+        Z = eng._Z
         zbar = eng.mean_field()
         sq = float(np.sum((Z - zbar) ** 2))
         norms = float(np.sum(np.linalg.norm(Z - zbar, axis=1)))
@@ -169,19 +183,11 @@ class TestMeanFieldInvariance:
         # Cauchy-Schwarz relation between the two records
         assert eng.disagreement() <= np.sqrt(5 * eng.disagreement_squared()) + 1e-12
 
-    def test_primal_disagreement_sum(self):
-        eng = cycle_engine(3)
-        eng.step(np.ones(3), alpha=1.0)
-        ref = np.array([0.5, -0.5, 0.0])
-        X = eng.primal_matrix()
-        expected = sum(np.linalg.norm(X[i] - ref) for i in range(3))
-        assert eng.primal_disagreement_sum(ref) == pytest.approx(expected)
-
 
 class TestSingleAgentEquivalence:
     def test_matches_centralized_trajectory(self):
         eng = CirculationEngine(
-            topology=singleton_topology(),
+            network=singleton_topology(),
             blocks=BlockMap.scalar(1),
             box=ActionBox.uniform(-2.0, 2.0, 1),
         )

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from netdual.cli import main
+from netdual import ActionBox, RunConfig, harness, run, split_ring_schedule
+from netdual.cli import _trace_checks, main
 
 BAD_PAIR_GRAPH = {
     "n": 3,
@@ -53,6 +54,7 @@ class TestRunCommand:
         )
         assert code == 0
         assert payload["checks"]["max_weight_residual"] <= 1e-9
+        assert payload["checks"]["vacuous_bounds"] == []
 
     def test_seed_override_changes_outcome(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-c", "T": 25, "seed": 3})
@@ -238,3 +240,52 @@ class TestCheckInvariantsCommand:
             assert payload["passed"] is True
             assert payload["checks"]["mean_field_ok"] is True
             assert payload["checks"]["weights_ok"] is True
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("T", "abc"),
+            ("T", 1.7),
+            ("seed", "x"),
+            ("seed", -1),
+            ("comparator_tol", "q"),
+            ("blocks", [[0, 1], ["x"], [2, 3, 4]]),
+            ("b_cap", "z"),
+            ("regular", "no"),
+            ("sigma2_sup", "s"),
+            ("box", ["a", 1.0]),
+            ("alpha", {"values": ["x"] * 21}),
+        ],
+        ids=[
+            "T-str", "T-float", "seed-str", "seed-negative", "tol-str",
+            "block-str", "b_cap-str", "regular-str", "sigma2-str", "box-str", "alpha-str",
+        ],
+    )
+    def test_malformed_field_is_parse_error_before_simulating(
+        self, field, value, tmp_path, capsys, monkeypatch
+    ):
+        def no_simulation(config):
+            raise AssertionError("simulate reached with a malformed config")
+
+        monkeypatch.setattr(harness, "simulate", no_simulation)
+        d = {"algorithm": "oda-ps", "T": 20, field: value}
+        cfg = write_json(tmp_path, "c.json", d)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["command"] == "run"
+        assert "error" in payload
+
+
+class TestVacuousBounds:
+    def test_infinite_bounds_are_named(self):
+        config = RunConfig(
+            "oda-ps", split_ring_schedule(50, 5), ActionBox.uniform(-10, 10, 50), T=20, seed=11
+        )
+        checks = _trace_checks(run(config))
+        assert checks["disagreement_within_bound"] and checks["regret_within_theory_bound"]
+        assert checks["vacuous_bounds"] == ["disagreement_bound", "theory_bound"]

@@ -5,12 +5,17 @@ from hypothesis import strategies as st
 
 from netdual import (
     ActionBox,
-    AgentState,
     BlockMap,
     ConfigError,
-    extract_network_action,
+    DigraphSchedule,
+    DualAveragingEngine,
+    RunConfig,
+    simulate,
+    split_ring_schedule,
 )
-from netdual.core import block_embed
+
+# two agents that both send to each other, so every block mixes
+PAIR_SCHEDULE = DigraphSchedule(n=2, graphs=(frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}),))
 
 
 class TestActionBox:
@@ -96,32 +101,26 @@ class TestBlockMap:
 class TestNetworkActionAssembly:
     def test_takes_owned_coordinates(self):
         bm = BlockMap(blocks=((0, 2), (1,)))
-        states = [
-            AgentState(z=np.zeros(3), x=np.array([1.0, 9.0, 3.0])),
-            AgentState(z=np.zeros(3), x=np.array([8.0, 2.0, 8.0])),
-        ]
-        act = extract_network_action(states, bm, t=7)
-        assert np.array_equal(act.x, [1.0, 2.0, 3.0])
-        assert act.round == 7
+        config = RunConfig(
+            "oda-ps", PAIR_SCHEDULE, ActionBox.uniform(-3.0, 3.0, 3), T=7, blocks=bm
+        )
+        history = simulate(config)
+        for t in range(7):
+            X = history.primals[t]
+            assert np.array_equal(history.actions[t], [X[0, 0], X[1, 1], X[0, 2]])
 
     def test_rejects_state_count_mismatch(self):
-        bm = BlockMap.scalar(2)
-        states = [AgentState(z=np.zeros(2), x=np.zeros(2))]
         with pytest.raises(ConfigError):
-            extract_network_action(states, bm, t=1)
-
-    def test_default_weight_is_one(self):
-        s = AgentState(z=np.zeros(1), x=np.zeros(1))
-        assert s.w == 1.0
+            DualAveragingEngine(
+                split_ring_schedule(3, 3), BlockMap.scalar(2), ActionBox.uniform(-1, 1, 2)
+            )
 
 
 class TestBlockEmbed:
     def test_places_block_values(self):
         bm = BlockMap(blocks=((0, 2), (1,)))
-        v = block_embed(0, np.array([5.0, 6.0]), bm, p=3)
-        assert np.array_equal(v, [5.0, 0.0, 6.0])
-
-    def test_rejects_wrong_block_size(self):
-        bm = BlockMap.scalar(2)
-        with pytest.raises(ConfigError):
-            block_embed(0, np.array([1.0, 2.0]), bm, p=2)
+        engine = DualAveragingEngine(PAIR_SCHEDULE, bm, ActionBox.uniform(-9.0, 9.0, 3))
+        engine.step(np.array([5.0, 7.0, 6.0]), alpha=1.0)
+        # from zero duals one step leaves only the injection: n * u[k] in
+        # the row of the agent that owns k, zeros elsewhere
+        assert np.array_equal(engine._Z, [[10.0, 0.0, 12.0], [0.0, 14.0, 0.0]])

@@ -2,7 +2,21 @@ import numpy as np
 import pytest
 
 from netdual import ActionBox, ConfigError, QuadraticLoss, lipschitz_constants, power_iteration
-from netdual.objectives import finite_diff_check
+
+
+def finite_diff_check(obj, x, h=1e-6, box=None):
+    """Max relative deviation between the gradient and central differences of value."""
+    x = np.asarray(x, dtype=float)
+    if box is not None and not (np.all(x - box.lo > h) and np.all(box.hi - x > h)):
+        raise ValueError("x must be interior to the box by more than h")
+    g = obj.gradient(x)
+    worst = 0.0
+    for k in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[k] = h
+        d = (obj.value(x + e) - obj.value(x - e)) / (2 * h)
+        worst = max(worst, abs(d - g[k]) / max(1.0, abs(g[k])))
+    return worst
 
 
 class TestQuadraticLoss:

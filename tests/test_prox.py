@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdual import ActionBox, ProximalFunction, project, prox_sup
+from netdual import ActionBox, project, prox_sup
 
 
 def pgd_projection_oracle(z, alpha, box, iters=200):
@@ -19,13 +19,10 @@ def pgd_projection_oracle(z, alpha, box, iters=200):
 
 class TestProximalFunction:
     def test_half_square_value(self):
-        psi = ProximalFunction()
-        assert psi.value(np.array([3.0, 4.0])) == pytest.approx(12.5)
-        assert psi.value(np.zeros(5)) == 0.0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(NotImplementedError):
-            ProximalFunction(kind="entropy").value(np.ones(2))
+        # on a one-point box the sup of psi is psi at that point
+        point = ActionBox(lo=np.array([3.0, 4.0]), hi=np.array([3.0, 4.0]))
+        assert prox_sup(point) == pytest.approx(12.5)
+        assert prox_sup(ActionBox.uniform(0.0, 0.0, 5)) == 0.0
 
 
 class TestProject:
@@ -81,11 +78,11 @@ class TestProxSup:
 
     def test_sup_matches_sampled_psi(self):
         rng = np.random.default_rng(3)
-        psi = ProximalFunction()
+        psi = lambda x: 0.5 * float(np.dot(x, x))
         box = ActionBox(lo=rng.uniform(-4, 0, 3), hi=rng.uniform(0, 4, 3))
         cap = prox_sup(box)
         for _ in range(500):
             x = rng.uniform(box.lo, box.hi)
-            assert psi.value(x) <= cap + 1e-12
+            assert psi(x) <= cap + 1e-12
         corner = np.where(box.hi**2 >= box.lo**2, box.hi, box.lo)
-        assert psi.value(corner) == pytest.approx(cap)
+        assert psi(corner) == pytest.approx(cap)

@@ -21,13 +21,13 @@ def two_node_engine():
         n=2, graphs=(frozenset({(0, 0), (1, 1), (0, 1)}),), period=1
     )
     return PushSumEngine(
-        schedule=sched, blocks=BlockMap.scalar(2), box=ActionBox.uniform(-10, 10, 2)
+        network=sched, blocks=BlockMap.scalar(2), box=ActionBox.uniform(-10, 10, 2)
     )
 
 
 def ring_engine(n=5, phases=3):
     return PushSumEngine(
-        schedule=split_ring_schedule(n, phases),
+        network=split_ring_schedule(n, phases),
         blocks=BlockMap.scalar(n),
         box=ActionBox.uniform(-10, 10, n),
     )
@@ -36,16 +36,14 @@ def ring_engine(n=5, phases=3):
 class TestConstruction:
     def test_initial_state(self):
         eng = ring_engine()
-        assert np.array_equal(eng.weights, np.ones(5))
-        for s in eng.states:
-            assert np.array_equal(s.z, np.zeros(5))
-            assert s.w == 1.0
+        assert np.array_equal(eng._w, np.ones(5))
+        assert np.array_equal(eng._Z, np.zeros((5, 5)))
         assert eng.rounds == 0
 
     def test_rejects_agent_count_mismatch(self):
         with pytest.raises(ConfigError):
             PushSumEngine(
-                schedule=split_ring_schedule(5, 3),
+                network=split_ring_schedule(5, 3),
                 blocks=BlockMap.scalar(4),
                 box=ActionBox.uniform(-1, 1, 4),
             )
@@ -56,24 +54,21 @@ class TestStepDynamics:
         eng = two_node_engine()
         eng.step(np.array([3.0, -1.0]), alpha=0.5)
         # injections are n * u_k at the owner's row: (6, 0) and (0, -2)
-        Z = np.array([s.z for s in eng.states])
-        assert np.allclose(Z, [[6.0, 0.0], [0.0, -2.0]])
+        assert np.allclose(eng._Z, [[6.0, 0.0], [0.0, -2.0]])
         # weights mixed by the column-stochastic matrix [[1/2, 0], [1/2, 1]]
-        assert np.allclose(eng.weights, [0.5, 1.5])
+        assert np.allclose(eng._w, [0.5, 1.5])
         assert np.allclose(eng.ratios(), [[12.0, 0.0], [0.0, -4.0 / 3.0]])
         assert np.allclose(eng.mean_field(), [3.0, -1.0])
         assert eng.mean_field_residual() <= 1e-15
-        assert np.allclose(eng.states[0].x, [-6.0, 0.0])
+        assert np.allclose(eng.primal_matrix()[0], [-6.0, 0.0])
 
     def test_second_step_mixes_duals_and_weights(self):
         eng = two_node_engine()
         eng.step(np.array([3.0, -1.0]), alpha=0.5)
         eng.step(np.zeros(2), alpha=0.5)
         A = np.array([[0.5, 0.0], [0.5, 1.0]])
-        assert np.allclose(
-            np.array([s.z for s in eng.states]), A @ np.array([[6.0, 0.0], [0.0, -2.0]])
-        )
-        assert np.allclose(eng.weights, A @ np.array([0.5, 1.5]))
+        assert np.allclose(eng._Z, A @ np.array([[6.0, 0.0], [0.0, -2.0]]))
+        assert np.allclose(eng._w, A @ np.array([0.5, 1.5]))
 
     def test_weight_conservation_and_positivity(self):
         rng = np.random.default_rng(13)
@@ -81,7 +76,7 @@ class TestStepDynamics:
         for t in range(1, 61):
             eng.step(rng.uniform(-2, 2, 5), alpha=inv_sqrt_step(t - 1))
             assert eng.weight_conservation_residual() <= 1e-12
-            assert np.all(eng.weights > 0)
+            assert np.all(eng._w > 0)
 
     def test_mean_field_tracks_gradient_sum(self):
         rng = np.random.default_rng(19)
@@ -92,14 +87,14 @@ class TestStepDynamics:
             total += g
             eng.step(g, alpha=0.4)
             assert eng.mean_field_residual() <= 1e-9
-            assert np.allclose(eng.gradient_sum(), total)
+            assert np.allclose(eng._u_total, total)
 
     def test_uses_matrix_for_current_slot(self):
         eng = ring_engine()
-        sched = eng.schedule
+        sched = eng.network
         eng.step(np.zeros(5), alpha=1.0)
         # after one step the weights equal A(0) @ ones
-        assert np.allclose(eng.weights, sched.matrix_at(0) @ np.ones(5))
+        assert np.allclose(eng._w, sched.matrix_at(0) @ np.ones(5))
 
     def test_local_updates_read_own_rows(self):
         eng = ring_engine()
@@ -130,7 +125,7 @@ class TestUnrolledEquivalence:
         rng = np.random.default_rng(37)
         sched = random_digraph_schedule(4, 5, rng)
         eng = PushSumEngine(
-            schedule=sched, blocks=BlockMap.scalar(4), box=ActionBox.uniform(-8, 8, 4)
+            network=sched, blocks=BlockMap.scalar(4), box=ActionBox.uniform(-8, 8, 4)
         )
         history = []
         for t in range(1, 21):
@@ -153,13 +148,13 @@ class TestSingleAgentEquivalence:
     def test_matches_centralized_trajectory(self):
         sched = DigraphSchedule(n=1, graphs=(frozenset({(0, 0)}),), period=1)
         box = ActionBox.uniform(-2.0, 2.0, 1)
-        eng = PushSumEngine(schedule=sched, blocks=BlockMap.scalar(1), box=box)
+        eng = PushSumEngine(network=sched, blocks=BlockMap.scalar(1), box=box)
         rng = np.random.default_rng(43)
         updates = rng.uniform(-3, 3, size=(12, 1))
         xs = []
         for t in range(1, 13):
             eng.step(updates[t - 1], alpha=inv_sqrt_step(t - 1))
-            assert eng.weights[0] == 1.0
+            assert eng._w[0] == 1.0
             xs.append(eng.primal_matrix()[0].copy())
         refs = centralized_reference(updates, box)
         for t in range(1, 13):

@@ -128,8 +128,12 @@ class TestOfflineComparator:
 class TestNetworkRegret:
     def test_hand_partial_sums(self):
         objs = [QuadraticLoss(A=np.eye(1), q=np.zeros(1)) for _ in range(2)]
-        partial = network_regret(objs, [np.array([1.0]), np.array([2.0])], np.zeros(1))
+        partial, costs, comp = network_regret(
+            objs, [np.array([1.0]), np.array([2.0])], np.zeros(1)
+        )
         assert np.allclose(partial, [0.5, 2.5])
+        assert np.allclose(costs, [0.5, 2.0])
+        assert np.allclose(comp, [0.0, 0.0])
 
     def test_rejects_length_mismatch(self):
         objs = [QuadraticLoss(A=np.eye(1), q=np.zeros(1))]

@@ -343,7 +343,7 @@ class TestStockTopologies:
     def test_split_ring_structure(self):
         sched = split_ring_schedule(5, 3)
         assert sched.period == 3
-        assert sched.B == 3
+        assert validate_b_strong(sched) == 3
         union = set()
         for t in range(3):
             g = sched.graph_at(t)
