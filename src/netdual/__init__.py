@@ -31,12 +31,11 @@ from .harness import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .objectives import Objective, QuadraticLoss, lipschitz_constants, power_iteration
+from .objectives import QuadraticLoss, lipschitz_constants, power_iteration
 from .prox import project, prox_sup
 from .regret import (
     ComparatorResult,
     RegretTrace,
-    centralized_reference,
     circulation_disagreement_bound,
     circulation_regret_bound,
     decomposition_terms,
@@ -80,7 +79,6 @@ __all__ = [
     "DualAveragingEngine",
     "FixedEnvironment",
     "GraphReport",
-    "Objective",
     "PushSumEngine",
     "QuadraticLoss",
     "RegretTrace",
@@ -93,7 +91,6 @@ __all__ = [
     "UndirectedGraph",
     "backward_product",
     "build_pushsum_matrix",
-    "centralized_reference",
     "check_geometric_decay",
     "circulation_disagreement_bound",
     "circulation_regret_bound",

@@ -22,7 +22,7 @@ from .core import ActionBox, BlockMap
 from .engine import CirculationEngine, DualAveragingEngine, PushSumEngine  # noqa: F401
 from .errors import ConfigError, TopologyError
 from .objectives import QuadraticLoss, lipschitz_constants
-from .prox import prox_sup
+from .prox import project, prox_sup
 from .regret import (
     RegretTrace,
     circulation_disagreement_bound,
@@ -173,12 +173,9 @@ def sensing_environment_factory(
             np.fill_diagonal(off, 0.0)
             A_ = np.eye(p) + 0.1 * off
         else:
-            A_ = np.asarray(A, dtype=float)
-        if target is None:
-            target_ = rng.uniform(-10.0, 10.0, size=p)
-        else:
-            target_ = np.asarray(target, dtype=float)
-        cov_ = 0.25 * np.eye(p) if cov is None else np.asarray(cov, dtype=float)
+            A_ = A
+        target_ = rng.uniform(-10.0, 10.0, size=p) if target is None else target
+        cov_ = 0.25 * np.eye(p) if cov is None else cov
         return SensingEnvironment(A=A_, target=target_, cov=cov_)
 
     return make
@@ -188,8 +185,7 @@ def fixed_environment_factory(
     q_list, A=None
 ) -> Callable[[int, np.random.Generator], FixedEnvironment]:
     def make(p: int, rng: np.random.Generator) -> FixedEnvironment:
-        A_ = np.eye(p) if A is None else np.asarray(A, dtype=float)
-        return FixedEnvironment(A=A_, q_list=tuple(q_list))
+        return FixedEnvironment(A=np.eye(p) if A is None else A, q_list=tuple(q_list))
 
     return make
 
@@ -239,6 +235,11 @@ class RunConfig:
             raise ConfigError(
                 f"box dimension {self.box.p} disagrees with block map dimension {self.blocks.p}"
             )
+        # finalize needs both of these after round T: fail before round 1
+        if self.sigma2_sup is not None and not self.regular:
+            raise ConfigError("a singular-value sup is only accepted for regular schedules")
+        if self.alpha is not None:
+            self.alpha(self.T)
 
     @property
     def n(self) -> int:
@@ -263,6 +264,19 @@ def _real(value, name: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _numbers(value, name: str, shape: tuple) -> np.ndarray:
+    """A JSON array of numbers (not bools or strings) of the given shape, as
+    floats; a None in ``shape`` matches any positive length."""
+    try:
+        a = np.asarray(value)
+        ok = a.dtype.kind in "iuf" and a.ndim == len(shape)
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok or any(k == 0 if w is None else k != w for k, w in zip(a.shape, shape)):
+        raise ConfigError(f"{name} must be an array of numbers of shape {shape}, got {value!r}")
+    return a.astype(float)
 
 
 def _alpha_from_spec(spec) -> Callable[[int], float] | None:
@@ -295,26 +309,32 @@ def _box_from_spec(spec, p: int) -> ActionBox:
         return ActionBox.uniform(_real(spec[0], "box lo"), _real(spec[1], "box hi"), p)
     if isinstance(spec, dict) and "lo" in spec and "hi" in spec:
         return ActionBox(
-            lo=np.asarray(spec["lo"], dtype=float),
-            hi=np.asarray(spec["hi"], dtype=float),
+            lo=_numbers(spec["lo"], "box lo", (p,)), hi=_numbers(spec["hi"], "box hi", (p,))
         )
     raise ConfigError('box must be [lo, hi] or {"lo": [...], "hi": [...]}')
 
 
-def _environment_from_spec(spec):
+def _environment_from_spec(spec, p: int):
+    """The environment factory, with every given piece converted and checked
+    against the dimension p here rather than inside the run."""
     if spec is None:
         return None
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError('environment must be an object with a "type"')
+
+    def piece(key, shape):
+        value = spec.get(key)
+        return None if value is None else _numbers(value, f"environment {key}", shape)
+
     kind = spec["type"]
     if kind == "sensing":
         return sensing_environment_factory(
-            A=spec.get("A"), target=spec.get("target"), cov=spec.get("P")
+            A=piece("A", (p, p)), target=piece("target", (p,)), cov=piece("P", (p, p))
         )
     if kind == "fixed":
         if "q" not in spec:
             raise ConfigError('fixed environment needs "q": a list of vectors')
-        return fixed_environment_factory(spec["q"], A=spec.get("A"))
+        return fixed_environment_factory(piece("q", (None, p)), A=piece("A", (p, p)))
     raise ConfigError(f'unknown environment type "{kind}"')
 
 
@@ -374,7 +394,7 @@ def config_from_dict(d: dict) -> RunConfig:
         seed=_integer(d.get("seed", 0), '"seed"', 0),
         blocks=blocks,
         alpha=_alpha_from_spec(d.get("alpha")),
-        environment=_environment_from_spec(d.get("environment")),
+        environment=_environment_from_spec(d.get("environment"), blocks.p),
         regular=regular,
         sigma2_sup=None if sigma2_sup is None else _real(sigma2_sup, '"sigma2_sup"'),
         b_cap=None if b_cap is None else _integer(b_cap, '"b_cap"', 1),
@@ -399,13 +419,15 @@ def load_config(path: str) -> RunConfig:
 
 @dataclass
 class RunHistory:
-    """Raw per-round record of a simulation, before any bound is attached."""
+    """Raw per-round record of a simulation, before any bound is attached.
+    O(T p): the agents' points are reduced in the loop to refs and ref_gaps."""
 
     config: RunConfig
-    objectives: list
+    losses: QuadraticLoss | None  # the T rounds' losses as one stack; None if T = 0
     actions: np.ndarray        # (T, p) network actions
     updates: np.ndarray        # (T, p) owned gradient entries, coordinate order
-    primals: np.ndarray        # (T, n, p) per-agent points the blocks were read at
+    refs: np.ndarray           # (T, p) single-agent reference point of each round
+    ref_gaps: np.ndarray       # (T,) sum over agents of ||x_i(t) - refs[t-1]||
     disagreement: np.ndarray
     disagreement_squared: np.ndarray
     mean_field_residual: np.ndarray
@@ -423,7 +445,7 @@ def simulate(config: RunConfig) -> RunHistory:
     """Execute the round loop and record everything needed for measurement."""
     rng = run_generator(config)
     engine = DualAveragingEngine(config.topology, config.blocks, config.box)
-    n, p, T = config.n, config.p, config.T
+    p, T = config.p, config.T
     alpha = config.alpha or inv_sqrt_step
     env_factory = config.environment or sensing_environment_factory()
     env = env_factory(p, rng)
@@ -432,34 +454,48 @@ def simulate(config: RunConfig) -> RunHistory:
 
     owner = config.blocks.owner
     cols = np.arange(p)
-    objectives = []
+    A = Q = None
     actions = np.empty((T, p))
     updates = np.empty((T, p))
-    primals = np.empty((T, n, p))
+    refs = np.empty((T, p))
+    ref_gaps = np.empty(T)
     disagreement = np.empty(T)
     disagreement_sq = np.empty(T)
     mf_residual = np.empty(T)
     w_residual = np.zeros(T)
     is_pushsum = config.algorithm == "oda-ps"
+    # the single-agent run on the same updates: the reference of round t
+    # projects the sum through round t-1 with step alpha(t-2)
+    total = np.zeros(p)
+    ref = config.box.clamp(np.zeros(p))
 
     for t in range(1, T + 1):
         X = engine.primal_matrix()
         x_t = X[owner, cols]
         obj = env.next_objective(t, x_t, rng)
+        # bounds are certified for one quadratic family; reject on the
+        # round it is left rather than after the whole horizon
         if not isinstance(obj, QuadraticLoss):
-            # bounds are certified for quadratic losses only; reject before
-            # this round's step rather than after the whole horizon
             raise ConfigError(
                 "bound certification needs quadratic objectives; round "
                 f"{t} returned {type(obj).__name__}"
             )
+        if A is None:
+            A, Q = obj.A, np.empty((T, obj.q.shape[0]))
+        elif obj.A is not A and not np.array_equal(obj.A, A):
+            raise ConfigError(f"bound certification needs one sensing matrix; round {t} changed A")
         u = engine.local_updates(obj)
-        engine.step(u, alpha(t - 1))
+        step = alpha(t - 1)
+        engine.step(u, step)
 
-        objectives.append(obj)
+        Q[t - 1] = obj.q
         actions[t - 1] = x_t
         updates[t - 1] = u
-        primals[t - 1] = X
+        refs[t - 1] = ref
+        d = X - ref
+        ref_gaps[t - 1] = np.sqrt(np.add.reduce(d * d, axis=1)).sum()
+        total += u
+        ref = project(total, step, config.box)
         disagreement[t - 1] = engine.disagreement()
         disagreement_sq[t - 1] = engine.disagreement_squared()
         mf_residual[t - 1] = engine.mean_field_residual()
@@ -468,31 +504,16 @@ def simulate(config: RunConfig) -> RunHistory:
 
     return RunHistory(
         config=config,
-        objectives=objectives,
+        losses=None if A is None else QuadraticLoss(A, Q),
         actions=actions,
         updates=updates,
-        primals=primals,
+        refs=refs,
+        ref_gaps=ref_gaps,
         disagreement=disagreement,
         disagreement_squared=disagreement_sq,
         mean_field_residual=mf_residual,
         weight_residual=w_residual,
     )
-
-
-def _certified_constants(objectives, box: ActionBox) -> tuple:
-    """Gradient and curvature constants valid for every observed objective
-    (each a QuadraticLoss: simulate rejects any other kind)."""
-    L = 0.0
-    G = 0.0
-    by_matrix = {}
-    for obj in objectives:
-        key = obj.A.tobytes()
-        by_matrix.setdefault(key, (obj.A, []))[1].append(float(np.linalg.norm(obj.q)))
-    for A, q_norms in by_matrix.values():
-        L_m, G_m = lipschitz_constants(A, box, q_radius=max(q_norms))
-        L = max(L, L_m)
-        G = max(G, G_m)
-    return L, G
 
 
 def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
@@ -521,13 +542,16 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
             theory_bound=C,
         )
 
-    objectives = history.objectives[:T]
-    actions = history.actions[:T]
-    L, G = _certified_constants(objectives, box)
-    comp = offline_comparator(objectives, box, tol=config.comparator_tol)
-    regret_partial, costs, comparator_costs = network_regret(objectives, actions, comp.y)
+    losses = QuadraticLoss(history.losses.A, history.losses.q[:T])
+    q_radius = float(np.max(np.linalg.norm(losses.q, axis=1)))
+    L, G = lipschitz_constants(losses.A, box, q_radius=q_radius)
+    comp = offline_comparator(losses, box, tol=config.comparator_tol)
+    regret_partial, costs, comparator_costs = network_regret(
+        losses, history.actions[:T], comp.y
+    )
     terms = decomposition_terms(
-        history.updates[:T], history.primals[:T], objectives, box, L, C, alpha
+        history.updates[:T], history.refs[:T], history.ref_gaps[:T],
+        losses, box, n, L, C, alpha,
     )
     rounds = np.arange(1, T + 1)
 

@@ -1,12 +1,9 @@
-"""Convex objective family: interface, quadratic sensing loss, constant certification.
+"""Quadratic sensing loss and its certified constants.
 
 Constants follow the usual smooth-convex conventions: L bounds the gradient
-norm over the feasible box (so each objective is L-Lipschitz there) and G
-bounds the gradient's own Lipschitz modulus (largest eigenvalue of A^T A for
-the quadratic loss).
+norm over the feasible box (so each loss is L-Lipschitz there) and G
+bounds the gradient's own Lipschitz modulus (largest eigenvalue of A^T A).
 """
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -14,40 +11,28 @@ from .core import ActionBox
 from .errors import ConfigError
 
 
-class Objective(ABC):
-    """Differentiable convex function of the stacked decision vector.
-
-    ``value`` takes one point of shape (p,). ``gradient`` takes one point
-    (p,) or a stack of points (m, p) and returns the gradient at each row,
-    with the same shape: the engine reads every agent's gradient at its own
-    point in one call on the (n, p) primal matrix.
-    """
-
-    @abstractmethod
-    def value(self, x: np.ndarray) -> float: ...
-
-    @abstractmethod
-    def gradient(self, x: np.ndarray) -> np.ndarray: ...
-
-
-class QuadraticLoss(Objective):
+class QuadraticLoss:
     """f(x) = 0.5 * ||A x - q||^2 with gradient A^T (A x - q).
 
-    The gradient is computed as (x A^T - q) A, which serves a single point
-    and a stack of points (one per row) alike.
+    ``q`` is one measurement (m,) or a stack of measurements (T, m), one
+    loss per row with a shared A. Both methods are row-wise over the last
+    axis: one point (p,) or a stack of points (k, p) against one q, and a
+    stack of points against the stack of q, row by row. The engine reads
+    every agent's gradient at its own point in one call on the (n, p)
+    primal matrix; the measurement reads all T rounds in one call.
     """
 
     def __init__(self, A: np.ndarray, q: np.ndarray):
         A = np.asarray(A, dtype=float)
         q = np.asarray(q, dtype=float)
-        if A.ndim != 2 or q.shape != (A.shape[0],):
+        if A.ndim != 2 or q.ndim not in (1, 2) or q.shape[-1] != A.shape[0]:
             raise ConfigError(f"shape mismatch: A is {A.shape}, q is {q.shape}")
         self.A = A
         self.q = q
 
-    def value(self, x: np.ndarray) -> float:
-        r = self.A @ x - self.q
-        return 0.5 * float(np.dot(r, r))
+    def value(self, x: np.ndarray):
+        r = x @ self.A.T - self.q
+        return 0.5 * np.add.reduce(r * r, axis=-1)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return (x @ self.A.T - self.q) @ self.A

@@ -16,37 +16,12 @@ import numpy as np
 from .core import ActionBox
 from .errors import ComparatorError, ConfigError
 from .objectives import QuadraticLoss, power_iteration
-from .prox import project
 from .topology import ContractionConstants
 
 
 def inv_sqrt_step(s: int) -> float:
     """Default step-size schedule alpha(s) = 1/sqrt(s+1), s >= 0."""
     return 1.0 / math.sqrt(s + 1)
-
-
-def centralized_reference(
-    update_history, box: ActionBox, alpha=None
-) -> np.ndarray:
-    """Trajectory a single agent would produce from the stacked gradients.
-
-    Row j is the point acted on at round j+1: the projection of the gradient
-    sum through round j with step alpha(j-1). Row 0 is the starting point
-    (projection of zero). Shape (T+1, p).
-    """
-    if alpha is None:
-        alpha = inv_sqrt_step
-    U = np.asarray(update_history, dtype=float)
-    if U.ndim != 2 or U.shape[1] != box.p:
-        raise ConfigError(f"update history must be (T, {box.p}), got {U.shape}")
-    T = U.shape[0]
-    refs = np.empty((T + 1, box.p))
-    refs[0] = box.clamp(np.zeros(box.p))
-    total = np.zeros(box.p)
-    for j in range(1, T + 1):
-        total += U[j - 1]
-        refs[j] = project(total, alpha(j - 1), box)
-    return refs
 
 
 @dataclass(frozen=True)
@@ -57,69 +32,47 @@ class ComparatorResult:
     iterations: int
 
 
-def _aggregate_quadratic(objectives):
-    p = objectives[0].A.shape[1]
-    H = np.zeros((p, p))
-    b = np.zeros(p)
-    for obj in objectives:
-        H += obj.A.T @ obj.A
-        b += obj.A.T @ obj.q
-    return H, b
-
-
 def offline_comparator(
-    objectives,
-    box: ActionBox,
-    tol: float = 1e-8,
-    max_iter: int = 200_000,
-    step: float | None = None,
+    losses: QuadraticLoss, box: ActionBox, tol: float = 1e-8, max_iter: int = 200_000
 ) -> ComparatorResult:
-    """Best fixed feasible point in hindsight for the summed objectives.
+    """Best fixed feasible point in hindsight for the summed losses.
 
-    Projected gradient descent with step 1/(sum of curvature constants);
-    quadratic losses are aggregated into a single normal-equation form so
-    each iteration costs O(p^2). Convergence is declared when the projected
-    gradient norm falls below tol; exceeding max_iter raises, with the best
-    point found attached to the error.
+    The T rounds of ``losses`` share A, so their sum is the normal form
+    0.5 y^T H y - b^T y + const with H = T A^T A and b = A^T sum_t q_t, and
+    each iteration costs O(p^2). Projected gradient descent starts from the
+    clamped least-squares point with step 1/lambda_max(H); convergence is
+    declared when the projected gradient norm falls below tol; exceeding
+    max_iter raises, with the best point found attached to the error.
     """
-    if not objectives:
-        raise ConfigError("need at least one objective")
-    p = box.p
-    quadratic = all(isinstance(obj, QuadraticLoss) for obj in objectives)
-    if quadratic:
-        H, b = _aggregate_quadratic(objectives)
-        if H.shape != (p, p):
-            raise ConfigError("objective dimension disagrees with the box")
-        grad = lambda y: H @ y - b
-        if step is None:
-            lip = power_iteration(H)
-            step = 1.0 / lip if lip > 0 else 1.0
-        y = box.clamp(np.linalg.lstsq(H, b, rcond=None)[0])
-    else:
-        if step is None:
-            raise ConfigError("supply a step size for non-quadratic objectives")
-        grad = lambda y: sum(obj.gradient(y) for obj in objectives)
-        y = box.clamp(np.zeros(p))
+    Q = losses.q
+    if Q.ndim != 2 or Q.shape[0] == 0:
+        raise ConfigError("need a stack of at least one measurement")
+    if losses.A.shape[1] != box.p:
+        raise ConfigError("objective dimension disagrees with the box")
+    H = Q.shape[0] * (losses.A.T @ losses.A)
+    b = losses.A.T @ Q.sum(axis=0)
+    lip = power_iteration(H)
+    step = 1.0 / lip if lip > 0 else 1.0
+    y = box.clamp(np.linalg.lstsq(H, b, rcond=None)[0])
 
-    residual = math.inf
+    residual, it = math.inf, 0
     for it in range(1, max_iter + 1):
-        y_next = box.clamp(y - step * grad(y))
+        y_next = box.clamp(y - step * (H @ y - b))
         residual = float(np.linalg.norm(y - y_next)) / step
         y = y_next
         if residual <= tol:
-            value = float(sum(obj.value(y) for obj in objectives))
-            return ComparatorResult(y=y, value=value, grad_residual=residual, iterations=it)
-    value = float(sum(obj.value(y) for obj in objectives))
-    raise ComparatorError(
-        f"comparator search did not reach tol={tol} in {max_iter} iterations "
-        f"(projected gradient norm {residual:.3e})",
-        best=y,
-        value=value,
-        grad_norm=residual,
-    )
+            break
+    value = float(np.sum(losses.value(y)))
+    if not residual <= tol:  # a NaN residual never converges
+        raise ComparatorError(
+            f"comparator search did not reach tol={tol} in {max_iter} iterations "
+            f"(projected gradient norm {residual:.3e})",
+            best=y, value=value, grad_norm=residual,
+        )
+    return ComparatorResult(y=y, value=value, grad_residual=residual, iterations=it)
 
 
-def network_regret(objectives, actions, y: np.ndarray) -> tuple:
+def network_regret(losses: QuadraticLoss, actions, y: np.ndarray) -> tuple:
     """Cumulative regret partial sums against the fixed point y, with the
     per-round costs they are built from.
 
@@ -127,13 +80,13 @@ def network_regret(objectives, actions, y: np.ndarray) -> tuple:
     comparator_costs[t-1] = f_t(y), and partial[t-1] = sum_{s<=t}
     [f_s(x(s)) - f_s(y)]; the final partial is the full-horizon regret.
     """
-    if len(objectives) != len(actions):
+    actions = np.asarray(actions, dtype=float)
+    if losses.q.shape[:-1] != actions.shape[:1]:
         raise ConfigError(
-            f"{len(objectives)} objectives but {len(actions)} actions"
+            f"need one loss per action: q is {losses.q.shape}, actions are {actions.shape}"
         )
-    y = np.asarray(y, dtype=float)
-    costs = np.array([obj.value(np.asarray(x, float)) for obj, x in zip(objectives, actions)])
-    comp = np.array([obj.value(y) for obj in objectives])
+    costs = losses.value(actions)
+    comp = losses.value(np.asarray(y, dtype=float))
     return np.cumsum(costs - comp), costs, comp
 
 
@@ -152,47 +105,30 @@ class DecompositionTerms:
 
 
 def decomposition_terms(
-    update_history,
-    primal_history,
-    objectives,
-    box: ActionBox,
-    L: float,
-    C: float,
-    alpha=None,
+    update_history, refs, ref_gaps, losses: QuadraticLoss, box: ActionBox,
+    n: int, L: float, C: float, alpha=None,
 ) -> DecompositionTerms:
     """Measured regret-split terms from a completed run.
 
-    e1 accumulates (alpha(t-1)/2)*||u_t||^2; e2 accumulates L times the sum
-    over agents of the distance from each acting point to the single-agent
-    reference; e3 accumulates sqrt(n)*D times the gap between the reference
-    gradient and the stacked blocks the agents actually used.
+    Round t's single-agent reference refs[t-1] is the projection of the
+    gradient sum through round t-1, and ref_gaps[t-1] the sum over the n
+    agents of the distance from each acting point to it. e1 accumulates
+    (alpha(t-1)/2)*||u_t||^2; e2 accumulates L times ref_gaps; e3
+    accumulates sqrt(n)*D times the gap between the reference gradient and
+    the stacked blocks the agents actually used.
     """
     if alpha is None:
         alpha = inv_sqrt_step
-    U = np.asarray(update_history, dtype=float)
-    X = np.asarray(primal_history, dtype=float)
+    U, R, gaps = (np.asarray(a, dtype=float) for a in (update_history, refs, ref_gaps))
     T = U.shape[0]
-    if X.shape[0] != T or len(objectives) != T:
-        raise ConfigError("histories and objectives must cover the same rounds")
-    n = X.shape[1]
-    D = box.diameter
-    refs = centralized_reference(U, box, alpha)
-    e1 = np.zeros(T)
-    e2 = np.zeros(T)
-    e3 = np.zeros(T)
-    bound = np.zeros(T)
-    c1 = c2 = c3 = 0.0
-    for t in range(1, T + 1):
-        u = U[t - 1]
-        ref = refs[t - 1]
-        c1 += 0.5 * alpha(t - 1) * float(u @ u)
-        c2 += L * float(np.sum(np.linalg.norm(X[t - 1] - ref[None, :], axis=1)))
-        c3 += math.sqrt(n) * D * float(
-            np.linalg.norm(objectives[t - 1].gradient(ref) - u)
-        )
-        e1[t - 1], e2[t - 1], e3[t - 1] = c1, c2, c3
-        bound[t - 1] = c1 + c2 + c3 + C / alpha(t)
-    return DecompositionTerms(e1=e1, e2=e2, e3=e3, bound=bound)
+    if R.shape != U.shape or gaps.shape != (T,) or losses.q.shape[:-1] != (T,):
+        raise ConfigError("histories and losses must cover the same rounds")
+    alphas = np.array([alpha(s) for s in range(T + 1)])
+    e1 = np.cumsum(0.5 * alphas[:T] * np.add.reduce(U * U, axis=1))
+    e2 = np.cumsum(L * gaps)
+    mismatch = np.linalg.norm(losses.gradient(R) - U, axis=1)
+    e3 = np.cumsum(math.sqrt(n) * box.diameter * mismatch)
+    return DecompositionTerms(e1=e1, e2=e2, e3=e3, bound=e1 + e2 + e3 + C / alphas[1:])
 
 
 # ---------------------------------------------------------------------------

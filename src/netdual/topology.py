@@ -491,12 +491,19 @@ def split_ring_schedule(n: int = 5, phases: int = 3) -> DigraphSchedule:
     return DigraphSchedule(n=n, graphs=tuple(graphs), period=phases)
 
 
+def _count(value, name: str) -> int:
+    """A whole number from a graph spec (2 and 2.0 alike)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ConfigError(f"graph {name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def topology_from_dict(spec: dict):
     """Build a StaticTopology or DigraphSchedule from the graph-file dict schema."""
     if not isinstance(spec, dict):
         raise ConfigError("graph spec must be a JSON object")
     try:
-        n = int(spec["n"])
+        n = _count(spec["n"], "n")
         mode = spec["mode"]
     except KeyError as e:
         raise ConfigError(f"graph spec missing required key {e}") from None
@@ -512,7 +519,7 @@ def topology_from_dict(spec: dict):
         if "graphs" not in spec:
             raise ConfigError('schedule mode needs "graphs"')
         graphs = tuple(frozenset(tuple(e) for e in E) for E in spec["graphs"])
-        period = int(spec.get("period", len(graphs)))
+        period = _count(spec.get("period", len(graphs)), "period")
         return DigraphSchedule(n=n, graphs=graphs, period=period)
     raise ConfigError(f'unknown graph mode "{mode}"')
 

@@ -248,7 +248,11 @@ def test_criterion_09_comparator_matches_grid_search():
             for _ in range(3)
         ]
         box = ActionBox(lo=np.array([-0.6, -0.6]), hi=np.array([0.6, 0.6]))
-        res = offline_comparator(objs, box, tol=1e-10)
+        # the three losses sum to one loss with the measurements stacked
+        stacked = QuadraticLoss(
+            A=np.vstack([o.A for o in objs]), q=np.concatenate([o.q for o in objs])[None, :]
+        )
+        res = offline_comparator(stacked, box, tol=1e-10)
 
         H = sum(o.A.T @ o.A for o in objs)
         b = sum(o.A.T @ o.q for o in objs)

@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import random_digraph_schedule
+from conftest import random_digraph_schedule, record_primals
 
 from netdual import (
     ActionBox,
@@ -118,13 +118,18 @@ def test_one_step_matches_reference_from_identical_state():
     ids=["oda-c", "oda-ps", "oda-ps-grouped"],
 )
 def test_full_run_matches_reference(config, monkeypatch):
+    seen = record_primals(monkeypatch)
     history = simulate(config)
+    got = {"primals": np.array(seen), "actions": history.actions, "updates": history.updates}
+    seen.clear()
     engine_class = CirculationEngine if config.algorithm == "oda-c" else PushSumEngine
     monkeypatch.setattr(engine_class, "local_updates", reference_local_updates)
     monkeypatch.setattr(engine_class, "step", reference_step)
     ref = simulate(config)
+    want = {"primals": np.array(seen), "actions": ref.actions, "updates": ref.updates}
+    assert got["primals"].shape == (config.T, config.n, config.p)
     for field in ("actions", "updates", "primals"):
-        gap = np.max(np.abs(getattr(history, field) - getattr(ref, field)))
+        gap = np.max(np.abs(got[field] - want[field]))
         assert gap <= 1e-12, f"{field} differs by {gap:.3g}"
     # the disagreement records grow to 1e3-1e4: compare them relatively
     for field in ("disagreement", "disagreement_squared"):

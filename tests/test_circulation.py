@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import metropolis_topology, singleton_topology
+from conftest import centralized_reference, metropolis_topology, singleton_topology
 
 from netdual import (
     ActionBox,
@@ -12,7 +12,6 @@ from netdual import (
     ReversiblePair,
     StaticTopology,
     TopologyError,
-    centralized_reference,
     inv_sqrt_step,
     lazy_cycle_pair,
 )

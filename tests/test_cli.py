@@ -257,10 +257,19 @@ class TestConfigBoundary:
             ("sigma2_sup", "s"),
             ("box", ["a", 1.0]),
             ("alpha", {"values": ["x"] * 21}),
+            ("graph", {"n": "x", "mode": "schedule", "graphs": [[[0, 0]]]}),
+            ("graph", {"n": 1, "mode": "schedule", "graphs": [[[0, 0]]], "period": "z"}),
+            ("box", {"lo": ["a"], "hi": [1]}),
+            ("environment", {"type": "sensing", "A": "x"}),
+            ("environment", {"type": "fixed", "q": [["a"]]}),
+            ("sigma2_sup", 0.5),
+            ("alpha", {"values": [1.0] * 20}),
         ],
         ids=[
             "T-str", "T-float", "seed-str", "seed-negative", "tol-str",
             "block-str", "b_cap-str", "regular-str", "sigma2-str", "box-str", "alpha-str",
+            "graph-n-str", "period-str", "box-lo-str", "sensing-A-str", "fixed-q-str",
+            "sigma2-not-regular", "alpha-short",
         ],
     )
     def test_malformed_field_is_parse_error_before_simulating(

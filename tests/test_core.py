@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import record_primals
 from hypothesis import strategies as st
 
 from netdual import (
@@ -99,14 +100,16 @@ class TestBlockMap:
 
 
 class TestNetworkActionAssembly:
-    def test_takes_owned_coordinates(self):
+    def test_takes_owned_coordinates(self, monkeypatch):
         bm = BlockMap(blocks=((0, 2), (1,)))
         config = RunConfig(
             "oda-ps", PAIR_SCHEDULE, ActionBox.uniform(-3.0, 3.0, 3), T=7, blocks=bm
         )
+        primals = record_primals(monkeypatch)
         history = simulate(config)
+        assert len(primals) == 7
         for t in range(7):
-            X = history.primals[t]
+            X = primals[t]
             assert np.array_equal(history.actions[t], [X[0, 0], X[1, 1], X[0, 2]])
 
     def test_rejects_state_count_mismatch(self):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import record_primals
 
 from netdual import (
     ActionBox,
@@ -216,11 +217,9 @@ class TestConfigFromDict:
             {"algorithm": "oda-c", "T": 3, "alpha": {"values": [1.0, 0.8, 0.6, 0.5]}}
         )
         run(ok)
-        short = config_from_dict(
-            {"algorithm": "oda-c", "T": 3, "alpha": {"values": [1.0, 0.8, 0.6]}}
-        )
+        # rejected when the config is built, before round 1
         with pytest.raises(ConfigError, match="horizon plus one"):
-            run(short)
+            config_from_dict({"algorithm": "oda-c", "T": 3, "alpha": {"values": [1.0, 0.8, 0.6]}})
 
     def test_environment_specs(self):
         cfg = config_from_dict(
@@ -245,7 +244,9 @@ class TestSimulate:
         hist = simulate(base_config(T=8))
         assert np.array_equal(hist.weight_residual, np.zeros(8))
         assert hist.actions.shape == (8, 5)
-        assert hist.primals.shape == (8, 5, 5)
+        assert hist.refs.shape == (8, 5)
+        assert hist.ref_gaps.shape == (8,)
+        assert hist.losses.q.shape == (8, 5)
 
     def test_environment_dimension_guard(self):
         cfg = base_config(
@@ -255,12 +256,14 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="dimension"):
             simulate(cfg)
 
-    def test_actions_follow_block_owners(self):
+    def test_actions_follow_block_owners(self, monkeypatch):
         cfg = base_config(T=3)
+        primals = record_primals(monkeypatch)
         hist = simulate(cfg)
+        assert len(primals) == 3
         for t in range(3):
             for i in range(5):
-                assert hist.actions[t, i] == hist.primals[t, i, i]
+                assert hist.actions[t, i] == primals[t][i, i]
 
     @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
     def test_one_gradient_call_per_round(self, algorithm, monkeypatch):
@@ -318,6 +321,20 @@ class TestFinalize:
             run(cfg)
         # rejected on the round the objective appears, not after the horizon
         assert _Odd.asked == 1
+
+    def test_changed_sensing_matrix_rejected(self):
+        class _Drifting:
+            p = 5
+            asked = 0
+
+            def next_objective(self, t, x_t, rng):
+                _Drifting.asked += 1
+                return QuadraticLoss(A=t * np.eye(5), q=np.zeros(5))
+
+        cfg = base_config(T=6, environment=lambda p, rng: _Drifting())
+        with pytest.raises(ConfigError, match="round 2"):
+            simulate(cfg)
+        assert _Drifting.asked == 2
 
     def test_trace_shapes_and_constants(self):
         trace = run(base_config(T=12, seed=7))

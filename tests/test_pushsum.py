@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_digraph_schedule
+from conftest import centralized_reference, random_digraph_schedule
 
 from netdual import (
     ActionBox,
@@ -9,7 +9,6 @@ from netdual import (
     DigraphSchedule,
     PushSumEngine,
     QuadraticLoss,
-    centralized_reference,
     inv_sqrt_step,
     split_ring_schedule,
     unrolled_dual_check,

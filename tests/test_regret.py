@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import centralized_reference
 
 from netdual import (
     ActionBox,
@@ -9,7 +10,6 @@ from netdual import (
     ConfigError,
     QuadraticLoss,
     RegretTrace,
-    centralized_reference,
     circulation_disagreement_bound,
     circulation_regret_bound,
     contraction_constants,
@@ -22,17 +22,12 @@ from netdual import (
 )
 
 
-class _CoshLoss:
-    """Smooth non-quadratic test objective sum(cosh(x - c))."""
-
-    def __init__(self, c):
-        self.c = np.asarray(c, dtype=float)
-
-    def value(self, x):
-        return float(np.sum(np.cosh(x - self.c)))
-
-    def gradient(self, x):
-        return np.sinh(x - self.c)
+def reduced_history(update_history, primal_history, box):
+    """The refs and ref_gaps simulate records, from updates (T, p) and the
+    per-agent points (T, n, p) the blocks were read at."""
+    refs = centralized_reference(update_history, box)[:-1]
+    gaps = np.linalg.norm(np.asarray(primal_history) - refs[:, None, :], axis=2).sum(axis=1)
+    return refs, gaps
 
 
 class TestStepSchedule:
@@ -68,15 +63,15 @@ class TestCentralizedReference:
 
 class TestOfflineComparator:
     def test_interior_minimizer(self):
-        objs = [QuadraticLoss(A=np.eye(1), q=np.array([2.0])) for _ in range(3)]
-        res = offline_comparator(objs, ActionBox.uniform(-10, 10, 1))
+        losses = QuadraticLoss(A=np.eye(1), q=np.full((3, 1), 2.0))
+        res = offline_comparator(losses, ActionBox.uniform(-10, 10, 1))
         assert res.y[0] == pytest.approx(2.0, abs=1e-7)
         assert res.value == pytest.approx(0.0, abs=1e-10)
         assert res.grad_residual <= 1e-8
 
     def test_boundary_minimizer(self):
-        objs = [QuadraticLoss(A=np.eye(1), q=np.array([20.0])) for _ in range(3)]
-        res = offline_comparator(objs, ActionBox.uniform(-10, 10, 1))
+        losses = QuadraticLoss(A=np.eye(1), q=np.full((3, 1), 20.0))
+        res = offline_comparator(losses, ActionBox.uniform(-10, 10, 1))
         assert res.y[0] == pytest.approx(10.0)
         assert res.value == pytest.approx(150.0)
 
@@ -84,9 +79,9 @@ class TestOfflineComparator:
         rng = np.random.default_rng(7)
         A = rng.uniform(-1, 1, size=(2, 2)) + 2 * np.eye(2)
         q = rng.uniform(-1, 1, size=2)
-        objs = [QuadraticLoss(A=A, q=q)]
+        losses = QuadraticLoss(A=A, q=q[None, :])
         box = ActionBox(lo=np.array([-0.6, -0.6]), hi=np.array([0.6, 0.6]))
-        res = offline_comparator(objs, box, tol=1e-10)
+        res = offline_comparator(losses, box, tol=1e-10)
         grid = np.linspace(-0.6, 0.6, 1201)
         best, best_val = None, math.inf
         for a in grid:
@@ -97,48 +92,41 @@ class TestOfflineComparator:
                 best_val, best = vals[j], np.array([a, grid[j]])
         assert np.max(np.abs(res.y - best)) <= 2e-3
 
-    def test_non_quadratic_requires_step(self):
-        objs = [_CoshLoss([0.5])]
-        with pytest.raises(ConfigError):
-            offline_comparator(objs, ActionBox.uniform(-1, 1, 1))
-
-    def test_non_quadratic_with_step(self):
-        objs = [_CoshLoss([0.5]), _CoshLoss([0.5])]
-        res = offline_comparator(
-            objs, ActionBox.uniform(-1, 1, 1), tol=1e-6, step=0.1
-        )
-        assert res.y[0] == pytest.approx(0.5, abs=1e-6)
-
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            offline_comparator([], ActionBox.uniform(-1, 1, 1))
+            offline_comparator(
+                QuadraticLoss(A=np.eye(1), q=np.zeros((0, 1))), ActionBox.uniform(-1, 1, 1)
+            )
 
     def test_iteration_cap_attaches_best(self):
-        objs = [_CoshLoss([0.9])]
+        # correlated coordinates and an optimum on a face of the box: the
+        # clamped least-squares start is off, and descent needs about 40 steps
+        losses = QuadraticLoss(A=np.array([[1.0, 0.99], [0.99, 1.0]]), q=np.array([[3.0, -1.0]]))
+        box = ActionBox.uniform(-1, 1, 2)
         with pytest.raises(ComparatorError) as exc:
-            offline_comparator(
-                objs, ActionBox.uniform(-1, 1, 1), tol=1e-12, step=1e-3, max_iter=50
-            )
+            offline_comparator(losses, box, tol=1e-12, max_iter=5)
         err = exc.value
-        assert err.best.shape == (1,)
-        assert math.isfinite(err.value)
+        assert err.best.shape == (2,)
+        assert box.contains(err.best)
+        assert err.value == pytest.approx(float(np.sum(losses.value(err.best))))
         assert err.grad_norm > 1e-12
+        assert offline_comparator(losses, box, tol=1e-12).iterations > 5
 
 
 class TestNetworkRegret:
     def test_hand_partial_sums(self):
-        objs = [QuadraticLoss(A=np.eye(1), q=np.zeros(1)) for _ in range(2)]
+        losses = QuadraticLoss(A=np.eye(1), q=np.zeros((2, 1)))
         partial, costs, comp = network_regret(
-            objs, [np.array([1.0]), np.array([2.0])], np.zeros(1)
+            losses, [np.array([1.0]), np.array([2.0])], np.zeros(1)
         )
         assert np.allclose(partial, [0.5, 2.5])
         assert np.allclose(costs, [0.5, 2.0])
         assert np.allclose(comp, [0.0, 0.0])
 
     def test_rejects_length_mismatch(self):
-        objs = [QuadraticLoss(A=np.eye(1), q=np.zeros(1))]
+        losses = QuadraticLoss(A=np.eye(1), q=np.zeros((1, 1)))
         with pytest.raises(ConfigError):
-            network_regret(objs, [], np.zeros(1))
+            network_regret(losses, [], np.zeros(1))
 
 
 class TestDecomposition:
@@ -146,8 +134,9 @@ class TestDecomposition:
         box = ActionBox.uniform(-1.0, 1.0, 2)
         u = np.array([[3.0, 4.0]])
         X = np.zeros((1, 2, 2))  # both agents act exactly at the reference
-        objs = [QuadraticLoss(A=np.eye(2), q=np.array([-3.0, -4.0]))]
-        terms = decomposition_terms(u, X, objs, box, L=5.0, C=2.0)
+        losses = QuadraticLoss(A=np.eye(2), q=np.array([[-3.0, -4.0]]))
+        refs, gaps = reduced_history(u, X, box)
+        terms = decomposition_terms(u, refs, gaps, losses, box, n=2, L=5.0, C=2.0)
         assert terms.e1[0] == pytest.approx(12.5)  # 0.5 * 1 * 25
         assert terms.e2[0] == 0.0
         assert terms.e3[0] == pytest.approx(0.0, abs=1e-12)
@@ -158,8 +147,9 @@ class TestDecomposition:
         u = np.array([[3.0, 4.0]])
         X = np.array([[[1.0, 0.0], [0.0, 0.0]]])
         # gradient at the starting reference is (3, 3): unit gap against u
-        objs = [QuadraticLoss(A=np.eye(2), q=np.array([-3.0, -3.0]))]
-        terms = decomposition_terms(u, X, objs, box, L=5.0, C=0.0)
+        losses = QuadraticLoss(A=np.eye(2), q=np.array([[-3.0, -3.0]]))
+        refs, gaps = reduced_history(u, X, box)
+        terms = decomposition_terms(u, refs, gaps, losses, box, n=2, L=5.0, C=0.0)
         assert terms.e2[0] == pytest.approx(5.0)
         D = box.diameter
         assert terms.e3[0] == pytest.approx(math.sqrt(2) * D * 1.0)
@@ -169,18 +159,19 @@ class TestDecomposition:
         box = ActionBox.uniform(-5.0, 5.0, 1)
         u = np.array([[1.0], [1.0], [1.0]])
         X = np.zeros((3, 1, 1))
-        objs = [QuadraticLoss(A=np.eye(1), q=np.zeros(1)) for _ in range(3)]
-        terms = decomposition_terms(u, X, objs, box, L=1.0, C=1.0)
+        losses = QuadraticLoss(A=np.eye(1), q=np.zeros((3, 1)))
+        refs, gaps = reduced_history(u, X, box)
+        terms = decomposition_terms(u, refs, gaps, losses, box, n=1, L=1.0, C=1.0)
         assert np.all(np.diff(terms.e1) > 0)
         e1_hand = np.cumsum([0.5 * inv_sqrt_step(t) for t in range(3)])
         assert np.allclose(terms.e1, e1_hand)
 
     def test_rejects_history_mismatch(self):
         box = ActionBox.uniform(-1.0, 1.0, 1)
-        objs = [QuadraticLoss(A=np.eye(1), q=np.zeros(1))]
+        losses = QuadraticLoss(A=np.eye(1), q=np.zeros((1, 1)))
         with pytest.raises(ConfigError):
             decomposition_terms(
-                np.zeros((2, 1)), np.zeros((1, 1, 1)), objs, box, L=1.0, C=1.0
+                np.zeros((2, 1)), np.zeros((1, 1)), np.zeros(1), losses, box, n=1, L=1.0, C=1.0
             )
 
 
