@@ -22,6 +22,7 @@ from .errors import ComparatorError, ConfigError, TopologyError
 from .harness import (
     RunConfig,
     load_config,
+    network_constants,
     run,
     run_generator,
     sensing_environment_factory,
@@ -31,15 +32,7 @@ from .harness import (
 )
 from .objectives import lipschitz_constants, power_iteration
 from .prox import prox_sup
-from .regret import circulation_regret_bound, pushsum_regret_bound
-from .topology import (
-    DigraphSchedule,
-    StaticTopology,
-    contraction_constants,
-    spectral_gap,
-    validate_b_strong,
-    validate_reversible_pair,
-)
+from .topology import StaticTopology, spectral_gap, validate_reversible_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -144,12 +137,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate_graph(args) -> int:
     config = load_config(args.config)
-    if isinstance(config.topology, StaticTopology):
-        report = validate_reversible_pair(config.topology.graph, config.topology.pair)
+    net = config.topology
+    if isinstance(net, StaticTopology):
+        report = validate_reversible_pair(net.graph, net.pair)
         payload = {
             "command": "validate-graph",
             "mode": "static",
-            "n": config.topology.pair.n,
+            "n": net.n,
             "checks": [
                 {"name": c.name, "ok": c.ok, "violation": c.violation, "detail": c.detail}
                 for c in report.checks
@@ -157,33 +151,25 @@ def cmd_validate_graph(args) -> int:
             "passed": report.passed,
         }
         if report.passed:
-            payload["spectral_gap"] = spectral_gap(config.topology.pair)
-        _emit(payload)
-        return EXIT_OK if report.passed else EXIT_VALIDATION
-
-    schedule: DigraphSchedule = config.topology
-    B = validate_b_strong(schedule, cap=config.b_cap)
-    payload = {
-        "command": "validate-graph",
-        "mode": "schedule",
-        "n": schedule.n,
-        "period": schedule.period,
-        "B": B,
-        "passed": B is not None,
-    }
-    if B is not None:
-        cc = contraction_constants(
-            schedule.n, B, regular=config.regular, sigma2_sup=config.sigma2_sup
-        )
-        payload["constants"] = {
-            "beta": cc.beta,
-            "theta": cc.theta,
-            "gamma": cc.gamma,
-            "log_gamma": cc.log_gamma,
-            "log_one_minus_theta": cc.log_one_minus_theta,
+            payload["spectral_gap"] = spectral_gap(net.pair)
+    else:
+        try:
+            constants = network_constants(config).fields
+        except TopologyError:  # no window within the cap
+            constants = {"B": None}
+        B = constants.pop("B")
+        payload = {
+            "command": "validate-graph",
+            "mode": "schedule",
+            "n": net.n,
+            "period": net.period,
+            "B": B,
+            "passed": B is not None,
         }
+        if B is not None:
+            payload["constants"] = constants
     _emit(payload)
-    return EXIT_OK if B is not None else EXIT_VALIDATION
+    return EXIT_OK if payload["passed"] else EXIT_VALIDATION
 
 
 def _apriori_constants(config: RunConfig) -> tuple:
@@ -209,32 +195,15 @@ def cmd_bounds(args) -> int:
     L, G = _apriori_constants(config)
     C = prox_sup(config.box)
     D = config.box.diameter
-    n = config.n
-    if config.algorithm == "oda-c":
-        lam = spectral_gap(config.topology.pair)
-        r_min = config.topology.pair.r_min
-        bound_at = lambda T: circulation_regret_bound(T, n, L, G, D, C, r_min, lam)
-        extras = {"spectral_gap": lam, "r_min": r_min}
-    else:
-        B = validate_b_strong(config.topology, cap=config.b_cap)
-        if B is None:
-            return _fail(
-                EXIT_VALIDATION,
-                "schedule is not strongly connected over any window within the cap",
-                command="bounds",
-            )
-        cc = contraction_constants(n, B, regular=config.regular, sigma2_sup=config.sigma2_sup)
-        bound_at = lambda T: pushsum_regret_bound(T, n, L, G, D, C, cc)
-        extras = {"B": B, "beta": cc.beta, "theta": cc.theta, "gamma": cc.gamma}
+    network = network_constants(config)
     rows = []
     for T in horizons:
-        bound = bound_at(T)
-        tail = C * math.sqrt(T + 1)
+        bound = network.regret_bound(T, L, G, D, C)
         rows.append(
             {
                 "T": T,
                 "bound": bound,
-                "sqrt_coefficient": (bound - tail) / math.sqrt(T) if T > 0 else 0.0,
+                "sqrt_coefficient": (bound - C * math.sqrt(T + 1)) / math.sqrt(T) if T else 0.0,
             }
         )
     _emit(
@@ -245,7 +214,7 @@ def cmd_bounds(args) -> int:
             "G": G,
             "D": D,
             "C": C,
-            **extras,
+            **network.fields,
             "rows": rows,
         }
     )

@@ -104,3 +104,16 @@ class BlockMap:
     def owner(self) -> np.ndarray:
         """owner[k] = index of the agent whose block contains coordinate k."""
         return self._owner
+
+
+def parse_numbers(value, name: str, shape: tuple) -> np.ndarray:
+    """A JSON array of numbers (not bools or strings) of the given shape, as
+    floats; a None in ``shape`` matches any positive length."""
+    try:
+        a = np.asarray(value)
+        ok = a.dtype.kind in "iuf" and a.ndim == len(shape)
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok or any(k == 0 if w is None else k != w for k, w in zip(a.shape, shape)):
+        raise ConfigError(f"{name} must be an array of numbers of shape {shape}, got {value!r}")
+    return a.astype(float, copy=False)

@@ -33,14 +33,15 @@ class DualAveragingEngine:
 
     def __post_init__(self):
         if isinstance(self.network, StaticTopology):
-            n, self._w = self.network.pair.n, None  # no weights: agents act on Z
+            self._w = None  # no weights: agents act on Z
         elif isinstance(self.network, DigraphSchedule):
-            n, self._w = self.network.n, np.ones(self.network.n)
+            self._w = np.ones(self.network.n)
         else:
             raise ConfigError(
                 "network must be a StaticTopology or a DigraphSchedule, "
                 f"got {type(self.network).__name__}"
             )
+        n = self.network.n
         if n != self.blocks.n:
             raise ConfigError(
                 f"network has n={n} agents but block map has n={self.blocks.n}"

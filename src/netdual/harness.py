@@ -17,7 +17,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .core import ActionBox, BlockMap
+from .core import ActionBox, BlockMap, parse_numbers
 # bench/tracer.py wraps the engine's methods under the two alias names in this module
 from .engine import CirculationEngine, DualAveragingEngine, PushSumEngine  # noqa: F401
 from .errors import ConfigError, TopologyError
@@ -220,11 +220,7 @@ class RunConfig:
             raise ConfigError("oda-c runs on a static topology (graph + weight pair)")
         if self.algorithm == "oda-ps" and not isinstance(self.topology, DigraphSchedule):
             raise ConfigError("oda-ps runs on a digraph schedule")
-        n = (
-            self.topology.pair.n
-            if isinstance(self.topology, StaticTopology)
-            else self.topology.n
-        )
+        n = self.topology.n
         if self.blocks is None:
             self.blocks = BlockMap.scalar(n)
         if self.blocks.n != n:
@@ -266,19 +262,6 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
-def _numbers(value, name: str, shape: tuple) -> np.ndarray:
-    """A JSON array of numbers (not bools or strings) of the given shape, as
-    floats; a None in ``shape`` matches any positive length."""
-    try:
-        a = np.asarray(value)
-        ok = a.dtype.kind in "iuf" and a.ndim == len(shape)
-    except ValueError:  # ragged nesting
-        ok = False
-    if not ok or any(k == 0 if w is None else k != w for k, w in zip(a.shape, shape)):
-        raise ConfigError(f"{name} must be an array of numbers of shape {shape}, got {value!r}")
-    return a.astype(float)
-
-
 def _alpha_from_spec(spec) -> Callable[[int], float] | None:
     if spec is None:
         return None
@@ -309,7 +292,8 @@ def _box_from_spec(spec, p: int) -> ActionBox:
         return ActionBox.uniform(_real(spec[0], "box lo"), _real(spec[1], "box hi"), p)
     if isinstance(spec, dict) and "lo" in spec and "hi" in spec:
         return ActionBox(
-            lo=_numbers(spec["lo"], "box lo", (p,)), hi=_numbers(spec["hi"], "box hi", (p,))
+            lo=parse_numbers(spec["lo"], "box lo", (p,)),
+            hi=parse_numbers(spec["hi"], "box hi", (p,)),
         )
     raise ConfigError('box must be [lo, hi] or {"lo": [...], "hi": [...]}')
 
@@ -324,7 +308,7 @@ def _environment_from_spec(spec, p: int):
 
     def piece(key, shape):
         value = spec.get(key)
-        return None if value is None else _numbers(value, f"environment {key}", shape)
+        return None if value is None else parse_numbers(value, f"environment {key}", shape)
 
     kind = spec["type"]
     if kind == "sensing":
@@ -355,7 +339,7 @@ def config_from_dict(d: dict) -> RunConfig:
         topology = topology_from_dict(graph)
     else:
         raise ConfigError('"graph" must be a path, an inline object, or omitted')
-    n = topology.pair.n if isinstance(topology, StaticTopology) else topology.n
+    n = topology.n
 
     blocks_spec = d.get("blocks")
     if blocks_spec is None:
@@ -417,12 +401,54 @@ def load_config(path: str) -> RunConfig:
 # simulation
 
 
+@dataclass(frozen=True)
+class NetworkConstants:
+    """The network's part of the certified bounds. It does not change with T
+    or the losses, so a run works it out once, before round 1."""
+
+    fields: dict  # spectral_gap and r_min, or B and the contraction constants
+    disagreement_bound: Callable[[float], float]  # of L
+    regret_bound: Callable[[int, float, float, float, float], float]  # of T, L, G, D, C
+    weighted: bool  # push-sum: finalize reports the weight-conservation residual
+
+
+def network_constants(config: RunConfig) -> NetworkConstants:
+    """Choose the circulation or the push-sum bound family for the config's
+    network and certify its constants; a schedule with no strongly connected
+    window within the cap raises TopologyError."""
+    n = config.n
+    if isinstance(config.topology, StaticTopology):
+        pair = config.topology.pair
+        lam, r_min = spectral_gap(pair), pair.r_min
+        return NetworkConstants(
+            {"spectral_gap": lam, "r_min": r_min},
+            lambda L: circulation_disagreement_bound(n, L, r_min, lam),
+            lambda T, L, G, D, C: circulation_regret_bound(T, n, L, G, D, C, r_min, lam),
+            weighted=False,
+        )
+    # module-level names: bench/tracer.py wraps these two in this module
+    B = validate_b_strong(config.topology, cap=config.b_cap)
+    if B is None:
+        raise TopologyError("schedule is not strongly connected over any window within the cap")
+    cc = contraction_constants(n, B, regular=config.regular, sigma2_sup=config.sigma2_sup)
+    return NetworkConstants(
+        {
+            "B": B, "beta": cc.beta, "theta": cc.theta, "gamma": cc.gamma,
+            "log_gamma": cc.log_gamma, "log_one_minus_theta": cc.log_one_minus_theta,
+        },
+        lambda L: pushsum_disagreement_bound(n, L, cc),
+        lambda T, L, G, D, C: pushsum_regret_bound(T, n, L, G, D, C, cc),
+        weighted=True,
+    )
+
+
 @dataclass
 class RunHistory:
     """Raw per-round record of a simulation, before any bound is attached.
     O(T p): the agents' points are reduced in the loop to refs and ref_gaps."""
 
     config: RunConfig
+    network: NetworkConstants
     losses: QuadraticLoss | None  # the T rounds' losses as one stack; None if T = 0
     actions: np.ndarray        # (T, p) network actions
     updates: np.ndarray        # (T, p) owned gradient entries, coordinate order
@@ -445,6 +471,7 @@ def simulate(config: RunConfig) -> RunHistory:
     """Execute the round loop and record everything needed for measurement."""
     rng = run_generator(config)
     engine = DualAveragingEngine(config.topology, config.blocks, config.box)
+    network = network_constants(config)
     p, T = config.p, config.T
     alpha = config.alpha or inv_sqrt_step
     env_factory = config.environment or sensing_environment_factory()
@@ -462,8 +489,7 @@ def simulate(config: RunConfig) -> RunHistory:
     disagreement = np.empty(T)
     disagreement_sq = np.empty(T)
     mf_residual = np.empty(T)
-    w_residual = np.zeros(T)
-    is_pushsum = config.algorithm == "oda-ps"
+    w_residual = np.empty(T)
     # the single-agent run on the same updates: the reference of round t
     # projects the sum through round t-1 with step alpha(t-2)
     total = np.zeros(p)
@@ -496,14 +522,16 @@ def simulate(config: RunConfig) -> RunHistory:
         ref_gaps[t - 1] = np.sqrt(np.add.reduce(d * d, axis=1)).sum()
         total += u
         ref = project(total, step, config.box)
-        disagreement[t - 1] = engine.disagreement()
+        disagreement[t - 1] = dis = engine.disagreement()
         disagreement_sq[t - 1] = engine.disagreement_squared()
-        mf_residual[t - 1] = engine.mean_field_residual()
-        if is_pushsum:
-            w_residual[t - 1] = engine.weight_conservation_residual()
+        mf_residual[t - 1] = mf = engine.mean_field_residual()
+        w_residual[t - 1] = engine.weight_conservation_residual()
+        if not (math.isfinite(dis) and math.isfinite(mf)):
+            raise FloatingPointError(f"round {t} left disagreement {dis}, mean-field residual {mf}")
 
     return RunHistory(
         config=config,
+        network=network,
         losses=None if A is None else QuadraticLoss(A, Q),
         actions=actions,
         updates=updates,
@@ -553,35 +581,13 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
         history.updates[:T], history.refs[:T], history.ref_gaps[:T],
         losses, box, n, L, C, alpha,
     )
-    rounds = np.arange(1, T + 1)
-
-    constants = {"L": L, "G": G, "D": D, "C": C, "n": n}
-    if config.algorithm == "oda-c":
-        pair = config.topology.pair
-        lam = spectral_gap(pair)
-        constants["spectral_gap"] = lam
-        constants["r_min"] = pair.r_min
-        constants["disagreement_bound"] = circulation_disagreement_bound(
-            n, L, pair.r_min, lam
-        )
-        theory = circulation_regret_bound(T, n, L, G, D, C, pair.r_min, lam)
-    else:
-        schedule = config.topology
-        B = validate_b_strong(schedule, cap=config.b_cap)
-        if B is None:
-            raise TopologyError(
-                "schedule is not strongly connected over any window within the cap"
-            )
-        cc = contraction_constants(
-            n, B, regular=config.regular, sigma2_sup=config.sigma2_sup
-        )
-        constants.update(
-            B=B, beta=cc.beta, theta=cc.theta, gamma=cc.gamma,
-            log_gamma=cc.log_gamma, log_one_minus_theta=cc.log_one_minus_theta,
-        )
-        constants["disagreement_bound"] = pushsum_disagreement_bound(n, L, cc)
+    net = history.network
+    constants = {
+        "L": L, "G": G, "D": D, "C": C, "n": n, **net.fields,
+        "disagreement_bound": net.disagreement_bound(L),
+    }
+    if net.weighted:
         constants["max_weight_residual"] = float(np.max(history.weight_residual[:T]))
-        theory = pushsum_regret_bound(T, n, L, G, D, C, cc)
 
     return RegretTrace(
         algorithm=config.algorithm,
@@ -589,7 +595,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
         costs=costs,
         comparator_costs=comparator_costs,
         regret_partial=regret_partial,
-        avg_regret=regret_partial / rounds,
+        avg_regret=regret_partial / np.arange(1, T + 1),
         disagreement=history.disagreement[:T].copy(),
         disagreement_squared=history.disagreement_squared[:T].copy(),
         mean_field_residual=history.mean_field_residual[:T].copy(),
@@ -597,7 +603,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
         y_star=comp.y,
         comparator_value=comp.value,
         constants=constants,
-        theory_bound=theory,
+        theory_bound=net.regret_bound(T, L, G, D, C),
     )
 
 
@@ -629,21 +635,12 @@ def sweep(config: RunConfig, horizons, cumulative: bool = False) -> list:
         raise ConfigError("sweep horizons must be positive")
     if sorted(horizons) != horizons:
         raise ConfigError("sweep horizons must be increasing")
-    rows = []
     if cumulative:
         history = simulate(replace(config, T=max(horizons)))
-        for T in horizons:
-            trace = finalize(history, T)
-            rows.append(
-                SweepRow(T, trace.regret, trace.average_regret, trace.theory_bound)
-            )
+        traces = (finalize(history, T) for T in horizons)
     else:
-        for T in horizons:
-            trace = run(replace(config, T=T))
-            rows.append(
-                SweepRow(T, trace.regret, trace.average_regret, trace.theory_bound)
-            )
-    return rows
+        traces = (run(replace(config, T=T)) for T in horizons)
+    return [SweepRow(tr.T, tr.regret, tr.average_regret, tr.theory_bound) for tr in traces]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import parse_numbers
 from .errors import ConfigError, TopologyError
 
 
@@ -89,6 +90,10 @@ class ReversiblePair:
 class StaticTopology:
     graph: UndirectedGraph
     pair: ReversiblePair
+
+    @property
+    def n(self) -> int:
+        return self.pair.n
 
 
 @dataclass(frozen=True)
@@ -498,30 +503,42 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _arcs(value, name: str) -> frozenset:
+    """A graph spec's list of [i, j] pairs of whole numbers."""
+    try:
+        arcs = frozenset(map(tuple, value))
+        if all(type(i) is int and type(j) is int for i, j in arcs):  # not bool
+            return arcs
+        return frozenset((_count(i, "node index"), _count(j, "node index")) for i, j in arcs)
+    except (TypeError, ValueError):  # not a list, not pairs, not whole numbers
+        raise ConfigError(
+            f"graph {name} must be a list of [i, j] pairs of whole numbers, got {value!r}"
+        ) from None
+
+
 def topology_from_dict(spec: dict):
     """Build a StaticTopology or DigraphSchedule from the graph-file dict schema."""
     if not isinstance(spec, dict):
         raise ConfigError("graph spec must be a JSON object")
     try:
         n = _count(spec["n"], "n")
-        mode = spec["mode"]
+        if spec["mode"] == "static":
+            return StaticTopology(
+                graph=UndirectedGraph(n=n, edges=_arcs(spec["edges"], "edges")),
+                pair=ReversiblePair(
+                    r=parse_numbers(spec["r"], "graph r", (n,)),
+                    M=parse_numbers(spec["M"], "graph M", (n, n)),
+                ),
+            )
+        if spec["mode"] == "schedule":
+            if not isinstance(spec["graphs"], (list, tuple)):
+                raise ConfigError('schedule "graphs" must be a list of arc lists')
+            graphs = tuple(_arcs(E, "arcs") for E in spec["graphs"])
+            period = _count(spec.get("period", len(graphs)), "period")
+            return DigraphSchedule(n=n, graphs=graphs, period=period)
     except KeyError as e:
         raise ConfigError(f"graph spec missing required key {e}") from None
-    if mode == "static":
-        if "edges" not in spec or "r" not in spec or "M" not in spec:
-            raise ConfigError('static mode needs "edges", "r" and "M"')
-        g = UndirectedGraph(n=n, edges=frozenset(tuple(e) for e in spec["edges"]))
-        pair = ReversiblePair(r=np.asarray(spec["r"], float), M=np.asarray(spec["M"], float))
-        if pair.n != n:
-            raise ConfigError("r/M dimensions disagree with n")
-        return StaticTopology(graph=g, pair=pair)
-    if mode == "schedule":
-        if "graphs" not in spec:
-            raise ConfigError('schedule mode needs "graphs"')
-        graphs = tuple(frozenset(tuple(e) for e in E) for E in spec["graphs"])
-        period = _count(spec.get("period", len(graphs)), "period")
-        return DigraphSchedule(n=n, graphs=graphs, period=period)
-    raise ConfigError(f'unknown graph mode "{mode}"')
+    raise ConfigError(f'unknown graph mode "{spec["mode"]}"')
 
 
 def load_graph(path: str):

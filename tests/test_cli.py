@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdual import ActionBox, RunConfig, harness, run, split_ring_schedule
 from netdual.cli import _trace_checks, main
@@ -16,6 +21,13 @@ BAD_PAIR_GRAPH = {
 }
 
 SINGLETON_GRAPH = {"n": 1, "mode": "static", "edges": [], "r": [1.0], "M": [[1.0]]}
+
+PATH_PAIR = {
+    "n": 2, "mode": "static", "edges": [[0, 1]], "r": [0.5, 0.5], "M": [[0.5, 0.5], [0.5, 0.5]]
+}
+
+# self-loops only: no window of any length is strongly connected
+UNCONNECTED_SCHEDULE = {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1]]], "period": 1}
 
 
 def write_json(tmp_path, name, obj):
@@ -264,12 +276,17 @@ class TestConfigBoundary:
             ("environment", {"type": "fixed", "q": [["a"]]}),
             ("sigma2_sup", 0.5),
             ("alpha", {"values": [1.0] * 20}),
+            ("graph", {**PATH_PAIR, "r": ["a", 0.5]}),
+            ("graph", {"n": 2, "mode": "schedule", "graphs": [[["a", 0]]]}),
+            ("graph", {**PATH_PAIR, "edges": [[0, 1, 2]]}),
+            ("graph", {"n": 2, "mode": "schedule", "graphs": 5}),
         ],
         ids=[
             "T-str", "T-float", "seed-str", "seed-negative", "tol-str",
             "block-str", "b_cap-str", "regular-str", "sigma2-str", "box-str", "alpha-str",
             "graph-n-str", "period-str", "box-lo-str", "sensing-A-str", "fixed-q-str",
-            "sigma2-not-regular", "alpha-short",
+            "sigma2-not-regular", "alpha-short", "graph-r-str", "arc-str", "edge-triple",
+            "graphs-int",
         ],
     )
     def test_malformed_field_is_parse_error_before_simulating(
@@ -288,6 +305,105 @@ class TestConfigBoundary:
         payload = json.loads(lines[0])
         assert payload["command"] == "run"
         assert "error" in payload
+
+
+class TestNetworkCertification:
+    @pytest.mark.parametrize(
+        "command, T",
+        [("run", 20), ("run", 0), ("check-invariants", 20), ("check-invariants", 0),
+         ("sweep", 20), ("bounds", 20)],
+    )
+    def test_unconnected_schedule_fails_before_round_one(
+        self, command, T, tmp_path, capsys, monkeypatch
+    ):
+        def no_step(self, u, alpha):
+            raise AssertionError("engine stepped on an uncertified network")
+
+        monkeypatch.setattr(harness.DualAveragingEngine, "step", no_step)
+        cfg = write_json(
+            tmp_path, "c.json", {"algorithm": "oda-ps", "T": T, "graph": UNCONNECTED_SCHEDULE}
+        )
+        extra = {
+            "run": ["--out", str(tmp_path / "o")],
+            "check-invariants": [],
+            "sweep": ["--horizons", "5,10", "--out", str(tmp_path / "o")],
+            "bounds": ["--horizons", "5,10"],
+        }[command]
+        code = main([command, "--config", cfg, *extra])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 3
+        assert [json.loads(line) for line in lines] == [
+            {
+                "error": "schedule is not strongly connected over any window within the cap",
+                "command": command,
+            }
+        ]
+
+    def test_overflow_is_runtime_error_naming_the_round(self, tmp_path, capsys):
+        d = {"algorithm": "oda-c", "T": 20, "environment": {"type": "fixed", "q": [[1e308] * 5]}}
+        cfg = write_json(tmp_path, "c.json", d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 4
+        assert len(lines) == 1
+        assert "round 1 " in json.loads(lines[0])["error"]
+
+
+# One field of a valid config replaced by a value of the wrong kind or range.
+POOL = ["x", True, None, -3, 2.5, math.nan, math.inf, [], [["a"]]]
+TOP_FIELDS = (
+    "algorithm", "T", "seed", "graph", "blocks", "box", "alpha", "environment",
+    "regular", "sigma2_sup", "b_cap", "comparator_tol",
+)
+VALID_CONFIGS = (
+    {
+        "algorithm": "oda-c", "T": 4, "seed": 1, "box": [-2.0, 2.0],
+        "environment": {"type": "fixed", "q": [[1.0, 2.0, 3.0]]},
+        "graph": {
+            "n": 3, "mode": "static", "edges": [[0, 1], [1, 2], [2, 0]], "r": [1 / 3] * 3,
+            "M": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+        },
+    },
+    {
+        "algorithm": "oda-ps", "T": 5, "seed": 2, "blocks": 3, "b_cap": 4,
+        "graph": {
+            "n": 3, "mode": "schedule", "period": 2,
+            "graphs": [[[0, 0], [1, 1], [2, 2], [0, 1]], [[0, 0], [1, 1], [2, 2], [1, 2], [2, 0]]],
+        },
+    },
+)
+GRAPH_FIELDS = (("n", "mode", "edges", "r", "M"), ("n", "mode", "graphs", "period"))
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    in_graph=st.booleans(),
+    field_index=st.integers(0, len(TOP_FIELDS) - 1),
+    value=st.sampled_from(POOL),
+)
+def test_run_ends_in_a_documented_exit_code(which, in_graph, field_index, value, out_dir):
+    d = json.loads(json.dumps(VALID_CONFIGS[which]))
+    if in_graph:
+        fields = GRAPH_FIELDS[which]
+        d["graph"][fields[field_index % len(fields)]] = value
+    else:
+        d[TOP_FIELDS[field_index]] = value
+    path = out_dir / "c.json"
+    path.write_text(json.dumps(d))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), np.errstate(all="ignore"):
+        code = main(["run", "--config", str(path), "--out", str(out_dir)])
+    lines = stdout.getvalue().splitlines()
+    assert code in (0, 2, 3, 4)
+    assert len(lines) == 1
+    json.loads(lines[0])
 
 
 class TestVacuousBounds:

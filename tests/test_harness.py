@@ -15,12 +15,14 @@ from netdual import (
     SensingEnvironment,
     config_from_dict,
     finalize,
+    harness,
     lazy_cycle_pair,
     prox_sup,
     run,
     simulate,
     split_ring_schedule,
     sweep,
+    validate_b_strong,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -368,6 +370,18 @@ class TestSweep:
         solo = run(replace(cfg, T=9))
         assert rows[-1].regret == solo.regret
         assert rows[0].T == 4
+
+    def test_cumulative_sweep_certifies_the_network_once(self, monkeypatch):
+        calls = []
+
+        def counting(schedule, cap=None):
+            calls.append(cap)
+            return validate_b_strong(schedule, cap)
+
+        monkeypatch.setattr(harness, "validate_b_strong", counting)
+        rows = sweep(base_config(algorithm="oda-ps", T=1, seed=5), [5, 10, 20, 40], cumulative=True)
+        assert [row.T for row in rows] == [5, 10, 20, 40]
+        assert len(calls) == 1
 
     def test_rejects_bad_horizons(self):
         cfg = base_config(T=1)
