@@ -256,6 +256,8 @@ def _parse_horizons(text: str) -> list:
         raise ConfigError(f'horizons must be a comma-separated integer list, got "{text}"')
     if not horizons:
         raise ConfigError("horizons list is empty")
+    if min(horizons) < 0:
+        raise ConfigError(f'horizons must be nonnegative, got "{text}"')
     return horizons
 
 

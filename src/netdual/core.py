@@ -107,8 +107,9 @@ class BlockMap:
 
 
 def parse_numbers(value, name: str, shape: tuple) -> np.ndarray:
-    """A JSON array of numbers (not bools or strings) of the given shape, as
-    floats; a None in ``shape`` matches any positive length."""
+    """A JSON array of finite numbers (not bools, strings, NaN or infinities)
+    of the given shape, as floats; a None in ``shape`` matches any positive
+    length."""
     try:
         a = np.asarray(value)
         ok = a.dtype.kind in "iuf" and a.ndim == len(shape)
@@ -116,4 +117,6 @@ def parse_numbers(value, name: str, shape: tuple) -> np.ndarray:
         ok = False
     if not ok or any(k == 0 if w is None else k != w for k, w in zip(a.shape, shape)):
         raise ConfigError(f"{name} must be an array of numbers of shape {shape}, got {value!r}")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{name} must hold finite numbers, got {value!r}")
     return a.astype(float, copy=False)

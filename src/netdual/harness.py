@@ -3,10 +3,10 @@
 One run wires an engine, an environment and a step schedule together:
 each round reveals the network action assembled from the owned blocks, the
 environment answers with a loss, every agent reads the gradient entries it
-owns at its own point (one row-wise gradient of the stacked points), and the
-engine mixes and steps. Everything random flows through a single
-PCG64 generator keyed by (seed, horizon), so a sweep row and a standalone
-run at the same horizon are bit-identical.
+owns at its own point (from the loss's normal form: H = A^T A, formed once
+per run, and b_t = A^T q_t), and the engine mixes and steps. Everything
+random flows through a single PCG64 generator keyed by (seed, horizon), so a
+sweep row and a standalone run at the same horizon are bit-identical.
 """
 
 import csv
@@ -506,11 +506,13 @@ def simulate(config: RunConfig) -> RunHistory:
                 "bound certification needs quadratic objectives; round "
                 f"{t} returned {type(obj).__name__}"
             )
+        # one A keeps the normal form H = A^T A formed on round 1 valid
         if A is None:
             A, Q = obj.A, np.empty((T, obj.q.shape[0]))
+            H = A.T @ A
         elif obj.A is not A and not np.array_equal(obj.A, A):
             raise ConfigError(f"bound certification needs one sensing matrix; round {t} changed A")
-        u = engine.local_updates(obj)
+        u = engine.local_updates(H, obj.q @ A)
         step = alpha(t - 1)
         engine.step(u, step)
 
@@ -519,7 +521,7 @@ def simulate(config: RunConfig) -> RunHistory:
         updates[t - 1] = u
         refs[t - 1] = ref
         d = X - ref
-        ref_gaps[t - 1] = np.sqrt(np.add.reduce(d * d, axis=1)).sum()
+        ref_gaps[t - 1] = np.sqrt(np.add.reduce(np.square(d, out=d), axis=1)).sum()
         total += u
         ref = project(total, step, config.box)
         disagreement[t - 1] = dis = engine.disagreement()

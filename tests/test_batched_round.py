@@ -1,11 +1,12 @@
 """The batched round against the per-agent round it replaced.
 
-The reference below is the engines' former round: one gradient call per
-agent at its own primal point, and one injection per agent. The batched
-round must reproduce it to 1e-12 from an identical state and over whole runs
-at n <= 5. Longer runs at larger n amplify summation-order differences
-through the box clamps, so the n=50 run is held to the run invariants
-instead of to exact equality.
+The references below are the engines' former round: one gradient call per
+agent at its own primal point (over whole runs, on the normal form H x - b
+that simulate passes), and one injection per agent. The batched round must
+reproduce it to 1e-12 from an identical state and over whole runs at
+n <= 5. Longer runs at larger n amplify summation-order differences through
+the box clamps, so the n=50 run is held to the run invariants instead of to
+exact equality.
 """
 
 import copy
@@ -35,6 +36,15 @@ def reference_local_updates(engine, objective):
     u = np.zeros(engine.p)
     for i, block in enumerate(engine.blocks.blocks):
         g = objective.A.T @ (objective.A @ engine._X[i] - objective.q)
+        u[list(block)] = g[list(block)]
+    return u
+
+
+def reference_normal_form_updates(engine, H, b):
+    """The per-agent round on the normal form simulate passes: H x_i - b."""
+    u = np.zeros(engine.p)
+    for i, block in enumerate(engine.blocks.blocks):
+        g = H @ engine._X[i] - b
         u[list(block)] = g[list(block)]
     return u
 
@@ -93,7 +103,7 @@ def test_one_step_matches_reference_from_identical_state():
         obj = QuadraticLoss(A=np.eye(p) + 0.1 * rng.uniform(-1, 1, (p, p)), q=rng.normal(size=p))
         ref = copy.deepcopy(engine)
 
-        u = engine.local_updates(obj)
+        u = engine.local_updates(obj.A.T @ obj.A, obj.q @ obj.A)
         u_ref = reference_local_updates(ref, obj)
         assert u.shape == (p,)
         assert np.max(np.abs(u - u_ref)) <= 1e-12
@@ -105,7 +115,28 @@ def test_one_step_matches_reference_from_identical_state():
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize(
+def test_diagnostics_match_direct_formulas_after_every_step():
+    rng = np.random.default_rng(5)
+    for engine in engines(rng):
+        for t in range(1, 51):
+            engine.step(rng.uniform(-2, 2, engine.p), alpha=0.5 / np.sqrt(t))
+            mf = engine.mean_field()
+            d = engine.ratios() - mf[None, :]
+            weights = 0.0 if engine._w is None else abs(engine._w.sum() - engine.n)
+            want = {
+                "disagreement": np.linalg.norm(d, axis=1).sum(),
+                "disagreement_squared": (d * d).sum(),
+                "mean_field_residual": np.abs(mf - engine._u_total).max(),
+                "weight_conservation_residual": weights,
+            }
+            # read in a different order each round, so no method is always first
+            names = list(want)
+            for name in names[t % 4 :] + names[: t % 4]:
+                got = getattr(engine, name)()
+                assert np.isclose(got, want[name], rtol=1e-12, atol=0), (t, name, got)
+
+
+FULL_RUNS = pytest.mark.parametrize(
     "config",
     [
         RunConfig("oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=2000, seed=3),
@@ -117,13 +148,26 @@ def test_one_step_matches_reference_from_identical_state():
     ],
     ids=["oda-c", "oda-ps", "oda-ps-grouped"],
 )
+
+
+@FULL_RUNS
+def test_updates_are_the_losses_own_gradient(config, monkeypatch):
+    primals = record_primals(monkeypatch)
+    history = simulate(config)
+    X = np.array(primals)  # (T, n, p): the points acted on at each round
+    G = np.stack([history.losses.gradient(X[:, i]) for i in range(config.n)], axis=1)
+    want = G[:, config.blocks.owner, np.arange(config.p)]
+    assert np.max(np.abs(history.updates - want)) <= 1e-12
+
+
+@FULL_RUNS
 def test_full_run_matches_reference(config, monkeypatch):
     seen = record_primals(monkeypatch)
     history = simulate(config)
     got = {"primals": np.array(seen), "actions": history.actions, "updates": history.updates}
     seen.clear()
     engine_class = CirculationEngine if config.algorithm == "oda-c" else PushSumEngine
-    monkeypatch.setattr(engine_class, "local_updates", reference_local_updates)
+    monkeypatch.setattr(engine_class, "local_updates", reference_normal_form_updates)
     monkeypatch.setattr(engine_class, "step", reference_step)
     ref = simulate(config)
     want = {"primals": np.array(seen), "actions": ref.actions, "updates": ref.updates}

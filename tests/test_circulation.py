@@ -144,7 +144,7 @@ class TestStepDynamics:
         eng.step(np.array([1.0, 2.0, 3.0]), alpha=0.5)
         obj = QuadraticLoss(A=np.eye(3), q=np.zeros(3))
         X = eng.primal_matrix()
-        updates = eng.local_updates(obj)
+        updates = eng.local_updates(obj.A.T @ obj.A, obj.q @ obj.A)
         for i in range(3):
             assert updates[i] == pytest.approx(obj.gradient(X[i])[i])
 

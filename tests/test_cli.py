@@ -26,6 +26,15 @@ PATH_PAIR = {
     "n": 2, "mode": "static", "edges": [[0, 1]], "r": [0.5, 0.5], "M": [[0.5, 0.5], [0.5, 0.5]]
 }
 
+
+
+def eye5_with(x):
+    """The 5x5 identity with one entry set to x."""
+    rows = np.eye(5).tolist()
+    rows[2][3] = x
+    return rows
+
+
 # self-loops only: no window of any length is strongly connected
 UNCONNECTED_SCHEDULE = {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1]]], "period": 1}
 
@@ -280,13 +289,23 @@ class TestConfigBoundary:
             ("graph", {"n": 2, "mode": "schedule", "graphs": [[["a", 0]]]}),
             ("graph", {**PATH_PAIR, "edges": [[0, 1, 2]]}),
             ("graph", {"n": 2, "mode": "schedule", "graphs": 5}),
+            ("box", {"lo": [-1.0, math.nan, -1.0, -1.0, -1.0], "hi": [1.0] * 5}),
+            ("box", {"lo": [-1.0] * 5, "hi": [1.0, 1.0, math.inf, 1.0, 1.0]}),
+            ("environment", {"type": "fixed", "q": [[1, math.nan, 0, 0, 0]]}),
+            ("environment", {"type": "fixed", "q": [[0] * 5], "A": eye5_with(math.inf)}),
+            ("environment", {"type": "sensing", "target": [0, math.inf, 0, 0, 0]}),
+            ("environment", {"type": "sensing", "A": eye5_with(math.nan)}),
+            ("environment", {"type": "sensing", "P": eye5_with(-math.inf)}),
+            ("graph", {**PATH_PAIR, "r": [math.nan, 0.5]}),
+            ("graph", {**PATH_PAIR, "M": [[0.5, math.inf], [0.5, 0.5]]}),
         ],
         ids=[
             "T-str", "T-float", "seed-str", "seed-negative", "tol-str",
             "block-str", "b_cap-str", "regular-str", "sigma2-str", "box-str", "alpha-str",
             "graph-n-str", "period-str", "box-lo-str", "sensing-A-str", "fixed-q-str",
             "sigma2-not-regular", "alpha-short", "graph-r-str", "arc-str", "edge-triple",
-            "graphs-int",
+            "graphs-int", "box-lo-nan", "box-hi-inf", "fixed-q-nan", "fixed-A-inf",
+            "sensing-target-inf", "sensing-A-nan", "sensing-P-inf", "graph-r-nan", "graph-M-inf",
         ],
     )
     def test_malformed_field_is_parse_error_before_simulating(
@@ -350,7 +369,8 @@ class TestNetworkCertification:
         assert "round 1 " in json.loads(lines[0])["error"]
 
 
-# One field of a valid config replaced by a value of the wrong kind or range.
+# One field of a valid config, or one entry of a number array in it, replaced
+# by a value of the wrong kind or range.
 POOL = ["x", True, None, -3, 2.5, math.nan, math.inf, [], [["a"]]]
 TOP_FIELDS = (
     "algorithm", "T", "seed", "graph", "blocks", "box", "alpha", "environment",
@@ -358,7 +378,7 @@ TOP_FIELDS = (
 )
 VALID_CONFIGS = (
     {
-        "algorithm": "oda-c", "T": 4, "seed": 1, "box": [-2.0, 2.0],
+        "algorithm": "oda-c", "T": 4, "seed": 1, "box": {"lo": [-2.0] * 3, "hi": [2.0] * 3},
         "environment": {"type": "fixed", "q": [[1.0, 2.0, 3.0]]},
         "graph": {
             "n": 3, "mode": "static", "edges": [[0, 1], [1, 2], [2, 0]], "r": [1 / 3] * 3,
@@ -367,6 +387,7 @@ VALID_CONFIGS = (
     },
     {
         "algorithm": "oda-ps", "T": 5, "seed": 2, "blocks": 3, "b_cap": 4,
+        "environment": {"type": "sensing", "target": [1.0, -1.0, 0.5]},
         "graph": {
             "n": 3, "mode": "schedule", "period": 2,
             "graphs": [[[0, 0], [1, 1], [2, 2], [0, 1]], [[0, 0], [1, 1], [2, 2], [1, 2], [2, 0]]],
@@ -374,6 +395,16 @@ VALID_CONFIGS = (
     },
 )
 GRAPH_FIELDS = (("n", "mode", "edges", "r", "M"), ("n", "mode", "graphs", "period"))
+# the number arrays of each valid config, as key paths
+NUMBER_ARRAYS = (
+    (("box", "lo"), ("environment", "q", 0), ("graph", "r")),
+    (("environment", "target"),),
+)
+
+
+def _finite_number(value) -> bool:
+    # a bool inside a number array is still read as 0 or 1 (an open loose end)
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 @pytest.fixture(scope="module")
@@ -381,29 +412,43 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("property")
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(
+    command=st.sampled_from(("run", "bounds")),
+    horizons=st.sampled_from(("-5", "0", "x", "1,,2")),
     which=st.integers(0, 1),
-    in_graph=st.booleans(),
-    field_index=st.integers(0, len(TOP_FIELDS) - 1),
+    place=st.sampled_from(("top", "graph", "array")),
+    index=st.integers(0, len(TOP_FIELDS) - 1),
+    entry=st.integers(0, 2),
     value=st.sampled_from(POOL),
 )
-def test_run_ends_in_a_documented_exit_code(which, in_graph, field_index, value, out_dir):
+def test_command_ends_in_a_documented_exit_code(
+    command, horizons, which, place, index, entry, value, out_dir
+):
     d = json.loads(json.dumps(VALID_CONFIGS[which]))
-    if in_graph:
+    if place == "graph":
         fields = GRAPH_FIELDS[which]
-        d["graph"][fields[field_index % len(fields)]] = value
+        d["graph"][fields[index % len(fields)]] = value
+    elif place == "array":
+        paths = NUMBER_ARRAYS[which]
+        array = d
+        for key in paths[index % len(paths)]:
+            array = array[key]
+        array[entry] = value
     else:
-        d[TOP_FIELDS[field_index]] = value
+        d[TOP_FIELDS[index]] = value
     path = out_dir / "c.json"
     path.write_text(json.dumps(d))
+    extra = {"run": ["--out", str(out_dir)], "bounds": [f"--horizons={horizons}"]}[command]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), np.errstate(all="ignore"):
-        code = main(["run", "--config", str(path), "--out", str(out_dir)])
+        code = main([command, "--config", str(path), *extra])
     lines = stdout.getvalue().splitlines()
     assert code in (0, 2, 3, 4)
     assert len(lines) == 1
     json.loads(lines[0])
+    if place == "array" and not _finite_number(value):
+        assert code == 2, lines[0]
 
 
 class TestVacuousBounds:

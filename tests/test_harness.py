@@ -9,6 +9,7 @@ from netdual import (
     ActionBox,
     BlockMap,
     ConfigError,
+    DualAveragingEngine,
     FixedEnvironment,
     QuadraticLoss,
     RunConfig,
@@ -268,17 +269,37 @@ class TestSimulate:
                 assert hist.actions[t, i] == primals[t][i, i]
 
     @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
-    def test_one_gradient_call_per_round(self, algorithm, monkeypatch):
-        calls = []
+    def test_one_normal_form_per_run(self, algorithm, monkeypatch):
+        gradient_calls, seen = [], []
         gradient = QuadraticLoss.gradient
+        local_updates = DualAveragingEngine.local_updates
 
         def counted(self, x):
-            calls.append(np.shape(x))
+            gradient_calls.append(np.shape(x))
             return gradient(self, x)
 
+        def recording(self, H, b):
+            seen.append(H)
+            return local_updates(self, H, b)
+
         monkeypatch.setattr(QuadraticLoss, "gradient", counted)
+        monkeypatch.setattr(DualAveragingEngine, "local_updates", recording)
         simulate(base_config(algorithm, T=7))
-        assert calls == [(5, 5)] * 7
+        assert gradient_calls == []
+        assert len(seen) == 7 and all(H is seen[0] for H in seen)
+
+    @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+    def test_one_mean_field_per_round(self, algorithm, monkeypatch):
+        calls = []
+        mean_field = DualAveragingEngine.mean_field
+
+        def counted(self):
+            calls.append(self.rounds)
+            return mean_field(self)
+
+        monkeypatch.setattr(DualAveragingEngine, "mean_field", counted)
+        simulate(base_config(algorithm, T=9))
+        assert calls == list(range(1, 10))
 
     def test_run_generator_keyed_by_seed_and_horizon(self):
         a = run_generator(base_config(T=10, seed=3)).random(4)

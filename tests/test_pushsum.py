@@ -100,7 +100,7 @@ class TestStepDynamics:
         eng.step(np.arange(5.0), alpha=0.7)
         obj = QuadraticLoss(A=np.eye(5), q=np.ones(5))
         X = eng.primal_matrix()
-        for i, u in enumerate(eng.local_updates(obj)):
+        for i, u in enumerate(eng.local_updates(obj.A.T @ obj.A, obj.q @ obj.A)):
             assert u == pytest.approx(obj.gradient(X[i])[i])
 
     def test_rejects_wrong_update_count(self):
