@@ -184,18 +184,17 @@ def _apriori_constants(config: RunConfig) -> tuple:
     if hasattr(env, "q_list"):
         radius = max(float(np.linalg.norm(q)) for q in env.q_list)
         return lipschitz_constants(env.A, config.box, q_radius=radius)
-    center = env.A @ env.target
     spread = 6.0 * math.sqrt(max(0.0, power_iteration(env.cov)))
-    return lipschitz_constants(env.A, config.box, q_radius=spread, q_center=center)
+    return lipschitz_constants(env.A, config.box, q_radius=spread, q_center=env.center)
 
 
 def cmd_bounds(args) -> int:
     config = _load(args)
     horizons = _parse_horizons(args.horizons)
+    network = network_constants(config)
     L, G = _apriori_constants(config)
     C = prox_sup(config.box)
     D = config.box.diameter
-    network = network_constants(config)
     rows = []
     for T in horizons:
         bound = network.regret_bound(T, L, G, D, C)

@@ -13,6 +13,10 @@ this one update over two operators, read from the type of the network:
   round's graph, injections scaled by n, and the plain mean of the duals as
   the mean field. A weight vector w is mixed alongside the duals, and the
   agents act on the debiased ratios z_i / w_i.
+
+The engine checks only types and shapes: whether the network meets its
+algorithm's contract is certified before round 1, by
+``harness.network_constants``.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ActionBox, BlockMap
-from .errors import ConfigError, TopologyError
-from .topology import DigraphSchedule, StaticTopology, validate_reversible_pair
+from .errors import ConfigError
+from .topology import DigraphSchedule, StaticTopology
 
 
 @dataclass
@@ -50,14 +54,6 @@ class DualAveragingEngine:
             raise ConfigError(
                 f"box dimension p={self.box.p} but block map covers p={self.blocks.p}"
             )
-        if self._w is None:
-            report = validate_reversible_pair(self.network.graph, self.network.pair)
-            if not report.passed:
-                names = ", ".join(
-                    f"{c.name} at {c.detail}" if c.detail else c.name
-                    for c in report.failures()
-                )
-                raise TopologyError(f"weight pair failed validation: {names}")
         p = self.blocks.p
         self._Z = np.zeros((n, p))
         self._u_total = np.zeros(p)

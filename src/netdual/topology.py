@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import parse_numbers
-from .errors import ConfigError, TopologyError
+from .errors import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -39,27 +39,8 @@ class UndirectedGraph:
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(norm))
 
-    def neighbors(self, i: int) -> set:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
-
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj = {i: self.neighbors(i) for i in range(self.n)}
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
+        return _strongly_connected(self.edges | {(b, a) for a, b in self.edges}, self.n)
 
 
 @dataclass(frozen=True)
@@ -169,21 +150,16 @@ def validate_reversible_pair(
     return GraphReport(checks)
 
 
-def spectral_gap(pair: ReversiblePair, tol: float = 1e-9) -> float:
+def spectral_gap(pair: ReversiblePair) -> float:
     """Consensus rate of the pair: 1 minus the squared second singular value
     of diag(sqrt(r)) M diag(1/sqrt(r)).
 
     Equals the infimum of (||f||_r^2 - ||Mf||_r^2) / ||f||_r^2 over vectors f
     with <r, f> = 0, where ||f||_r^2 = sum_i r_i f_i^2. A single agent mixes
-    instantly: gap 1.
+    instantly: gap 1. The pair must already have passed
+    validate_reversible_pair; nothing is checked here.
     """
     r, M = pair.r, pair.M
-    if np.any(r <= 0) or abs(np.sum(r) - 1.0) > tol:
-        raise TopologyError("r must be positive and sum to one")
-    if np.max(np.abs(M.sum(axis=1) - 1.0)) > tol or np.min(M) < -tol:
-        raise TopologyError("M must be nonnegative and row-stochastic")
-    if np.max(np.abs(r[:, None] * M - (r[:, None] * M).T)) > tol:
-        raise TopologyError("pair is not reversible: r_i M_ij != r_j M_ji")
     if pair.n == 1:
         return 1.0
     s = np.sqrt(r)
@@ -202,8 +178,8 @@ class DigraphSchedule:
     """Directed edge sets over time; edge (i, j) means i sends to j.
 
     ``period`` >= 1 cycles through ``graphs``; period 0 means ``graphs`` is an
-    explicit finite list indexed directly by t. The connectivity window is
-    found by validate_b_strong.
+    explicit finite list indexed directly by t. Every graph must carry all n
+    self-loops. The connectivity window is found by validate_b_strong.
     """
 
     n: int
@@ -228,6 +204,11 @@ class DigraphSchedule:
                     raise ConfigError(f"edge ({i},{j}) out of range for n={self.n}")
                 cur.add((int(i), int(j)))
             norm.append(frozenset(cur))
+        loops = {(i, i) for i in range(self.n)}
+        for k, E in enumerate(norm):
+            if not loops <= E:
+                node = min(i for i, _ in loops - E)
+                raise ConfigError(f"node {node} is missing its self-loop in graph {k}")
         object.__setattr__(self, "graphs", tuple(norm))
 
     def graph_at(self, t: int) -> frozenset:
@@ -250,13 +231,10 @@ def build_pushsum_matrix(schedule: DigraphSchedule, t: int) -> np.ndarray:
     """Column-stochastic broadcast matrix for the graph active at time t.
 
     Entry (i, j) is 1/out_degree(j) when j sends to i (self-loops included,
-    and counted in the out-degree). Every node must carry its self-loop.
+    and counted in the out-degree); the schedule checked the self-loops.
     """
     E = schedule.graph_at(t)
     n = schedule.n
-    for i in range(n):
-        if (i, i) not in E:
-            raise ConfigError(f"node {i} is missing its self-loop at time {t}")
     out_deg = np.zeros(n)
     for a, _ in E:
         out_deg[a] += 1

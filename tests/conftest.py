@@ -74,12 +74,14 @@ def metropolis_topology(n: int, rng, extra_edges: int = 2) -> StaticTopology:
         if i != j:
             edges.add((min(i, j), max(i, j)))
     g = UndirectedGraph(n=n, edges=frozenset(edges))
-    deg = [len(g.neighbors(i)) for i in range(n)]
+    deg = np.zeros(n)
+    for a, b in g.edges:
+        deg[a] += 1
+        deg[b] += 1
     M = np.zeros((n, n))
-    for a in range(n):
-        for b in g.neighbors(a):
-            M[a, b] = 1.0 / (max(deg[a], deg[b]) + 1.0)
-        M[a, a] = 1.0 - M[a].sum()
+    for a, b in g.edges:
+        M[a, b] = M[b, a] = 1.0 / (max(deg[a], deg[b]) + 1.0)
+    M[np.diag_indices(n)] = 1.0 - M.sum(axis=1)
     return StaticTopology(graph=g, pair=ReversiblePair(r=np.full(n, 1.0 / n), M=M))
 
 

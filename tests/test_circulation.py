@@ -10,11 +10,14 @@ from netdual import (
     DualAveragingEngine,
     QuadraticLoss,
     ReversiblePair,
+    RunConfig,
     StaticTopology,
     TopologyError,
     inv_sqrt_step,
     lazy_cycle_pair,
+    simulate,
 )
+from netdual.harness import network_constants
 
 
 def cycle_engine(n=3, lo=-10.0, hi=10.0):
@@ -42,10 +45,10 @@ class TestConstruction:
         M = topo.pair.M.copy()
         M[0, 0] += 0.2
         bad = StaticTopology(graph=topo.graph, pair=ReversiblePair(r=topo.pair.r, M=M))
-        with pytest.raises(TopologyError, match="row_stochastic"):
-            CirculationEngine(
-                network=bad, blocks=BlockMap.scalar(3), box=ActionBox.uniform(-1, 1, 3)
-            )
+        config = RunConfig("oda-c", bad, ActionBox.uniform(-1, 1, 3), T=5)
+        for certify in (network_constants, simulate):
+            with pytest.raises(TopologyError, match="row_stochastic"):
+                certify(config)
 
     def test_rejects_agent_count_mismatch(self):
         with pytest.raises(ConfigError):

@@ -38,6 +38,52 @@ def eye5_with(x):
 # self-loops only: no window of any length is strongly connected
 UNCONNECTED_SCHEDULE = {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1]]], "period": 1}
 
+# One config fragment per way a network can break its algorithm's contract,
+# with the exit code and the error line every command must end in. The short
+# explicit schedule brings its own horizon.
+BAD_NETWORKS = {
+    "unconnected schedule": (
+        {"algorithm": "oda-ps", "graph": UNCONNECTED_SCHEDULE},
+        3,
+        "schedule is not strongly connected over any window within the cap",
+    ),
+    # reversible and row-stochastic, but node 2 is isolated and M mixes it anyway
+    "pair off its graph": (
+        {
+            "algorithm": "oda-c",
+            "graph": {
+                "n": 3, "mode": "static", "edges": [[0, 1]], "r": [1 / 3] * 3,
+                "M": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+            },
+        },
+        3,
+        "weight pair failed validation: connected, support at entry (0, 2)",
+    ),
+    "loopless schedule": (
+        {
+            "algorithm": "oda-ps",
+            "graph": {
+                "n": 3, "mode": "schedule", "period": 1,
+                "graphs": [[[0, 0], [1, 1], [0, 1], [1, 2], [2, 0]]],
+            },
+        },
+        2,
+        "node 2 is missing its self-loop in graph 0",
+    ),
+    "short explicit schedule": (
+        {
+            "algorithm": "oda-ps",
+            "T": 50,
+            "graph": {
+                "n": 2, "mode": "schedule", "period": 0,
+                "graphs": [[[0, 0], [1, 1], [0, 1], [1, 0]]] * 3,
+            },
+        },
+        2,
+        "explicit schedule has 3 graphs; a horizon of T=50 needs one per round",
+    ),
+}
+
 
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
@@ -326,37 +372,54 @@ class TestConfigBoundary:
         assert "error" in payload
 
 
-class TestNetworkCertification:
-    @pytest.mark.parametrize(
-        "command, T",
-        [("run", 20), ("run", 0), ("check-invariants", 20), ("check-invariants", 0),
-         ("sweep", 20), ("bounds", 20)],
+# bad network x command; the unconnected schedule's cells keep the short
+# ids "<command>-<T>"
+CERTIFICATION_CELLS = [
+    pytest.param(
+        network, command, T,
+        id=f"{command}-{T}" + ("" if network == "unconnected schedule" else f"-{network}"),
     )
+    for network in BAD_NETWORKS
+    for command, T in (
+        ("run", 20), ("run", 0), ("check-invariants", 20), ("check-invariants", 0),
+        ("sweep", 20), ("bounds", 20),
+    )
+]
+
+
+class TestNetworkCertification:
+    @pytest.mark.parametrize("network, command, T", CERTIFICATION_CELLS)
     def test_unconnected_schedule_fails_before_round_one(
-        self, command, T, tmp_path, capsys, monkeypatch
+        self, network, command, T, tmp_path, capsys, monkeypatch
     ):
         def no_step(self, u, alpha):
             raise AssertionError("engine stepped on an uncertified network")
 
         monkeypatch.setattr(harness.DualAveragingEngine, "step", no_step)
-        cfg = write_json(
-            tmp_path, "c.json", {"algorithm": "oda-ps", "T": T, "graph": UNCONNECTED_SCHEDULE}
-        )
+        fragment, code, error = BAD_NETWORKS[network]
+        cfg = write_json(tmp_path, "c.json", {"T": T, **fragment})
         extra = {
             "run": ["--out", str(tmp_path / "o")],
             "check-invariants": [],
             "sweep": ["--horizons", "5,10", "--out", str(tmp_path / "o")],
             "bounds": ["--horizons", "5,10"],
         }[command]
-        code = main([command, "--config", cfg, *extra])
+        assert main([command, "--config", cfg, *extra]) == code
         lines = capsys.readouterr().out.strip().splitlines()
-        assert code == 3
-        assert [json.loads(line) for line in lines] == [
-            {
-                "error": "schedule is not strongly connected over any window within the cap",
-                "command": command,
-            }
-        ]
+        assert [json.loads(line) for line in lines] == [{"error": error, "command": command}]
+
+    @pytest.mark.parametrize("network", BAD_NETWORKS)
+    def test_validate_graph_reaches_the_same_verdict(self, network, tmp_path, capsys):
+        fragment, code, error = BAD_NETWORKS[network]
+        cfg = write_json(tmp_path, "c.json", {"T": 20, **fragment})
+        assert main(["validate-graph", "--config", cfg]) == code
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        if code == 3:
+            assert payload["passed"] is False
+        else:
+            assert payload == {"error": error, "command": "validate-graph"}
 
     def test_overflow_is_runtime_error_naming_the_round(self, tmp_path, capsys):
         d = {"algorithm": "oda-c", "T": 20, "environment": {"type": "fixed", "q": [[1e308] * 5]}}
@@ -414,7 +477,7 @@ def out_dir(tmp_path_factory):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
-    command=st.sampled_from(("run", "bounds")),
+    command=st.sampled_from(("run", "bounds", "sweep", "validate-graph")),
     horizons=st.sampled_from(("-5", "0", "x", "1,,2")),
     which=st.integers(0, 1),
     place=st.sampled_from(("top", "graph", "array")),
@@ -439,7 +502,12 @@ def test_command_ends_in_a_documented_exit_code(
         d[TOP_FIELDS[index]] = value
     path = out_dir / "c.json"
     path.write_text(json.dumps(d))
-    extra = {"run": ["--out", str(out_dir)], "bounds": [f"--horizons={horizons}"]}[command]
+    extra = {
+        "run": ["--out", str(out_dir)],
+        "bounds": [f"--horizons={horizons}"],
+        "sweep": [f"--horizons={horizons}", "--out", str(out_dir)],
+        "validate-graph": [],
+    }[command]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), np.errstate(all="ignore"):
         code = main([command, "--config", str(path), *extra])

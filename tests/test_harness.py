@@ -9,6 +9,7 @@ from netdual import (
     ActionBox,
     BlockMap,
     ConfigError,
+    DigraphSchedule,
     DualAveragingEngine,
     FixedEnvironment,
     QuadraticLoss,
@@ -158,6 +159,12 @@ class TestRunConfig:
                 box=ActionBox.uniform(-1, 1, 4),
                 T=1,
             )
+
+    def test_explicit_schedule_needs_a_graph_per_round(self):
+        explicit = DigraphSchedule(n=5, graphs=split_ring_schedule(5, 3).graphs, period=0)
+        assert replace(base_config(algorithm="oda-ps"), topology=explicit, T=3).T == 3
+        with pytest.raises(ConfigError, match="explicit schedule has 3 graphs"):
+            replace(base_config(algorithm="oda-ps"), topology=explicit, T=4)
 
     def test_default_blocks_scalar(self):
         cfg = base_config()
@@ -403,6 +410,17 @@ class TestSweep:
         rows = sweep(base_config(algorithm="oda-ps", T=1, seed=5), [5, 10, 20, 40], cumulative=True)
         assert [row.T for row in rows] == [5, 10, 20, 40]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_every_horizon_is_checked_before_the_first_run(self, cumulative, monkeypatch):
+        def no_simulation(config):
+            raise AssertionError("simulated before every horizon was checked")
+
+        monkeypatch.setattr(harness, "simulate", no_simulation)
+        explicit = DigraphSchedule(n=5, graphs=split_ring_schedule(5, 3).graphs, period=0)
+        cfg = replace(base_config(algorithm="oda-ps", T=1), topology=explicit)
+        with pytest.raises(ConfigError, match="explicit schedule has 3 graphs"):
+            sweep(cfg, [2, 10], cumulative=cumulative)
 
     def test_rejects_bad_horizons(self):
         cfg = base_config(T=1)
