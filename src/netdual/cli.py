@@ -190,7 +190,9 @@ def _apriori_constants(config: RunConfig) -> tuple:
 
 def cmd_bounds(args) -> int:
     config = _load(args)
-    horizons = _parse_horizons(args.horizons)
+    # each horizon's config is checked as fresh sweep checks it: a period-0
+    # schedule with fewer graphs than a horizon has rounds exits 2
+    horizons = [replace(config, T=T).T for T in _parse_horizons(args.horizons)]
     network = network_constants(config)
     L, G = _apriori_constants(config)
     C = prox_sup(config.box)

@@ -58,6 +58,7 @@ class DualAveragingEngine:
         self._Z = np.zeros((n, p))
         self._u_total = np.zeros(p)
         self._X = np.broadcast_to(self.box.clamp(np.zeros(p)), (n, p)).copy()
+        self._ratios = self._Z  # z_i / w_i with w = 1
         self._diag_round = -1  # the round _diag was formed at; none yet
 
     @property
@@ -117,7 +118,9 @@ class DualAveragingEngine:
         self._Z = Z
         if self._w is not None:
             self._w = A @ self._w
-        X = -alpha * self.ratios()
+        # the ratios are kept for the round's diagnostics: one division per round
+        self._ratios = self.ratios()
+        X = -alpha * self._ratios
         self._X = np.clip(X, self.box.lo[None, :], self.box.hi[None, :], out=X)
         self.rounds += 1
 
@@ -139,7 +142,7 @@ class DualAveragingEngine:
         the first diagnostic read after a step and reused until the next."""
         if self._diag_round != self.rounds:
             mf = self.mean_field()
-            d = self.ratios() - mf[None, :]
+            d = self._ratios - mf[None, :]
             self._diag = (mf, np.add.reduce(np.square(d, out=d), axis=1))
             self._diag_round = self.rounds
         return self._diag

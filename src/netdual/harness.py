@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Protocol
 
 import numpy as np
@@ -25,6 +26,7 @@ from .objectives import QuadraticLoss, lipschitz_constants
 from .prox import project, prox_sup
 from .regret import (
     RegretTrace,
+    RoundColumns,
     circulation_disagreement_bound,
     circulation_regret_bound,
     decomposition_terms,
@@ -33,6 +35,7 @@ from .regret import (
     offline_comparator,
     pushsum_disagreement_bound,
     pushsum_regret_bound,
+    round_columns,
 )
 from .topology import (
     DigraphSchedule,
@@ -476,6 +479,16 @@ class RunHistory:
     mean_field_residual: np.ndarray
     weight_residual: np.ndarray  # push-sum only; zeros for oda-c
 
+    @cached_property
+    def columns(self) -> RoundColumns:
+        """The measurement no prefix changes, formed by the first finalize of
+        a nonempty prefix and read by every finalize after it."""
+        config = self.config
+        return round_columns(
+            self.losses, self.actions, self.updates, self.refs, config.box,
+            config.n, config.alpha or inv_sqrt_step,
+        )
+
 
 def run_generator(config: RunConfig) -> np.random.Generator:
     """The run's generator: PCG64 keyed by (seed, horizon)."""
@@ -484,12 +497,14 @@ def run_generator(config: RunConfig) -> np.random.Generator:
     )
 
 
-def simulate(config: RunConfig) -> RunHistory:
-    """Execute the round loop and record everything needed for measurement."""
+def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunHistory:
+    """Execute the round loop and record everything needed for measurement.
+    ``network`` is ``network_constants(config)`` when the caller has it."""
     rng = run_generator(config)
     # certified once the generator exists: certifying first measured +1.2 MB
     # of resident peak on 50-agent push-sum (heap layout; same Python data)
-    network = network_constants(config)
+    if network is None:
+        network = network_constants(config)
     engine = DualAveragingEngine(config.topology, config.blocks, config.box)
     p, T = config.p, config.T
     alpha = config.alpha or inv_sqrt_step
@@ -573,7 +588,6 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     if T > config.T:
         raise ConfigError(f"prefix {T} exceeds simulated horizon {config.T}")
     n, p = config.n, config.p
-    alpha = config.alpha or inv_sqrt_step
     box = config.box
     C = prox_sup(box)
     D = box.diameter
@@ -591,17 +605,15 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
             theory_bound=C,
         )
 
+    # O(T) per prefix from here on: the prefix-free columns are formed once
+    cols = history.columns
     losses = QuadraticLoss(history.losses.A, history.losses.q[:T])
-    q_radius = float(np.max(np.linalg.norm(losses.q, axis=1)))
-    L, G = lipschitz_constants(losses.A, box, q_radius=q_radius)
-    comp = offline_comparator(losses, box, tol=config.comparator_tol)
-    regret_partial, costs, comparator_costs = network_regret(
-        losses, history.actions[:T], comp.y
-    )
-    terms = decomposition_terms(
-        history.updates[:T], history.refs[:T], history.ref_gaps[:T],
-        losses, box, n, L, C, alpha,
-    )
+    L, G = lipschitz_constants(losses.A, box, q_radius=float(cols.q_radius[T - 1]), G=cols.G)
+    # the Hessian of the T-round sum is exactly T A^T A
+    comp = offline_comparator(losses, box, tol=config.comparator_tol, lip=T * G)
+    costs = cols.costs[:T].copy()
+    regret_partial = network_regret(costs, comp.costs)
+    terms = decomposition_terms(cols, history.ref_gaps[:T], L, C)
     net = history.network
     constants = {
         "L": L, "G": G, "D": D, "C": C, "n": n, **net.fields,
@@ -614,7 +626,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
         algorithm=config.algorithm,
         T=T, n=n, p=p, seed=config.seed,
         costs=costs,
-        comparator_costs=comparator_costs,
+        comparator_costs=comp.costs,
         regret_partial=regret_partial,
         avg_regret=regret_partial / np.arange(1, T + 1),
         disagreement=history.disagreement[:T].copy(),
@@ -645,9 +657,10 @@ def sweep(config: RunConfig, horizons, cumulative: bool = False) -> list:
     """Regret growth across horizons.
 
     Fresh mode restarts each horizon as its own run (identical to calling
-    run() with that T). Cumulative mode simulates the longest horizon once
-    and measures each shorter horizon as a prefix, re-solving the comparator
-    per prefix.
+    run() with that T), on network constants certified once. Cumulative
+    mode simulates the longest horizon once and measures each shorter
+    horizon as a prefix: the prefix-free columns are formed once, and each
+    prefix re-solves the comparator.
     """
     horizons = [int(T) for T in horizons]
     if not horizons:
@@ -662,7 +675,8 @@ def sweep(config: RunConfig, horizons, cumulative: bool = False) -> list:
     else:
         # every horizon's config is checked before the first run starts
         configs = [replace(config, T=T) for T in horizons]
-        traces = (run(c) for c in configs)
+        network = network_constants(config)
+        traces = (finalize(simulate(c, network)) for c in configs)
     return [SweepRow(tr.T, tr.regret, tr.average_regret, tr.theory_bound) for tr in traces]
 
 

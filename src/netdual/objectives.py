@@ -61,15 +61,23 @@ def power_iteration(S: np.ndarray, tol: float = 1e-9, max_iter: int = 100_000) -
     return lam
 
 
+def curvature(A: np.ndarray) -> float:
+    """G, the largest eigenvalue of A^T A: the Lipschitz modulus of every
+    gradient A^T (A x - q), whatever q is."""
+    return max(power_iteration(A.T @ A), 0.0)
+
+
 def lipschitz_constants(
     A: np.ndarray,
     box: ActionBox,
     q_radius: float = 0.0,
     q_center: np.ndarray | None = None,
+    G: float | None = None,
 ) -> tuple[float, float]:
     """Certified (L, G) for the family {0.5||Ax - q||^2 : ||q - q_center|| <= q_radius}.
 
-    G is the largest eigenvalue of A^T A. L is the upper bound
+    G is the largest eigenvalue of A^T A (``curvature(A)`` unless the caller
+    has it already). L is the upper bound
     ||A|| * (||A|| * rho(box) + rho(Q)) with radii measured from the origin:
     rho(box) is the norm of the farthest box corner and rho(Q) =
     ||q_center|| + q_radius. Valid (not tight) for every member of the family.
@@ -77,8 +85,8 @@ def lipschitz_constants(
     A = np.asarray(A, dtype=float)
     if not np.isfinite(q_radius) or q_radius < 0:
         raise ConfigError("the measurement set must be bounded (finite radius)")
-    G = power_iteration(A.T @ A)
-    G = max(G, 0.0)
+    if G is None:
+        G = curvature(A)
     opnorm = float(np.sqrt(G))
     rho_q = q_radius if q_center is None else float(np.linalg.norm(q_center)) + q_radius
     L = opnorm * (opnorm * box.radius + rho_q)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ActionBox
 from .errors import ComparatorError, ConfigError
-from .objectives import QuadraticLoss, power_iteration
+from .objectives import QuadraticLoss, curvature, power_iteration
 from .topology import ContractionConstants
 
 
@@ -30,10 +30,15 @@ class ComparatorResult:
     value: float
     grad_residual: float
     iterations: int
+    costs: np.ndarray  # f_t(y), one per round; value is their sum
 
 
 def offline_comparator(
-    losses: QuadraticLoss, box: ActionBox, tol: float = 1e-8, max_iter: int = 200_000
+    losses: QuadraticLoss,
+    box: ActionBox,
+    tol: float = 1e-8,
+    max_iter: int = 200_000,
+    lip: float | None = None,
 ) -> ComparatorResult:
     """Best fixed feasible point in hindsight for the summed losses.
 
@@ -43,6 +48,8 @@ def offline_comparator(
     clamped least-squares point with step 1/lambda_max(H); convergence is
     declared when the projected gradient norm falls below tol; exceeding
     max_iter raises, with the best point found attached to the error.
+    ``lip`` is lambda_max(H) when the caller knows it (T times the
+    curvature of A); otherwise it is found by power iteration.
     """
     Q = losses.q
     if Q.ndim != 2 or Q.shape[0] == 0:
@@ -51,7 +58,8 @@ def offline_comparator(
         raise ConfigError("objective dimension disagrees with the box")
     H = Q.shape[0] * (losses.A.T @ losses.A)
     b = losses.A.T @ Q.sum(axis=0)
-    lip = power_iteration(H)
+    if lip is None:
+        lip = power_iteration(H)
     step = 1.0 / lip if lip > 0 else 1.0
     y = box.clamp(np.linalg.lstsq(H, b, rcond=None)[0])
 
@@ -62,32 +70,49 @@ def offline_comparator(
         y = y_next
         if residual <= tol:
             break
-    value = float(np.sum(losses.value(y)))
+    costs = losses.value(y)
+    value = float(np.sum(costs))
     if not residual <= tol:  # a NaN residual never converges
         raise ComparatorError(
             f"comparator search did not reach tol={tol} in {max_iter} iterations "
             f"(projected gradient norm {residual:.3e})",
             best=y, value=value, grad_norm=residual,
         )
-    return ComparatorResult(y=y, value=value, grad_residual=residual, iterations=it)
+    return ComparatorResult(
+        y=y, value=value, grad_residual=residual, iterations=it, costs=costs
+    )
 
 
-def network_regret(losses: QuadraticLoss, actions, y: np.ndarray) -> tuple:
-    """Cumulative regret partial sums against the fixed point y, with the
-    per-round costs they are built from.
-
-    Returns (partial, costs, comparator_costs): costs[t-1] = f_t(x(t)),
-    comparator_costs[t-1] = f_t(y), and partial[t-1] = sum_{s<=t}
-    [f_s(x(s)) - f_s(y)]; the final partial is the full-horizon regret.
+def network_regret(costs, comparator_costs) -> np.ndarray:
+    """Cumulative regret partial sums against a fixed point y from the
+    per-round costs: costs[t-1] = f_t(x(t)) and comparator_costs[t-1] =
+    f_t(y) give partial[t-1] = sum_{s<=t} [f_s(x(s)) - f_s(y)]; the final
+    partial is the full-horizon regret.
     """
-    actions = np.asarray(actions, dtype=float)
-    if losses.q.shape[:-1] != actions.shape[:1]:
+    costs, comp = (np.asarray(a, dtype=float) for a in (costs, comparator_costs))
+    if costs.shape != comp.shape or costs.ndim != 1:
         raise ConfigError(
-            f"need one loss per action: q is {losses.q.shape}, actions are {actions.shape}"
+            f"need one comparator cost per round: {costs.shape} against {comp.shape}"
         )
-    costs = losses.value(actions)
-    comp = losses.value(np.asarray(y, dtype=float))
-    return np.cumsum(costs - comp), costs, comp
+    return np.cumsum(costs - comp)
+
+
+@dataclass(frozen=True)
+class RoundColumns:
+    """The part of a run's measurement that no measured prefix changes.
+
+    Entry t-1 of each column covers round t: costs[t-1] = f_t(x(t)),
+    q_radius[t-1] the largest ||q_s|| over rounds 1..t, and the cumulative
+    e1 and e3 over rounds 1..t. alphas holds alpha(0..T). A prefix of T'
+    rounds reads the first T' entries (alpha(0..T')).
+    """
+
+    G: float  # lambda_max(A^T A), shared by every round's loss
+    q_radius: np.ndarray
+    costs: np.ndarray
+    alphas: np.ndarray
+    e1: np.ndarray
+    e3: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -104,31 +129,56 @@ class DecompositionTerms:
     bound: np.ndarray
 
 
-def decomposition_terms(
-    update_history, refs, ref_gaps, losses: QuadraticLoss, box: ActionBox,
-    n: int, L: float, C: float, alpha=None,
-) -> DecompositionTerms:
-    """Measured regret-split terms from a completed run.
+def round_columns(
+    losses: QuadraticLoss, actions, update_history, refs, box: ActionBox,
+    n: int, alpha=None,
+) -> RoundColumns:
+    """The prefix-free columns of a completed run, one pass over its rounds.
 
     Round t's single-agent reference refs[t-1] is the projection of the
-    gradient sum through round t-1, and ref_gaps[t-1] the sum over the n
-    agents of the distance from each acting point to it. e1 accumulates
-    (alpha(t-1)/2)*||u_t||^2; e2 accumulates L times ref_gaps; e3
-    accumulates sqrt(n)*D times the gap between the reference gradient and
-    the stacked blocks the agents actually used.
+    gradient sum through round t-1. e1 accumulates (alpha(t-1)/2)*||u_t||^2;
+    e3 accumulates sqrt(n)*D times the gap between the reference gradient
+    and the stacked blocks the agents actually used.
     """
     if alpha is None:
         alpha = inv_sqrt_step
-    U, R, gaps = (np.asarray(a, dtype=float) for a in (update_history, refs, ref_gaps))
+    X, U, R = (np.asarray(a, dtype=float) for a in (actions, update_history, refs))
     T = U.shape[0]
-    if R.shape != U.shape or gaps.shape != (T,) or losses.q.shape[:-1] != (T,):
+    if X.shape != U.shape or R.shape != U.shape or losses.q.shape[:-1] != (T,):
         raise ConfigError("histories and losses must cover the same rounds")
     alphas = np.array([alpha(s) for s in range(T + 1)])
     e1 = np.cumsum(0.5 * alphas[:T] * np.add.reduce(U * U, axis=1))
-    e2 = np.cumsum(L * gaps)
     mismatch = np.linalg.norm(losses.gradient(R) - U, axis=1)
-    e3 = np.cumsum(math.sqrt(n) * box.diameter * mismatch)
-    return DecompositionTerms(e1=e1, e2=e2, e3=e3, bound=e1 + e2 + e3 + C / alphas[1:])
+    return RoundColumns(
+        G=curvature(losses.A),
+        q_radius=np.maximum.accumulate(np.linalg.norm(losses.q, axis=1)),
+        costs=losses.value(X),
+        alphas=alphas,
+        e1=e1,
+        e3=np.cumsum(math.sqrt(n) * box.diameter * mismatch),
+    )
+
+
+def decomposition_terms(
+    columns: RoundColumns, ref_gaps, L: float, C: float
+) -> DecompositionTerms:
+    """Measured regret-split terms over the first len(ref_gaps) rounds.
+
+    ref_gaps[t-1] is the sum over the agents of the distance from each
+    acting point to round t's reference; e2 accumulates L times it, with
+    the L of this prefix. e1 and e3 are the prefix of the run's columns.
+    """
+    gaps = np.asarray(ref_gaps, dtype=float)
+    T = gaps.shape[0]
+    if gaps.ndim != 1 or T > columns.e1.shape[0]:
+        raise ConfigError(
+            f"{gaps.shape} reference gaps for a run of {columns.e1.shape[0]} rounds"
+        )
+    e1, e3 = columns.e1[:T].copy(), columns.e3[:T].copy()
+    e2 = np.cumsum(L * gaps)
+    return DecompositionTerms(
+        e1=e1, e2=e2, e3=e3, bound=e1 + e2 + e3 + C / columns.alphas[1 : T + 1]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ def reference_step(engine, u, alpha):
         engine._Z = engine.network.pair.M @ engine._Z + U
         Y = engine._Z
     engine._X = np.clip(-alpha * Y, engine.box.lo[None, :], engine.box.hi[None, :])
+    engine._ratios = Y  # a step keeps the ratios it projects for the diagnostics
     engine.rounds += 1
 
 

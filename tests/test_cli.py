@@ -295,6 +295,22 @@ class TestBoundsCommand:
         assert payload["B"] == 3
         assert payload["rows"][0]["bound"] < payload["rows"][1]["bound"]
 
+    def test_horizon_past_an_explicit_schedule_is_parse_error(self, tmp_path, capsys):
+        graph = {
+            "n": 2, "mode": "schedule", "period": 0,
+            "graphs": [[[0, 0], [1, 1], [0, 1], [1, 0]]] * 3,
+        }
+        cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-ps", "T": 3, "graph": graph})
+        code, payload = invoke(["bounds", "--config", cfg, "--horizons", "3,1000"], capsys)
+        assert code == 2
+        assert payload == {
+            "error": "explicit schedule has 3 graphs; a horizon of T=1000 needs one per round",
+            "command": "bounds",
+        }
+        code, payload = invoke(["bounds", "--config", cfg, "--horizons", "0,3"], capsys)
+        assert code == 0
+        assert [row["T"] for row in payload["rows"]] == [0, 3]
+
 
 class TestCheckInvariantsCommand:
     def test_passes_on_stock_configs(self, tmp_path, capsys):
@@ -442,6 +458,7 @@ TOP_FIELDS = (
 VALID_CONFIGS = (
     {
         "algorithm": "oda-c", "T": 4, "seed": 1, "box": {"lo": [-2.0] * 3, "hi": [2.0] * 3},
+        "blocks": [[0], [2], [1]],
         "environment": {"type": "fixed", "q": [[1.0, 2.0, 3.0]]},
         "graph": {
             "n": 3, "mode": "static", "edges": [[0, 1], [1, 2], [2, 0]], "r": [1 / 3] * 3,
@@ -460,7 +477,7 @@ VALID_CONFIGS = (
 GRAPH_FIELDS = (("n", "mode", "edges", "r", "M"), ("n", "mode", "graphs", "period"))
 # the number arrays of each valid config, as key paths
 NUMBER_ARRAYS = (
-    (("box", "lo"), ("environment", "q", 0), ("graph", "r")),
+    (("box", "lo"), ("environment", "q", 0), ("graph", "r"), ("blocks", 1)),
     (("environment", "target"),),
 )
 
@@ -494,10 +511,11 @@ def test_command_ends_in_a_documented_exit_code(
         d["graph"][fields[index % len(fields)]] = value
     elif place == "array":
         paths = NUMBER_ARRAYS[which]
+        keys = paths[index % len(paths)]
         array = d
-        for key in paths[index % len(paths)]:
+        for key in keys:
             array = array[key]
-        array[entry] = value
+        array[entry % len(array)] = value
     else:
         d[TOP_FIELDS[index]] = value
     path = out_dir / "c.json"
@@ -516,6 +534,9 @@ def test_command_ends_in_a_documented_exit_code(
     assert len(lines) == 1
     json.loads(lines[0])
     if place == "array" and not _finite_number(value):
+        assert code == 2, lines[0]
+    if place == "array" and keys[0] == "blocks":
+        # no value in the pool keeps the blocks a partition of 0..p-1
         assert code == 2, lines[0]
 
 

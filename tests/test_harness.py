@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,9 +19,13 @@ from netdual import (
     finalize,
     harness,
     lazy_cycle_pair,
+    objectives,
+    power_iteration,
     prox_sup,
+    regret,
     run,
     simulate,
+    spectral_gap,
     split_ring_schedule,
     sweep,
     validate_b_strong,
@@ -308,6 +312,21 @@ class TestSimulate:
         simulate(base_config(algorithm, T=9))
         assert calls == list(range(1, 10))
 
+    @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+    def test_one_division_per_round(self, algorithm, monkeypatch):
+        # the step keeps the ratios z_i / w_i it projects, and the round's
+        # diagnostics read them instead of dividing again
+        calls = []
+        ratios = DualAveragingEngine.ratios
+
+        def counted(self):
+            calls.append(self.rounds)
+            return ratios(self)
+
+        monkeypatch.setattr(DualAveragingEngine, "ratios", counted)
+        simulate(base_config(algorithm, T=9))
+        assert calls == list(range(9))
+
     def test_run_generator_keyed_by_seed_and_horizon(self):
         a = run_generator(base_config(T=10, seed=3)).random(4)
         b = run_generator(base_config(T=10, seed=3)).random(4)
@@ -382,6 +401,44 @@ class TestFinalize:
         assert trace.constants["max_weight_residual"] <= 1e-9
 
 
+def truncated(history, T):
+    """The first T rounds of a history, as a history of T rounds."""
+    head = {
+        f.name: getattr(history, f.name)[:T]
+        for f in fields(history)
+        if isinstance(getattr(history, f.name), np.ndarray)
+    }
+    losses = QuadraticLoss(history.losses.A, history.losses.q[:T])
+    return replace(history, config=replace(history.config, T=T), losses=losses, **head)
+
+
+PREFIX_CONFIGS = [
+    base_config("oda-c", T=600, seed=5),
+    base_config("oda-ps", T=600, seed=5),
+    RunConfig("oda-c", lazy_cycle_pair(20), ActionBox.uniform(-10, 10, 20), T=1000, seed=5),
+]
+
+
+@pytest.mark.parametrize("config", PREFIX_CONFIGS, ids=["oda-c", "oda-ps", "oda-c-n20"])
+def test_each_prefix_equals_finalize_of_the_truncated_history(config):
+    history = simulate(config)
+    # the reference gradients of rounds 1..T come from one matrix product
+    # over all rounds or over the first T, and BLAS may block the rows apart:
+    # a row's rounding is on the scale of the run's e3, not of the prefix's
+    # (rounds 1 and 2 have no mismatch but rounding)
+    scale = np.max(finalize(history).e3)
+    for T in (1, 2, 37, 250, config.T - 1, config.T):
+        got, want = finalize(history, T), finalize(truncated(history, T))
+        for name in ("regret_partial", "costs", "comparator_costs", "e1", "e2", "y_star"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (T, name)
+        for name in ("e3", "bound_partial"):
+            gap = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+            assert gap <= 1e-12 * scale, (T, name, gap)
+        assert got.constants == want.constants
+        assert got.theory_bound == want.theory_bound
+        assert got.comparator_value == want.comparator_value
+
+
 class TestSweep:
     def test_fresh_rows_match_standalone_runs(self):
         cfg = base_config(T=1, seed=5)
@@ -410,6 +467,32 @@ class TestSweep:
         rows = sweep(base_config(algorithm="oda-ps", T=1, seed=5), [5, 10, 20, 40], cumulative=True)
         assert [row.T for row in rows] == [5, 10, 20, 40]
         assert len(calls) == 1
+
+    def test_fresh_sweep_certifies_the_network_once(self, monkeypatch):
+        calls = []
+
+        def counting(pair):
+            calls.append(pair)
+            return spectral_gap(pair)
+
+        monkeypatch.setattr(harness, "spectral_gap", counting)
+        rows = sweep(base_config(T=1, seed=5), [3, 5, 8, 13])
+        assert [row.T for row in rows] == [3, 5, 8, 13]
+        assert len(calls) == 1
+
+    def test_cumulative_sweep_forms_the_loss_curvature_once(self, monkeypatch):
+        calls = []
+
+        def counting(S, *args, **kwargs):
+            calls.append(S.shape)
+            return power_iteration(S, *args, **kwargs)
+
+        # the curvature (objectives) and the comparator's step (regret)
+        monkeypatch.setattr(objectives, "power_iteration", counting)
+        monkeypatch.setattr(regret, "power_iteration", counting)
+        rows = sweep(base_config(T=1, seed=5), [5, 10, 20, 40], cumulative=True)
+        assert [row.T for row in rows] == [5, 10, 20, 40]
+        assert calls == [(5, 5)]
 
     @pytest.mark.parametrize("cumulative", [False, True])
     def test_every_horizon_is_checked_before_the_first_run(self, cumulative, monkeypatch):

@@ -20,6 +20,8 @@ from netdual import (
     pushsum_disagreement_bound,
     pushsum_regret_bound,
 )
+from netdual.objectives import curvature
+from netdual.regret import round_columns
 
 
 def reduced_history(update_history, primal_history, box):
@@ -28,6 +30,12 @@ def reduced_history(update_history, primal_history, box):
     refs = centralized_reference(update_history, box)[:-1]
     gaps = np.linalg.norm(np.asarray(primal_history) - refs[:, None, :], axis=2).sum(axis=1)
     return refs, gaps
+
+
+def split_terms(u, refs, gaps, losses, box, n, L, C):
+    """The regret split over a whole history: its prefix-free columns, then
+    the terms of the full prefix."""
+    return decomposition_terms(round_columns(losses, np.zeros_like(u), u, refs, box, n), gaps, L, C)
 
 
 class TestStepSchedule:
@@ -112,21 +120,31 @@ class TestOfflineComparator:
         assert err.grad_norm > 1e-12
         assert offline_comparator(losses, box, tol=1e-12).iterations > 5
 
+    def test_known_curvature_replaces_the_power_iteration(self):
+        rng = np.random.default_rng(3)
+        A = np.eye(4) + 0.3 * rng.uniform(-1, 1, (4, 4))
+        losses = QuadraticLoss(A=A, q=rng.normal(scale=4.0, size=(30, 4)))
+        box = ActionBox.uniform(-0.5, 0.5, 4)
+        searched = offline_comparator(losses, box, tol=1e-10)
+        given = offline_comparator(losses, box, tol=1e-10, lip=30 * curvature(A))
+        assert searched.iterations > 1  # a constrained optimum
+        assert np.allclose(given.y, searched.y, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(given.costs, losses.value(given.y))
+        assert given.value == float(np.sum(given.costs))
+
 
 class TestNetworkRegret:
     def test_hand_partial_sums(self):
         losses = QuadraticLoss(A=np.eye(1), q=np.zeros((2, 1)))
-        partial, costs, comp = network_regret(
-            losses, [np.array([1.0]), np.array([2.0])], np.zeros(1)
-        )
-        assert np.allclose(partial, [0.5, 2.5])
+        costs = losses.value(np.array([[1.0], [2.0]]))
+        comp = losses.value(np.zeros(1))
         assert np.allclose(costs, [0.5, 2.0])
         assert np.allclose(comp, [0.0, 0.0])
+        assert np.allclose(network_regret(costs, comp), [0.5, 2.5])
 
     def test_rejects_length_mismatch(self):
-        losses = QuadraticLoss(A=np.eye(1), q=np.zeros((1, 1)))
         with pytest.raises(ConfigError):
-            network_regret(losses, [], np.zeros(1))
+            network_regret([], np.zeros(1))
 
 
 class TestDecomposition:
@@ -136,7 +154,7 @@ class TestDecomposition:
         X = np.zeros((1, 2, 2))  # both agents act exactly at the reference
         losses = QuadraticLoss(A=np.eye(2), q=np.array([[-3.0, -4.0]]))
         refs, gaps = reduced_history(u, X, box)
-        terms = decomposition_terms(u, refs, gaps, losses, box, n=2, L=5.0, C=2.0)
+        terms = split_terms(u, refs, gaps, losses, box, n=2, L=5.0, C=2.0)
         assert terms.e1[0] == pytest.approx(12.5)  # 0.5 * 1 * 25
         assert terms.e2[0] == 0.0
         assert terms.e3[0] == pytest.approx(0.0, abs=1e-12)
@@ -149,7 +167,7 @@ class TestDecomposition:
         # gradient at the starting reference is (3, 3): unit gap against u
         losses = QuadraticLoss(A=np.eye(2), q=np.array([[-3.0, -3.0]]))
         refs, gaps = reduced_history(u, X, box)
-        terms = decomposition_terms(u, refs, gaps, losses, box, n=2, L=5.0, C=0.0)
+        terms = split_terms(u, refs, gaps, losses, box, n=2, L=5.0, C=0.0)
         assert terms.e2[0] == pytest.approx(5.0)
         D = box.diameter
         assert terms.e3[0] == pytest.approx(math.sqrt(2) * D * 1.0)
@@ -161,7 +179,7 @@ class TestDecomposition:
         X = np.zeros((3, 1, 1))
         losses = QuadraticLoss(A=np.eye(1), q=np.zeros((3, 1)))
         refs, gaps = reduced_history(u, X, box)
-        terms = decomposition_terms(u, refs, gaps, losses, box, n=1, L=1.0, C=1.0)
+        terms = split_terms(u, refs, gaps, losses, box, n=1, L=1.0, C=1.0)
         assert np.all(np.diff(terms.e1) > 0)
         e1_hand = np.cumsum([0.5 * inv_sqrt_step(t) for t in range(3)])
         assert np.allclose(terms.e1, e1_hand)
@@ -170,9 +188,11 @@ class TestDecomposition:
         box = ActionBox.uniform(-1.0, 1.0, 1)
         losses = QuadraticLoss(A=np.eye(1), q=np.zeros((1, 1)))
         with pytest.raises(ConfigError):
-            decomposition_terms(
-                np.zeros((2, 1)), np.zeros((1, 1)), np.zeros(1), losses, box, n=1, L=1.0, C=1.0
-            )
+            round_columns(losses, np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((1, 1)), box, n=1)
+        one = np.zeros((1, 1))
+        columns = round_columns(losses, one, one, one, box, n=1)
+        with pytest.raises(ConfigError):
+            decomposition_terms(columns, np.zeros(2), L=1.0, C=1.0)
 
 
 class TestClosedFormBounds:
