@@ -30,9 +30,9 @@ from .harness import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .objectives import lipschitz_constants, power_iteration
+from .objectives import lipschitz_constants
 from .prox import prox_sup
-from .topology import StaticTopology, spectral_gap, validate_reversible_pair
+from .topology import StaticTopology, validate_reversible_pair
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -140,6 +140,10 @@ def cmd_validate_graph(args) -> int:
     net = config.topology
     if isinstance(net, StaticTopology):
         report = validate_reversible_pair(net.graph, net.pair)
+        try:
+            verdict = {"spectral_gap": network_constants(config).fields["spectral_gap"]}
+        except TopologyError as e:  # a failed check, or a pair that does not mix
+            verdict = {"error": str(e)}
         payload = {
             "command": "validate-graph",
             "mode": "static",
@@ -148,10 +152,9 @@ def cmd_validate_graph(args) -> int:
                 {"name": c.name, "ok": c.ok, "violation": c.violation, "detail": c.detail}
                 for c in report.checks
             ],
-            "passed": report.passed,
+            "passed": "error" not in verdict,
+            **verdict,
         }
-        if report.passed:
-            payload["spectral_gap"] = spectral_gap(net.pair)
     else:
         try:
             constants = network_constants(config).fields
@@ -173,19 +176,11 @@ def cmd_validate_graph(args) -> int:
 
 
 def _apriori_constants(config: RunConfig) -> tuple:
-    """Gradient/curvature constants certified before any simulation.
-
-    The environment is materialized with the run generator; for sensing, the
-    measurement radius is bounded a priori by ||A target|| plus six noise
-    standard deviations, for fixed lists by the max norm in the list.
-    """
-    factory = config.environment or sensing_environment_factory()
-    env = factory(config.p, run_generator(config))
-    if hasattr(env, "q_list"):
-        radius = max(float(np.linalg.norm(q)) for q in env.q_list)
-        return lipschitz_constants(env.A, config.box, q_radius=radius)
-    spread = 6.0 * math.sqrt(max(0.0, power_iteration(env.cov)))
-    return lipschitz_constants(env.A, config.box, q_radius=spread, q_center=env.center)
+    """Gradient/curvature constants certified before any simulation, over the
+    a-priori measurement ball of the environment the run would build."""
+    env = (config.environment or sensing_environment_factory())(config.p, run_generator(config))
+    center, radius = env.measurement_ball()
+    return lipschitz_constants(env.A, config.box, q_radius=radius, q_center=center)
 
 
 def cmd_bounds(args) -> int:

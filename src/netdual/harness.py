@@ -1,11 +1,11 @@
 """Deterministic simulation harness.
 
-One run wires an engine, an environment and a step schedule together:
-each round reveals the network action assembled from the owned blocks, the
-environment answers with a loss, every agent reads the gradient entries it
-owns at its own point (from the loss's normal form: H = A^T A, formed once
-per run, and b_t = A^T q_t), and the engine mixes and steps. Everything
-random flows through a single PCG64 generator keyed by (seed, horizon), so a
+One run wires an engine, an environment and a step schedule together.
+Before round 1 the environment gives A and the T measurements q_t of the
+losses 0.5 ||A x - q_t||^2. Each round every agent reads the gradient
+entries it owns at its own point from their normal form (H = A^T A, formed
+once per run, and b_t = A^T q_t), and the engine mixes and steps. All
+randomness flows through one PCG64 generator keyed by (seed, horizon), so a
 sweep row and a standalone run at the same horizon are bit-identical.
 """
 
@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .core import ActionBox, BlockMap, parse_numbers
 # bench/tracer.py wraps the engine's methods under the two alias names in this module
 from .engine import CirculationEngine, DualAveragingEngine, PushSumEngine  # noqa: F401
 from .errors import ConfigError, TopologyError
-from .objectives import QuadraticLoss, lipschitz_constants
+from .objectives import QuadraticLoss, lipschitz_constants, power_iteration
 from .prox import project, prox_sup
 from .regret import (
     RegretTrace,
@@ -99,20 +99,9 @@ def covariance_sqrt(P: np.ndarray) -> np.ndarray:
 # environments
 
 
-class Environment(Protocol):
-    p: int
-
-    def next_objective(self, t: int, x_t: np.ndarray, rng: np.random.Generator):
-        ...
-
-
 @dataclass
 class SensingEnvironment:
-    """Noisy linear measurements of a fixed target: q_t = A target + noise.
-
-    The revealed action is accepted (the interface allows reactive
-    environments) but does not influence the measurement.
-    """
+    """Noisy linear measurements of a fixed target: q_t = A target + noise."""
 
     A: np.ndarray
     target: np.ndarray
@@ -136,9 +125,21 @@ class SensingEnvironment:
     def p(self) -> int:
         return self.target.shape[0]
 
-    def next_objective(self, t: int, x_t: np.ndarray, rng: np.random.Generator):
-        noise = self._cov_sqrt @ standard_normals(rng, self.p)
-        return QuadraticLoss(A=self.A, q=self.center + noise)
+    def measurements(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        """The (T, p) stack q_1..q_T, drawn round by round in round order."""
+        Q = np.empty((T, self.p))
+        for t in range(T):
+            Q[t] = self.next_objective(rng)
+        return Q
+
+    # one round's draw is its own method so the benchmark can time it (harness.env)
+    def next_objective(self, rng: np.random.Generator) -> np.ndarray:
+        """One round's measurement q_t."""
+        return self.center + self._cov_sqrt @ standard_normals(rng, self.p)
+
+    def measurement_ball(self) -> tuple:
+        """A-priori (center, radius) of q_t: A target, six noise deviations."""
+        return self.center, 6.0 * math.sqrt(max(0.0, power_iteration(self.cov)))
 
 
 @dataclass
@@ -159,12 +160,13 @@ class FixedEnvironment:
                 raise ConfigError(f"each q must have shape ({p},), got {q.shape}")
         self.q_list = qs
 
-    @property
-    def p(self) -> int:
-        return self.A.shape[0]
+    def measurements(self, T: int, rng: np.random.Generator) -> np.ndarray:
+        """The (T, m) stack whose row t-1 is list entry (t-1) mod its length."""
+        return np.array(self.q_list)[np.arange(T) % len(self.q_list)]
 
-    def next_objective(self, t: int, x_t: np.ndarray, rng: np.random.Generator):
-        return QuadraticLoss(A=self.A, q=self.q_list[(t - 1) % len(self.q_list)])
+    def measurement_ball(self) -> tuple:
+        """(center, radius) of q_t: the origin and the list's largest norm."""
+        return np.zeros(self.A.shape[0]), max(float(np.linalg.norm(q)) for q in self.q_list)
 
 
 def sensing_environment_factory(
@@ -209,7 +211,8 @@ class RunConfig:
     seed: int = 0
     blocks: BlockMap | None = None
     alpha: Callable[[int], float] | None = None
-    environment: Callable[[int, np.random.Generator], Environment] | None = None
+    # (p, run generator) -> SensingEnvironment or FixedEnvironment
+    environment: Callable[[int, np.random.Generator], object] | None = None
     regular: bool = False
     sigma2_sup: float | None = None
     b_cap: int | None = None
@@ -280,6 +283,8 @@ def _alpha_from_spec(spec) -> Callable[[int], float] | None:
     if not isinstance(spec, dict):
         raise ConfigError('alpha must be an object like {"rule": "inv-sqrt"}')
     if "values" in spec:
+        if not isinstance(spec["values"], (list, tuple)):
+            raise ConfigError(f'alpha "values" must be a list of numbers, got {spec["values"]!r}')
         values = [_real(v, "alpha value") for v in spec["values"]]
         if any(v <= 0 for v in values):
             raise ConfigError("alpha values must be positive")
@@ -413,6 +418,11 @@ def load_config(path: str) -> RunConfig:
 # simulation
 
 
+# spectral_gap reads a pair that does not mix as 0 plus ~n*eps of roundoff
+# (4.4e-16 at n=3); the slowest stock pair, the lazy 200-cycle, has 4.9e-4
+SPECTRAL_GAP_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class NetworkConstants:
     """The network's part of the certified bounds. It does not change with T
@@ -428,8 +438,9 @@ def network_constants(config: RunConfig) -> NetworkConstants:
     """Choose the circulation or the push-sum bound family for the config's
     network and certify its constants. This is the one network check every
     command makes before round 1: a weight pair that fails
-    validate_reversible_pair, or a schedule with no strongly connected window
-    within the cap, raises TopologyError."""
+    validate_reversible_pair or whose spectral gap is not above
+    SPECTRAL_GAP_TOL, or a schedule with no strongly connected window within
+    the cap, raises TopologyError."""
     n = config.n
     if isinstance(config.topology, StaticTopology):
         pair = config.topology.pair
@@ -440,6 +451,10 @@ def network_constants(config: RunConfig) -> NetworkConstants:
             )
             raise TopologyError(f"weight pair failed validation: {names}")
         lam, r_min = spectral_gap(pair), pair.r_min
+        if not lam > SPECTRAL_GAP_TOL:
+            raise TopologyError(
+                f"weight pair does not mix: spectral gap not above {SPECTRAL_GAP_TOL:g}"
+            )
         return NetworkConstants(
             {"spectral_gap": lam, "r_min": r_min},
             lambda L: circulation_disagreement_bound(n, L, r_min, lam),
@@ -469,7 +484,7 @@ class RunHistory:
 
     config: RunConfig
     network: NetworkConstants
-    losses: QuadraticLoss | None  # the T rounds' losses as one stack; None if T = 0
+    losses: QuadraticLoss      # the T rounds' losses as one stack
     actions: np.ndarray        # (T, p) network actions
     updates: np.ndarray        # (T, p) owned gradient entries, coordinate order
     refs: np.ndarray           # (T, p) single-agent reference point of each round
@@ -508,14 +523,18 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     engine = DualAveragingEngine(config.topology, config.blocks, config.box)
     p, T = config.p, config.T
     alpha = config.alpha or inv_sqrt_step
-    env_factory = config.environment or sensing_environment_factory()
-    env = env_factory(p, rng)
-    if getattr(env, "p", p) != p:
-        raise ConfigError(f"environment dimension {env.p} disagrees with p={p}")
+    env = (config.environment or sensing_environment_factory())(p, rng)
+    # nothing else draws from rng: the stack holds the noise in round order
+    losses = QuadraticLoss(env.A, env.measurements(T, rng))
+    A, Q = losses.A, losses.q
+    if A.shape[1] != p or Q.shape != (T, A.shape[0]):
+        raise ConfigError(
+            f"environment dimension: A is {A.shape}, measurements {Q.shape}, p={p}, T={T}"
+        )
+    H = A.T @ A
 
     owner = config.blocks.owner
     cols = np.arange(p)
-    A = Q = None
     actions = np.empty((T, p))
     updates = np.empty((T, p))
     refs = np.empty((T, p))
@@ -532,25 +551,11 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     for t in range(1, T + 1):
         X = engine.primal_matrix()
         x_t = X[owner, cols]
-        obj = env.next_objective(t, x_t, rng)
-        # bounds are certified for one quadratic family; reject on the
-        # round it is left rather than after the whole horizon
-        if not isinstance(obj, QuadraticLoss):
-            raise ConfigError(
-                "bound certification needs quadratic objectives; round "
-                f"{t} returned {type(obj).__name__}"
-            )
-        # one A keeps the normal form H = A^T A formed on round 1 valid
-        if A is None:
-            A, Q = obj.A, np.empty((T, obj.q.shape[0]))
-            H = A.T @ A
-        elif obj.A is not A and not np.array_equal(obj.A, A):
-            raise ConfigError(f"bound certification needs one sensing matrix; round {t} changed A")
-        u = engine.local_updates(H, obj.q @ A)
+        # row by row: a stacked Q @ A rounds some rows differently
+        u = engine.local_updates(H, Q[t - 1] @ A)
         step = alpha(t - 1)
         engine.step(u, step)
 
-        Q[t - 1] = obj.q
         actions[t - 1] = x_t
         updates[t - 1] = u
         refs[t - 1] = ref
@@ -568,7 +573,7 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     return RunHistory(
         config=config,
         network=network,
-        losses=None if A is None else QuadraticLoss(A, Q),
+        losses=losses,
         actions=actions,
         updates=updates,
         refs=refs,

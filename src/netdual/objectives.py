@@ -16,10 +16,9 @@ class QuadraticLoss:
 
     ``q`` is one measurement (m,) or a stack of measurements (T, m), one
     loss per row with a shared A. Both methods are row-wise over the last
-    axis: one point (p,) or a stack of points (k, p) against one q, and a
-    stack of points against the stack of q, row by row. The engine reads
-    every agent's gradient at its own point in one call on the (n, p)
-    primal matrix; the measurement reads all T rounds in one call.
+    axis: a point (p,) or a stack (k, p) against one q, or a stack against
+    the stack of q row by row, so the measurement reads all T rounds in one
+    call. The round loop calls neither: it reads A^T A and A^T q_t.
     """
 
     def __init__(self, A: np.ndarray, q: np.ndarray):

@@ -57,3 +57,21 @@ def test_cumulative_sweep_shows_every_prefix_to_the_probe():
     for trace, comparator in zip(traces, comparators):
         assert comparator.iterations >= 1
         assert np.array_equal(trace.y_star, comparator.y)
+
+
+def test_environment_layer_times_every_round():
+    """``harness.env`` times the sensing environment's one-round draw. A
+    simulate that drew its measurements past ``next_objective`` would keep
+    the name and read 0 s there; every round must pass through it once."""
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer(harness, tracer_module.LAYERS)
+    T = 12
+    config = RunConfig("oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=T, seed=5)
+    tracer.install()
+    try:
+        op = tracer.begin_op()
+        harness.simulate(config)
+        tracer.end_op(op)
+    finally:
+        tracer.uninstall()
+    assert tracer.per_op()[0]["harness.env"][0] == T

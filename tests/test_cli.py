@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdual import ActionBox, RunConfig, harness, run, split_ring_schedule
+from netdual import ActionBox, RunConfig, harness, lazy_cycle_pair, run, split_ring_schedule
 from netdual.cli import _trace_checks, main
 
 BAD_PAIR_GRAPH = {
@@ -58,6 +58,28 @@ BAD_NETWORKS = {
         },
         3,
         "weight pair failed validation: connected, support at entry (0, 2)",
+    ),
+    # connected graph and a valid reversible pair, but M leaves node 2 alone:
+    # its spectral gap is 0 plus roundoff
+    "pair that does not mix": (
+        {
+            "algorithm": "oda-c",
+            "graph": {
+                "n": 3, "mode": "static", "edges": [[0, 1], [1, 2]], "r": [0.5, 0.25, 0.25],
+                "M": [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+            },
+        },
+        3,
+        "weight pair does not mix: spectral gap not above 1e-10",
+    ),
+    # periodic: the two agents swap their duals every round, gap exactly 0
+    "swap pair": (
+        {
+            "algorithm": "oda-c",
+            "graph": {**PATH_PAIR, "M": [[0.0, 1.0], [1.0, 0.0]]},
+        },
+        3,
+        "weight pair does not mix: spectral gap not above 1e-10",
     ),
     "loopless schedule": (
         {
@@ -360,6 +382,8 @@ class TestConfigBoundary:
             ("environment", {"type": "sensing", "P": eye5_with(-math.inf)}),
             ("graph", {**PATH_PAIR, "r": [math.nan, 0.5]}),
             ("graph", {**PATH_PAIR, "M": [[0.5, math.inf], [0.5, 0.5]]}),
+            ("alpha", {"values": 5}),
+            ("alpha", {"values": None}),
         ],
         ids=[
             "T-str", "T-float", "seed-str", "seed-negative", "tol-str",
@@ -368,6 +392,7 @@ class TestConfigBoundary:
             "sigma2-not-regular", "alpha-short", "graph-r-str", "arc-str", "edge-triple",
             "graphs-int", "box-lo-nan", "box-hi-inf", "fixed-q-nan", "fixed-A-inf",
             "sensing-target-inf", "sensing-A-nan", "sensing-P-inf", "graph-r-nan", "graph-M-inf",
+            "alpha-values-int", "alpha-values-null",
         ],
     )
     def test_malformed_field_is_parse_error_before_simulating(
@@ -434,8 +459,16 @@ class TestNetworkCertification:
         payload = json.loads(lines[0])
         if code == 3:
             assert payload["passed"] is False
+            if payload["mode"] == "static":
+                assert payload["error"] == error
         else:
             assert payload == {"error": error, "command": "validate-graph"}
+
+    def test_slowest_stock_pair_still_certifies(self):
+        # the lazy 200-cycle mixes slowly, far above the roundoff tolerance
+        config = RunConfig("oda-c", lazy_cycle_pair(200), ActionBox.uniform(-1, 1, 200), T=1)
+        gap = harness.network_constants(config).fields["spectral_gap"]
+        assert 4.9e-4 < gap < 5e-4
 
     def test_overflow_is_runtime_error_naming_the_round(self, tmp_path, capsys):
         d = {"algorithm": "oda-c", "T": 20, "environment": {"type": "fixed", "q": [[1e308] * 5]}}

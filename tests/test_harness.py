@@ -98,9 +98,9 @@ class TestEnvironments:
         target = np.array([3.0, -1.0])
         env = SensingEnvironment(A=A, target=target, cov=np.zeros((2, 2)))
         rng = np.random.Generator(np.random.PCG64(0))
-        obj = env.next_objective(1, np.zeros(2), rng)
-        assert np.array_equal(obj.q, A @ target)
-        assert np.array_equal(obj.A, A)
+        q = env.measurements(1, rng)[0]
+        assert np.array_equal(q, A @ target)
+        assert np.array_equal(env.A, A)
 
     def test_sensing_rejects_dimension_mismatch(self):
         with pytest.raises(ConfigError):
@@ -109,7 +109,7 @@ class TestEnvironments:
     def test_fixed_cycles(self):
         env = FixedEnvironment(A=np.eye(1), q_list=(np.array([1.0]), np.array([2.0])))
         rng = np.random.Generator(np.random.PCG64(0))
-        qs = [env.next_objective(t, np.zeros(1), rng).q[0] for t in (1, 2, 3, 4)]
+        qs = [q[0] for q in env.measurements(4, rng)]
         assert qs == [1.0, 2.0, 1.0, 2.0]
 
     def test_fixed_rejects_empty(self):
@@ -270,6 +270,26 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="dimension"):
             simulate(cfg)
 
+    @pytest.mark.parametrize(
+        "A, rows, width",
+        [(np.eye(5, 4), 6, 5), (np.eye(5), 5, 5), (np.eye(5), 6, 4)],
+        ids=["A-width", "stack-rows", "stack-width"],
+    )
+    def test_misshapen_environment_rejected_before_round_one(self, A, rows, width, monkeypatch):
+        class _Misshapen:
+            def __init__(self):
+                self.A = A
+
+            def measurements(self, T, rng):
+                return np.zeros((rows, width))
+
+        steps = []
+        monkeypatch.setattr(DualAveragingEngine, "step", lambda self, u, a: steps.append(a))
+        cfg = base_config(T=6, environment=lambda p, rng: _Misshapen())
+        with pytest.raises(ConfigError):
+            simulate(cfg)
+        assert steps == []
+
     def test_actions_follow_block_owners(self, monkeypatch):
         cfg = base_config(T=3)
         primals = record_primals(monkeypatch)
@@ -347,43 +367,6 @@ class TestFinalize:
     def test_prefix_cannot_exceed_horizon(self):
         with pytest.raises(ConfigError):
             finalize(simulate(base_config(T=4)), T=5)
-
-    def test_non_quadratic_objectives_rejected(self):
-        class _Odd:
-            p = 5
-            asked = 0
-
-            def next_objective(self, t, x_t, rng):
-                _Odd.asked += 1
-
-                class L:
-                    def value(self, x):
-                        return float(np.sum(np.abs(x)))
-
-                    def gradient(self, x):
-                        return np.sign(x)
-
-                return L()
-
-        cfg = base_config(T=2, environment=lambda p, rng: _Odd())
-        with pytest.raises(ConfigError, match="quadratic"):
-            run(cfg)
-        # rejected on the round the objective appears, not after the horizon
-        assert _Odd.asked == 1
-
-    def test_changed_sensing_matrix_rejected(self):
-        class _Drifting:
-            p = 5
-            asked = 0
-
-            def next_objective(self, t, x_t, rng):
-                _Drifting.asked += 1
-                return QuadraticLoss(A=t * np.eye(5), q=np.zeros(5))
-
-        cfg = base_config(T=6, environment=lambda p, rng: _Drifting())
-        with pytest.raises(ConfigError, match="round 2"):
-            simulate(cfg)
-        assert _Drifting.asked == 2
 
     def test_trace_shapes_and_constants(self):
         trace = run(base_config(T=12, seed=7))
