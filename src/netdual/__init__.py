@@ -14,7 +14,6 @@ from .engine import (
     CirculationEngine,
     DualAveragingEngine,
     PushSumEngine,
-    unrolled_dual_check,
 )
 from .errors import ComparatorError, ConfigError, TopologyError
 from .harness import (
@@ -52,7 +51,6 @@ from .topology import (
     ReversiblePair,
     StaticTopology,
     UndirectedGraph,
-    backward_product,
     build_pushsum_matrix,
     check_geometric_decay,
     contraction_constants,
@@ -89,7 +87,6 @@ __all__ = [
     "SweepRow",
     "TopologyError",
     "UndirectedGraph",
-    "backward_product",
     "build_pushsum_matrix",
     "check_geometric_decay",
     "circulation_disagreement_bound",
@@ -116,7 +113,6 @@ __all__ = [
     "split_ring_schedule",
     "sweep",
     "topology_from_dict",
-    "unrolled_dual_check",
     "validate_b_strong",
     "validate_reversible_pair",
     "write_sweep_csv",

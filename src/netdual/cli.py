@@ -101,6 +101,10 @@ def cmd_run(args) -> int:
             "avg_regret": trace.average_regret,
             "theory_bound": trace.theory_bound,
             "comparator_value": trace.comparator_value,
+            "comparator": {
+                "iterations": trace.comparator_iterations,
+                "residual": trace.comparator_residual,
+            },
             "checks": checks,
             "trace": trace_path,
         }

@@ -174,24 +174,3 @@ class DualAveragingEngine:
 # Aliases, not subclasses: callers and bench/tracer.py (own-vars() methods only) use these names.
 CirculationEngine = PushSumEngine = DualAveragingEngine
 
-
-def unrolled_dual_check(engine: DualAveragingEngine, update_history: list) -> float:
-    """Verify the engine's duals against the explicit matrix-product expansion.
-
-    After t steps fed by update_history (one length-p vector of owned
-    gradient entries per step), each dual must equal the injected gradients
-    carried forward through the backward products of the mixing matrices.
-    Returns the max absolute deviation. The expansion is accumulated backward
-    so each matrix is multiplied in once.
-    """
-    t = len(update_history)
-    if engine.rounds != t:
-        raise ConfigError(
-            f"engine has taken {engine.rounds} steps but history has {t} entries"
-        )
-    expected = np.zeros((engine.n, engine.p))
-    R = np.eye(engine.n)
-    for s in range(t - 1, -1, -1):
-        expected += R @ engine._injection(np.asarray(update_history[s], dtype=float))
-        R = R @ engine._matrix(s)
-    return float(np.max(np.abs(engine._Z - expected))) if t else 0.0

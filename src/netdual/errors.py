@@ -10,9 +10,9 @@ class TopologyError(ValueError):
 
 
 class ComparatorError(RuntimeError):
-    """Projected gradient descent did not reach the requested tolerance.
+    """The hindsight comparator did not reach the requested tolerance.
 
-    Carries the best iterate found so callers can inspect how close it got.
+    Carries the last point it reached so callers can inspect how close it got.
     """
 
     def __init__(self, message, best, value, grad_norm):

@@ -614,8 +614,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     cols = history.columns
     losses = QuadraticLoss(history.losses.A, history.losses.q[:T])
     L, G = lipschitz_constants(losses.A, box, q_radius=float(cols.q_radius[T - 1]), G=cols.G)
-    # the Hessian of the T-round sum is exactly T A^T A
-    comp = offline_comparator(losses, box, tol=config.comparator_tol, lip=T * G)
+    comp = offline_comparator(losses, box, tol=config.comparator_tol)
     costs = cols.costs[:T].copy()
     regret_partial = network_regret(costs, comp.costs)
     terms = decomposition_terms(cols, history.ref_gaps[:T], L, C)
@@ -640,6 +639,8 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
         e1=terms.e1, e2=terms.e2, e3=terms.e3, bound_partial=terms.bound,
         y_star=comp.y,
         comparator_value=comp.value,
+        comparator_iterations=comp.iterations,
+        comparator_residual=comp.grad_residual,
         constants=constants,
         theory_bound=net.regret_bound(T, L, G, D, C),
     )

@@ -380,16 +380,6 @@ def contraction_constants(
     )
 
 
-def backward_product(schedule: DigraphSchedule, t: int, s: int) -> np.ndarray:
-    """A(t:s) = A(t) A(t-1) ... A(s); the empty product A(s-1:s) is the identity."""
-    if s > t + 1:
-        raise ConfigError(f"need s <= t+1, got t={t}, s={s}")
-    P = np.eye(schedule.n)
-    for j in range(s, t + 1):
-        P = schedule.matrix_at(j) @ P
-    return P
-
-
 @dataclass(frozen=True)
 class DecayReport:
     max_ratio: float

@@ -5,10 +5,12 @@ from netdual import (
     ConfigError,
     DigraphSchedule,
     DualAveragingEngine,
+    QuadraticLoss,
     ReversiblePair,
     StaticTopology,
     UndirectedGraph,
     inv_sqrt_step,
+    power_iteration,
     project,
 )
 
@@ -33,6 +35,61 @@ def centralized_reference(update_history, box: ActionBox, alpha=None) -> np.ndar
         total += U[j - 1]
         refs[j] = project(total, alpha(j - 1), box)
     return refs
+
+
+def projected_gradient_comparator(
+    losses: QuadraticLoss, box: ActionBox, tol: float = 1e-8, max_iter: int = 20_000
+):
+    """The hindsight comparator by fixed-step projected gradient on the normal
+    form 0.5 y^T H y - b^T y: step 1/lambda_max(H) from the clamped
+    least-squares point, stopped when the gradient map's norm is at most tol.
+
+    Returns (y, value), or None when max_iter steps do not reach tol.
+    """
+    H = losses.q.shape[0] * (losses.A.T @ losses.A)
+    b = losses.A.T @ losses.q.sum(axis=0)
+    lip = power_iteration(H)
+    step = 1.0 / lip if lip > 0 else 1.0
+    y = box.clamp(np.linalg.lstsq(H, b, rcond=None)[0])
+    for _ in range(max_iter):
+        y_next = box.clamp(y - step * (H @ y - b))
+        residual = float(np.linalg.norm(y - y_next)) / step
+        y = y_next
+        if residual <= tol:
+            return y, float(np.sum(losses.value(y)))
+    return None
+
+
+def unrolled_dual_check(engine: DualAveragingEngine, update_history: list) -> float:
+    """Verify the engine's duals against the explicit matrix-product expansion.
+
+    After t steps fed by update_history (one length-p vector of owned
+    gradient entries per step), each dual must equal the injected gradients
+    carried forward through the backward products of the mixing matrices.
+    Returns the max absolute deviation. The expansion is accumulated backward
+    so each matrix is multiplied in once.
+    """
+    t = len(update_history)
+    if engine.rounds != t:
+        raise ConfigError(
+            f"engine has taken {engine.rounds} steps but history has {t} entries"
+        )
+    expected = np.zeros((engine.n, engine.p))
+    R = np.eye(engine.n)
+    for s in range(t - 1, -1, -1):
+        expected += R @ engine._injection(np.asarray(update_history[s], dtype=float))
+        R = R @ engine._matrix(s)
+    return float(np.max(np.abs(engine._Z - expected))) if t else 0.0
+
+
+def backward_product(schedule: DigraphSchedule, t: int, s: int) -> np.ndarray:
+    """A(t:s) = A(t) A(t-1) ... A(s); the empty product A(s-1:s) is the identity."""
+    if s > t + 1:
+        raise ConfigError(f"need s <= t+1, got t={t}, s={s}")
+    P = np.eye(schedule.n)
+    for j in range(s, t + 1):
+        P = schedule.matrix_at(j) @ P
+    return P
 
 
 def record_primals(monkeypatch) -> list:

@@ -10,7 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from conftest import random_digraph_schedule
+from conftest import random_digraph_schedule, unrolled_dual_check
 
 from netdual import (
     ActionBox,
@@ -30,7 +30,6 @@ from netdual import (
     spectral_gap,
     split_ring_schedule,
     sweep,
-    unrolled_dual_check,
     write_trace_csv,
 )
 from netdual.harness import sensing_environment_factory

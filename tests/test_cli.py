@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,37 @@ class TestRunCommand:
         assert payload["trace"] == trace_path
         with open(trace_path) as f:
             assert len(f.readlines()) == 26
+        assert payload["comparator"]["iterations"] >= 1
+        assert 0.0 <= payload["comparator"]["residual"] <= 1e-8
+
+    def test_singular_sensing_map(self, tmp_path, capsys):
+        # rank-1 A: every y with y0 + 2 y1 + y2 / 2 = 0.9 is a minimiser
+        d = {
+            "algorithm": "oda-c", "T": 300, "seed": 1, "box": [-1.0, 1.0],
+            "graph": VALID_CONFIGS[0]["graph"],
+            "environment": {
+                "type": "fixed", "q": [[1, 2, 3], [2, 1, 0]],
+                "A": [[1, 2, 0.5], [2, 4, 1], [0, 0, 0]],
+            },
+        }
+        cfg = write_json(tmp_path, "c.json", d)
+        code, payload = invoke(["run", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+        assert code == 0
+        assert payload["checks"]["regret_within_partial_bound"] is True
+        # 75 * min_a [(a-1)^2 + (2a-2)^2 + 9 + (a-2)^2 + (2a-1)^2], at a = 0.9
+        assert payload["comparator_value"] == pytest.approx(817.5, rel=1e-12)
+        assert payload["comparator"]["residual"] <= 1e-8
+
+    def test_unreachable_comparator_tol_is_runtime_error(self, tmp_path, capsys):
+        d = {"algorithm": "oda-c", "T": 25, "seed": 3, "comparator_tol": 1e-300}
+        cfg = write_json(tmp_path, "c.json", d)
+        code, payload = invoke(["run", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+        assert code == 4
+        assert set(payload) == {"error", "command", "best_value", "grad_norm"}
+        passes = int(re.search(r"Newton passes (\d+)", payload["error"]).group(1))
+        assert passes <= 501  # the start and at most the default cap of 500 more
+        assert 1e-300 < payload["grad_norm"] < 1e-6
+        assert math.isfinite(payload["best_value"])
 
     def test_pushsum_reports_weight_residual(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-ps", "T": 25})

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import centralized_reference, random_digraph_schedule
+from conftest import centralized_reference, random_digraph_schedule, unrolled_dual_check
 
 from netdual import (
     ActionBox,
@@ -11,7 +11,6 @@ from netdual import (
     QuadraticLoss,
     inv_sqrt_step,
     split_ring_schedule,
-    unrolled_dual_check,
 )
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import centralized_reference
+from conftest import centralized_reference, projected_gradient_comparator
 
 from netdual import (
     ActionBox,
@@ -20,7 +20,7 @@ from netdual import (
     pushsum_disagreement_bound,
     pushsum_regret_bound,
 )
-from netdual.objectives import curvature
+from netdual import objectives, regret
 from netdual.regret import round_columns
 
 
@@ -108,29 +108,75 @@ class TestOfflineComparator:
 
     def test_iteration_cap_attaches_best(self):
         # correlated coordinates and an optimum on a face of the box: the
-        # clamped least-squares start is off, and descent needs about 40 steps
+        # clamped Newton start is off, and one more pass is needed
         losses = QuadraticLoss(A=np.array([[1.0, 0.99], [0.99, 1.0]]), q=np.array([[3.0, -1.0]]))
         box = ActionBox.uniform(-1, 1, 2)
         with pytest.raises(ComparatorError) as exc:
-            offline_comparator(losses, box, tol=1e-12, max_iter=5)
+            offline_comparator(losses, box, tol=1e-12, max_iter=0)
         err = exc.value
         assert err.best.shape == (2,)
         assert box.contains(err.best)
         assert err.value == pytest.approx(float(np.sum(losses.value(err.best))))
         assert err.grad_norm > 1e-12
-        assert offline_comparator(losses, box, tol=1e-12).iterations > 5
+        assert offline_comparator(losses, box, tol=1e-12).iterations > 1
 
-    def test_known_curvature_replaces_the_power_iteration(self):
+    def test_makes_no_power_iteration(self, monkeypatch):
+        calls = []
+        power_iteration = objectives.power_iteration
+
+        def counting(S, *args, **kwargs):
+            calls.append(S.shape)
+            return power_iteration(S, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "power_iteration", counting)
+        monkeypatch.setattr(regret, "power_iteration", counting)
         rng = np.random.default_rng(3)
         A = np.eye(4) + 0.3 * rng.uniform(-1, 1, (4, 4))
         losses = QuadraticLoss(A=A, q=rng.normal(scale=4.0, size=(30, 4)))
-        box = ActionBox.uniform(-0.5, 0.5, 4)
-        searched = offline_comparator(losses, box, tol=1e-10)
-        given = offline_comparator(losses, box, tol=1e-10, lip=30 * curvature(A))
-        assert searched.iterations > 1  # a constrained optimum
-        assert np.allclose(given.y, searched.y, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(given.costs, losses.value(given.y))
-        assert given.value == float(np.sum(given.costs))
+        res = offline_comparator(losses, ActionBox.uniform(-0.5, 0.5, 4), tol=1e-10)
+        assert res.iterations > 1  # a constrained optimum
+        assert calls == []
+
+
+def random_box_qp(rng):
+    """A stacked QuadraticLoss and box: p in 1..29, m in 1..2p, some with a
+    near-duplicate column (H near-singular) and some with an exact duplicate
+    (H singular)."""
+    p = int(rng.integers(1, 30))
+    m = int(rng.integers(1, 2 * p + 1))
+    A = rng.normal(size=(m, p))
+    kind = int(rng.integers(0, 4))
+    if kind > 0 and p > 1:
+        j, k = rng.choice(p, 2, replace=False)
+        A[:, k] = A[:, j] + (1e-7 * rng.normal(size=m) if kind == 1 else 0.0)
+    T = int(rng.integers(1, 40))
+    q = rng.normal(scale=rng.uniform(0.1, 10.0), size=(T, m)) + rng.normal(scale=3.0, size=m)
+    box = ActionBox(lo=-rng.uniform(0.1, 3.0, size=p), hi=rng.uniform(0.1, 3.0, size=p))
+    return QuadraticLoss(A=A, q=q), box
+
+
+def test_comparator_meets_kkt_on_random_box_qps():
+    rng = np.random.default_rng(11)
+    tol, checked = 1e-8, 0
+    for case in range(300):
+        losses, box = random_box_qp(rng)
+        res = offline_comparator(losses, box, tol=tol)
+        H = losses.q.shape[0] * (losses.A.T @ losses.A)
+        b = losses.A.T @ losses.q.sum(axis=0)
+        g, y = H @ res.y - b, res.y
+        eps = 1e-10 * (np.linalg.norm(b) + 1.0)
+        free = (y > box.lo) & (y < box.hi)
+        assert res.grad_residual <= tol, case
+        assert np.all(np.abs(g[free]) <= eps), case
+        assert np.all(g[y <= box.lo] >= -eps) and np.all(g[y >= box.hi] <= eps), case
+        assert box.contains(y), case
+        assert res.value == float(np.sum(res.costs)), case
+        if case % 10 == 0:
+            oracle = projected_gradient_comparator(losses, box, tol=tol)
+            if oracle is not None:
+                checked += 1
+                assert res.value <= oracle[1] + 1e-12 * abs(oracle[1]) + 1e-20, case
+    assert checked >= 25  # the oracle converges on most of the subset
 
 
 class TestNetworkRegret:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import backward_product
 
 from netdual import (
     ConfigError,
@@ -10,7 +11,6 @@ from netdual import (
     ReversiblePair,
     StaticTopology,
     UndirectedGraph,
-    backward_product,
     build_pushsum_matrix,
     check_geometric_decay,
     contraction_constants,
