@@ -55,7 +55,9 @@ class ActionBox:
         return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lo, self.hi)
+        # np.clip's result, bit for bit, without its dispatch cost
+        y = np.maximum(x, self.lo)
+        return np.minimum(y, self.hi, out=y)
 
     def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))

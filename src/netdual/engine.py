@@ -14,6 +14,15 @@ this one update over two operators, read from the type of the network:
   the mean field. A weight vector w is mixed alongside the duals, and the
   agents act on the debiased ratios z_i / w_i.
 
+The mix reads each row of the matrix over its nonzeros when the matrix is
+sparse enough: each distinct matrix (the pair's M, each slot the schedule
+caches) gets one operator, chosen once by ``mixing_operator``. Above the
+density threshold that is the matrix itself, multiplied densely; below it,
+its padded-row form ``PaddedRows``, which gathers each row's neighbours.
+Measured at p = n, the two cost the same near n = GATHER_DENSITY * K, K the
+most nonzeros in any row (README, Sparse mixing). ``_matrix`` stays the
+dense source of truth.
+
 The engine checks only types and shapes: whether the network meets its
 algorithm's contract is certified before round 1, by
 ``harness.network_constants``.
@@ -26,6 +35,53 @@ import numpy as np
 from .core import ActionBox, BlockMap
 from .errors import ConfigError
 from .topology import DigraphSchedule, StaticTopology
+
+# The gather replaces the dense product when GATHER_DENSITY * K <= n, K the
+# most nonzeros in any row: measured at p = n, K = 2 and 3 (README, Sparse
+# mixing).
+GATHER_DENSITY = 32
+
+
+@dataclass(frozen=True)
+class PaddedRows:
+    """A square matrix in ELLPACK form: row i's nonzeros are W[i, 0] at the
+    columns nbr[i], by ascending column, padded at the end with weight 0 at
+    column i. ``P @ X`` is the matrix product, each row summed over its
+    nonzeros only: O(n K p) against the dense O(n^2 p)."""
+
+    nbr: np.ndarray  # (n, K) column indices
+    W: np.ndarray  # (n, 1, K) weights
+
+    @classmethod
+    def of(cls, A: np.ndarray) -> "PaddedRows":
+        nz = A != 0
+        K = max(int(nz.sum(axis=1).max()), 1)
+        # a stable sort puts each row's nonzero columns first, in ascending order
+        cols = np.argsort(~nz, axis=1, kind="stable")[:, :K]
+        held = np.take_along_axis(nz, cols, axis=1)
+        nbr = np.where(held, cols, np.arange(A.shape[0])[:, None])
+        W = np.where(held, np.take_along_axis(A, cols, axis=1), 0.0)
+        return cls(nbr=nbr, W=W[:, None, :])
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        if X.ndim == 1:  # the weight channel: one small (n, K) gather
+            return (self.W @ X[self.nbr][:, :, None])[:, 0, 0]
+        n, K = self.nbr.shape
+        out = np.empty((n, 1, X.shape[1]))
+        # blocks of ceil(n/K) rows keep the gathered (rows, K, p) temporary
+        # near the size of one (n, p) array
+        rows = -(-n // K)
+        for s in range(0, n, rows):
+            b = slice(s, s + rows)
+            np.matmul(self.W[b], X[self.nbr[b]], out=out[b])
+        return out[:, 0, :]
+
+
+def mixing_operator(A: np.ndarray) -> np.ndarray | PaddedRows:
+    """What the engine multiplies by in place of A: A itself, or its padded
+    rows when the densest row has K nonzeros with GATHER_DENSITY * K <= n."""
+    K = int((A != 0).sum(axis=1).max())
+    return PaddedRows.of(A) if GATHER_DENSITY * K <= A.shape[0] else A
 
 
 @dataclass
@@ -59,6 +115,7 @@ class DualAveragingEngine:
         self._u_total = np.zeros(p)
         self._X = np.broadcast_to(self.box.clamp(np.zeros(p)), (n, p)).copy()
         self._ratios = self._Z  # z_i / w_i with w = 1
+        self._operators = {}  # id(matrix) -> (matrix, mixing_operator(matrix))
         self._diag_round = -1  # the round _diag was formed at; none yet
 
     @property
@@ -74,6 +131,14 @@ class DualAveragingEngine:
         if self._w is None:
             return self.network.pair.M
         return self.network.matrix_at(t)
+
+    def _operator(self, A: np.ndarray) -> np.ndarray | PaddedRows:
+        """A's mixing operator, formed at A's first round. The entry holds A,
+        so its id is not reused while the entry lives."""
+        entry = self._operators.get(id(A))
+        if entry is None:
+            entry = self._operators[id(A)] = (A, mixing_operator(A))
+        return entry[1]
 
     def _scaled(self, u: np.ndarray) -> np.ndarray:
         """Each owned entry u[k] as it enters its owner's row: scaled by 1/r
@@ -109,7 +174,7 @@ class DualAveragingEngine:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.p,):
             raise ConfigError(f"update has shape {u.shape}, expected ({self.p},)")
-        A = self._matrix(self.rounds)
+        A = self._operator(self._matrix(self.rounds))
         self._u_total += u
         Z = A @ self._Z
         # in place, with no (n, p) increment formed, to keep a round's peak
@@ -121,7 +186,9 @@ class DualAveragingEngine:
         # the ratios are kept for the round's diagnostics: one division per round
         self._ratios = self.ratios()
         X = -alpha * self._ratios
-        self._X = np.clip(X, self.box.lo[None, :], self.box.hi[None, :], out=X)
+        # np.clip's result, bit for bit, without its dispatch cost
+        np.maximum(X, self.box.lo, out=X)
+        self._X = np.minimum(X, self.box.hi, out=X)
         self.rounds += 1
 
     def ratios(self) -> np.ndarray:

@@ -63,6 +63,26 @@ class TestActionBox:
         with pytest.raises(ConfigError):
             ActionBox(lo=np.array([0.0, 0.0]), hi=np.array([1.0]))
 
+    def test_clamp_is_np_clip_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        # zero-width, zero-edged and ordinary intervals
+        box = ActionBox(
+            lo=np.array([-1.0, 0.0, -0.0, -3.0, 2.0]), hi=np.array([1.0, 0.0, 0.0, -0.0, 2.5])
+        )
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.0, 2.5, -3.0, 1e-300, -1e-300])
+        x = np.concatenate([rng.choice(special, (400, 5)), rng.normal(0, 3, (400, 5))])
+        want = np.clip(x, box.lo, box.hi)
+        assert np.array_equal(box.clamp(x).view(np.int64), want.view(np.int64))
+
+        engine = DualAveragingEngine(
+            network=PAIR_SCHEDULE, blocks=BlockMap(blocks=((0, 1, 2), (3, 4))), box=box
+        )
+        for t in range(1, 30):
+            alpha = 1.0 / t
+            engine.step(rng.choice(special[4:], 5) * rng.integers(0, 2, 5), alpha)
+            want = np.clip(-alpha * engine.ratios(), box.lo, box.hi)
+            assert np.array_equal(engine._X.view(np.int64), want.view(np.int64))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=6))
     def test_clamp_is_idempotent_and_feasible(self, values):
