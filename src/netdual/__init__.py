@@ -30,7 +30,7 @@ from .harness import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .objectives import QuadraticLoss, lipschitz_constants, power_iteration
+from .objectives import QuadraticLoss, lipschitz_constants
 from .prox import project, prox_sup
 from .regret import (
     ComparatorResult,
@@ -102,7 +102,6 @@ __all__ = [
     "load_graph",
     "network_regret",
     "offline_comparator",
-    "power_iteration",
     "project",
     "prox_sup",
     "pushsum_disagreement_bound",

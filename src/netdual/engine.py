@@ -15,10 +15,11 @@ this one update over two operators, read from the type of the network:
   agents act on the debiased ratios z_i / w_i.
 
 The mix reads each row of the matrix over its nonzeros when the matrix is
-sparse enough: each distinct matrix (the pair's M, each slot the schedule
-caches) gets one operator, chosen once by ``mixing_operator``. Above the
-density threshold that is the matrix itself, multiplied densely; below it,
-its padded-row form ``PaddedRows``, which gathers each row's neighbours.
+sparse enough: each distinct matrix (the pair's M, each slot a periodic
+schedule caches, each round of an explicit one) gets one operator, chosen
+once by ``mixing_operator``. Above the density threshold that is the matrix
+itself, multiplied densely; below it, its padded-row form ``PaddedRows``,
+which gathers each row's neighbours.
 Measured at p = n, the two cost the same near n = GATHER_DENSITY * K, K the
 most nonzeros in any row (README, Sparse mixing). ``_matrix`` stays the
 dense source of truth.
@@ -133,8 +134,12 @@ class DualAveragingEngine:
         return self.network.matrix_at(t)
 
     def _operator(self, A: np.ndarray) -> np.ndarray | PaddedRows:
-        """A's mixing operator, formed at A's first round. The entry holds A,
-        so its id is not reused while the entry lives."""
+        """A's mixing operator, formed at A's first round and kept while the
+        network keeps A. The entry holds A, so its id is not reused while
+        the entry lives. An explicit schedule's matrix serves one round, so
+        its operator is not kept."""
+        if self._w is not None and self.network.period == 0:
+            return mixing_operator(A)
         entry = self._operators.get(id(A))
         if entry is None:
             entry = self._operators[id(A)] = (A, mixing_operator(A))

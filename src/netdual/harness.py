@@ -22,7 +22,7 @@ from .core import ActionBox, BlockMap, parse_numbers
 # bench/tracer.py wraps the engine's methods under the two alias names in this module
 from .engine import CirculationEngine, DualAveragingEngine, PushSumEngine  # noqa: F401
 from .errors import ConfigError, TopologyError
-from .objectives import QuadraticLoss, lipschitz_constants, power_iteration
+from .objectives import QuadraticLoss, lipschitz_constants
 from .prox import project, prox_sup
 from .regret import (
     RegretTrace,
@@ -30,12 +30,12 @@ from .regret import (
     circulation_disagreement_bound,
     circulation_regret_bound,
     decomposition_terms,
-    inv_sqrt_step,
     network_regret,
     offline_comparator,
     pushsum_disagreement_bound,
     pushsum_regret_bound,
     round_columns,
+    step_sizes,
 )
 from .topology import (
     DigraphSchedule,
@@ -54,6 +54,8 @@ TRACE_HEADER = (
     "t,cost,regret_partial,avg_regret,disagreement,"
     "mean_field_residual,e1,e2,e3,bound_partial"
 )
+# a row as csv.writer writes it: no %.12g field needs quoting
+TRACE_ROW = "%d," + ",".join(["%.12g"] * 9) + "\r\n"
 SWEEP_HEADER = "T,regret,avg_regret,theory_bound"
 
 
@@ -139,7 +141,7 @@ class SensingEnvironment:
 
     def measurement_ball(self) -> tuple:
         """A-priori (center, radius) of q_t: A target, six noise deviations."""
-        return self.center, 6.0 * math.sqrt(max(0.0, power_iteration(self.cov)))
+        return self.center, 6.0 * math.sqrt(max(0.0, float(np.linalg.eigvalsh(self.cov)[-1])))
 
 
 @dataclass
@@ -489,6 +491,7 @@ class RunHistory:
     updates: np.ndarray        # (T, p) owned gradient entries, coordinate order
     refs: np.ndarray           # (T, p) single-agent reference point of each round
     ref_gaps: np.ndarray       # (T,) sum over agents of ||x_i(t) - refs[t-1]||
+    steps: np.ndarray          # (T + 1,) the step sizes alpha(0..T)
     disagreement: np.ndarray
     disagreement_squared: np.ndarray
     mean_field_residual: np.ndarray
@@ -501,7 +504,7 @@ class RunHistory:
         config = self.config
         return round_columns(
             self.losses, self.actions, self.updates, self.refs, config.box,
-            config.n, config.alpha or inv_sqrt_step,
+            config.n, self.steps,
         )
 
 
@@ -522,7 +525,7 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         network = network_constants(config)
     engine = DualAveragingEngine(config.topology, config.blocks, config.box)
     p, T = config.p, config.T
-    alpha = config.alpha or inv_sqrt_step
+    steps = step_sizes(T, config.alpha)
     env = (config.environment or sensing_environment_factory())(p, rng)
     # nothing else draws from rng: the stack holds the noise in round order
     losses = QuadraticLoss(env.A, env.measurements(T, rng))
@@ -548,12 +551,11 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     total = np.zeros(p)
     ref = config.box.clamp(np.zeros(p))
 
-    for t in range(1, T + 1):
+    for t, step in zip(range(1, T + 1), steps.tolist()):
         X = engine.primal_matrix()
         x_t = X[owner, cols]
         # row by row: a stacked Q @ A rounds some rows differently
         u = engine.local_updates(H, Q[t - 1] @ A)
-        step = alpha(t - 1)
         engine.step(u, step)
 
         actions[t - 1] = x_t
@@ -578,6 +580,7 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         updates=updates,
         refs=refs,
         ref_gaps=ref_gaps,
+        steps=steps,
         disagreement=disagreement,
         disagreement_squared=disagreement_sq,
         mean_field_residual=mf_residual,
@@ -697,28 +700,14 @@ def _fmt(x: float) -> str:
 def write_trace_csv(trace: RegretTrace, path: str) -> None:
     """Per-round trace; floats carry 12 significant digits so reruns are
     byte-comparable."""
+    columns = (
+        trace.costs, trace.regret_partial, trace.avg_regret, trace.disagreement,
+        trace.mean_field_residual, trace.e1, trace.e2, trace.e3, trace.bound_partial,
+    )
+    rows = zip(range(1, trace.T + 1), *(c.tolist() for c in columns))
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRACE_HEADER.split(","))
-        for t in range(1, trace.T + 1):
-            i = t - 1
-            w.writerow(
-                [str(t)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        trace.costs[i],
-                        trace.regret_partial[i],
-                        trace.avg_regret[i],
-                        trace.disagreement[i],
-                        trace.mean_field_residual[i],
-                        trace.e1[i],
-                        trace.e2[i],
-                        trace.e3[i],
-                        trace.bound_partial[i],
-                    )
-                ]
-            )
+        f.write(TRACE_HEADER + "\r\n")
+        f.writelines(TRACE_ROW % row for row in rows)
 
 
 def write_sweep_csv(rows, path: str) -> None:

@@ -29,41 +29,27 @@ class QuadraticLoss:
         self.A = A
         self.q = q
 
+    def _residual(self, x: np.ndarray) -> np.ndarray:
+        # A x - q, in place on the product when that has the result's shape;
+        # value squares in place too, so a call over T rounds forms one
+        # (T, m) array where r * r formed three
+        r = x @ self.A.T
+        return np.subtract(r, self.q, out=r if r.shape[:-1] == self.q.shape[:-1] else None)
+
     def value(self, x: np.ndarray):
-        r = x @ self.A.T - self.q
-        return 0.5 * np.add.reduce(r * r, axis=-1)
+        r = self._residual(x)
+        return 0.5 * np.add.reduce(np.square(r, out=r), axis=-1)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return (x @ self.A.T - self.q) @ self.A
-
-
-def power_iteration(S: np.ndarray, tol: float = 1e-9, max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of a symmetric positive semidefinite matrix.
-
-    Deterministic start vector; stops when successive Rayleigh quotients agree
-    to ``tol`` relative.
-    """
-    p = S.shape[0]
-    v = np.ones(p) + np.linspace(0.0, 0.5, p)  # breaks symmetry against ones
-    v /= np.linalg.norm(v)
-    lam = float(v @ S @ v)
-    for _ in range(max_iter):
-        w = S @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ S @ v)
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return new
-        lam = new
-    return lam
+        return self._residual(x) @ self.A
 
 
 def curvature(A: np.ndarray) -> float:
     """G, the largest eigenvalue of A^T A: the Lipschitz modulus of every
-    gradient A^T (A x - q), whatever q is."""
-    return max(power_iteration(A.T @ A), 0.0)
+    gradient A^T (A x - q), whatever q is. One symmetric eigensolve: exact
+    to roundoff, where an iteration stopped on a small change in its
+    estimate reads low."""
+    return max(float(np.linalg.eigvalsh(A.T @ A)[-1]), 0.0)
 
 
 def lipschitz_constants(

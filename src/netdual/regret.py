@@ -15,13 +15,23 @@ import numpy as np
 
 from .core import ActionBox
 from .errors import ComparatorError, ConfigError
-from .objectives import QuadraticLoss, curvature, power_iteration  # noqa: F401 (tests patch it)
+from .objectives import QuadraticLoss, curvature
 from .topology import ContractionConstants
 
 
 def inv_sqrt_step(s: int) -> float:
     """Default step-size schedule alpha(s) = 1/sqrt(s+1), s >= 0."""
     return 1.0 / math.sqrt(s + 1)
+
+
+def step_sizes(T: int, alpha=None) -> np.ndarray:
+    """alpha(0..T) as one vector, alpha the rule (inv_sqrt_step by default).
+    The default is formed without a call per entry; each entry is the same
+    correctly rounded square root and division, so it equals the rule bit
+    for bit."""
+    if alpha is None:
+        return 1.0 / np.sqrt(np.arange(1, T + 2))
+    return np.array([alpha(s) for s in range(T + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,9 @@ def offline_comparator(
     H = Q.shape[0] * (losses.A.T @ losses.A)
     b = losses.A.T @ Q.sum(axis=0)
     diag = np.where(np.diag(H) > 0, np.diag(H), 1.0)  # a zero column of A never moves g
-    mu = 1e-12 * diag.max()  # keeps a singular H_FF factorable
+    # keeps a singular H_FF factorable; the start's gradient is off by ~mu ||y||,
+    # which at 1e-12 missed tol=1e-8 on 12 of sweep20-prefix's 16 prefixes
+    mu = 1e-13 * diag.max()
 
     def newton(F, g_F):
         # the part of g_F a singular H_FF cannot reach takes a diagonal step
@@ -149,22 +161,24 @@ class DecompositionTerms:
 
 def round_columns(
     losses: QuadraticLoss, actions, update_history, refs, box: ActionBox,
-    n: int, alpha=None,
+    n: int, steps,
 ) -> RoundColumns:
     """The prefix-free columns of a completed run, one pass over its rounds.
 
-    Round t's single-agent reference refs[t-1] is the projection of the
-    gradient sum through round t-1. e1 accumulates (alpha(t-1)/2)*||u_t||^2;
-    e3 accumulates sqrt(n)*D times the gap between the reference gradient
-    and the stacked blocks the agents actually used.
+    steps holds the step sizes alpha(0..T) (``step_sizes``). Round t's
+    single-agent reference refs[t-1] is the projection of the gradient sum
+    through round t-1. e1 accumulates (alpha(t-1)/2)*||u_t||^2; e3
+    accumulates sqrt(n)*D times the gap between the reference gradient and
+    the stacked blocks the agents actually used.
     """
-    if alpha is None:
-        alpha = inv_sqrt_step
     X, U, R = (np.asarray(a, dtype=float) for a in (actions, update_history, refs))
     T = U.shape[0]
-    if X.shape != U.shape or R.shape != U.shape or losses.q.shape[:-1] != (T,):
+    alphas = np.asarray(steps, dtype=float)
+    if (
+        X.shape != U.shape or R.shape != U.shape or losses.q.shape[:-1] != (T,)
+        or alphas.shape != (T + 1,)
+    ):
         raise ConfigError("histories and losses must cover the same rounds")
-    alphas = np.array([alpha(s) for s in range(T + 1)])
     e1 = np.cumsum(0.5 * alphas[:T] * np.add.reduce(U * U, axis=1))
     mismatch = np.linalg.norm(losses.gradient(R) - U, axis=1)
     return RoundColumns(

@@ -221,7 +221,11 @@ class DigraphSchedule:
         return self.graphs[t]
 
     def matrix_at(self, t: int) -> np.ndarray:
-        key = t % self.period if self.period >= 1 else t
+        """The round's mixing matrix: a periodic schedule keeps each slot's,
+        an explicit one builds round t's per call, so a run holds one, not T."""
+        if self.period == 0:
+            return build_pushsum_matrix(self, t)
+        key = t % self.period
         if key not in self._matrices:
             self._matrices[key] = build_pushsum_matrix(self, t)
         return self._matrices[key]
@@ -401,12 +405,14 @@ def check_geometric_decay(
     log_theta = math.log1p(-constants.one_minus_theta) if constants.theta > 0 else None
     worst = (0, 0, 0, 0)
     max_ratio = 0.0
+    # built once each: an explicit schedule builds its matrix on every call
+    matrices = [schedule.matrix_at(t) for t in range(horizon + 1)]
     for t in range(horizon + 1):
         products = {}
-        P = schedule.matrix_at(t)
+        P = matrices[t]
         products[t] = P
         for s in range(t - 1, -1, -1):
-            P = P @ schedule.matrix_at(s)
+            P = P @ matrices[s]
             products[s] = P
         phi = products[0].mean(axis=1)
         for s, P in products.items():

@@ -10,7 +10,6 @@ from netdual import (
     StaticTopology,
     UndirectedGraph,
     inv_sqrt_step,
-    power_iteration,
     project,
 )
 
@@ -35,6 +34,31 @@ def centralized_reference(update_history, box: ActionBox, alpha=None) -> np.ndar
         total += U[j - 1]
         refs[j] = project(total, alpha(j - 1), box)
     return refs
+
+
+def power_iteration(S: np.ndarray, tol: float = 1e-9, max_iter: int = 100_000) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite matrix.
+
+    Deterministic start vector; stops when successive Rayleigh quotients agree
+    to ``tol`` relative, so the estimate can sit below the true value by
+    about ``tol``. The old solver's step and a lower check on
+    ``objectives.curvature`` read it.
+    """
+    p = S.shape[0]
+    v = np.ones(p) + np.linspace(0.0, 0.5, p)  # breaks symmetry against ones
+    v /= np.linalg.norm(v)
+    lam = float(v @ S @ v)
+    for _ in range(max_iter):
+        w = S @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        new = float(v @ S @ v)
+        if abs(new - lam) <= tol * max(1.0, abs(new)):
+            return new
+        lam = new
+    return lam
 
 
 def projected_gradient_comparator(

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netdual import ActionBox, RunConfig, harness, lazy_cycle_pair
+import netdual
+from netdual import ActionBox, RunConfig, harness, lazy_cycle_pair, objectives, regret
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -75,3 +76,36 @@ def test_environment_layer_times_every_round():
     finally:
         tracer.uninstall()
     assert tracer.per_op()[0]["harness.env"][0] == T
+
+
+def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
+    """``finalize_s`` measures the first pass over a history: it reads the
+    step sizes ``simulate`` formed as one vector and forms G by one
+    eigensolve. A finalize that called the step rule per round, or formed
+    the curvature per prefix or by an iteration, would slow every
+    benchmark operation without failing a check."""
+    alpha_calls, curvature_calls = [], []
+
+    def alpha(s):
+        alpha_calls.append(s)
+        return 1.0 / (s + 1) ** 0.5
+
+    curvature = objectives.curvature
+
+    def counting(A):
+        curvature_calls.append(A.shape)
+        return curvature(A)
+
+    monkeypatch.setattr(objectives, "curvature", counting)
+    monkeypatch.setattr(regret, "curvature", counting)
+    config = RunConfig(
+        "oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=2000, seed=5, alpha=alpha
+    )
+    history = harness.simulate(config)
+    alpha_calls.clear()
+    for T in (500, 2000):
+        harness.finalize(history, T)
+    assert alpha_calls == []
+    assert curvature_calls == [(5, 5)]
+    assert not hasattr(netdual, "power_iteration")
+    assert not hasattr(objectives, "power_iteration")

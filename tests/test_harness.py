@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import fields, replace
 
@@ -18,9 +19,9 @@ from netdual import (
     config_from_dict,
     finalize,
     harness,
+    inv_sqrt_step,
     lazy_cycle_pair,
     objectives,
-    power_iteration,
     prox_sup,
     regret,
     run,
@@ -41,6 +42,7 @@ from netdual.harness import (
     sensing_environment_factory,
     standard_normals,
 )
+from netdual.regret import step_sizes
 
 
 def base_config(algorithm="oda-c", T=20, **kw):
@@ -290,6 +292,30 @@ class TestSimulate:
             simulate(cfg)
         assert steps == []
 
+    def test_step_vector_equals_the_rule(self):
+        T = 200_000
+        rule = np.array([inv_sqrt_step(s) for s in range(T + 1)])
+        assert np.array_equal(step_sizes(T), rule)
+        values = [0.5, 0.25, 0.125, 0.3, 0.2]
+        alpha = config_from_dict({"algorithm": "oda-c", "T": 4, "alpha": {"values": values}}).alpha
+        assert step_sizes(4, alpha).tolist() == values
+
+    @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+    def test_engine_steps_with_the_history_step_vector(self, algorithm, monkeypatch):
+        received = []
+        step = DualAveragingEngine.step
+
+        def recording(self, u, alpha):
+            received.append(alpha)
+            return step(self, u, alpha)
+
+        monkeypatch.setattr(DualAveragingEngine, "step", recording)
+        hist = simulate(base_config(algorithm, T=2000, seed=4))
+        assert hist.steps.shape == (2001,)
+        assert np.array_equal(hist.steps, step_sizes(2000))
+        assert all(type(a) is float for a in received)
+        assert np.array_equal(np.array(received), hist.steps[:2000])
+
     def test_actions_follow_block_owners(self, monkeypatch):
         cfg = base_config(T=3)
         primals = record_primals(monkeypatch)
@@ -385,9 +411,10 @@ class TestFinalize:
 
 
 def truncated(history, T):
-    """The first T rounds of a history, as a history of T rounds."""
+    """The first T rounds of a history, as a history of T rounds (whose
+    step sizes are alpha(0..T))."""
     head = {
-        f.name: getattr(history, f.name)[:T]
+        f.name: getattr(history, f.name)[: T + (f.name == "steps")]
         for f in fields(history)
         if isinstance(getattr(history, f.name), np.ndarray)
     }
@@ -466,13 +493,15 @@ class TestSweep:
     def test_cumulative_sweep_forms_the_loss_curvature_once(self, monkeypatch):
         calls = []
 
-        def counting(S, *args, **kwargs):
-            calls.append(S.shape)
-            return power_iteration(S, *args, **kwargs)
+        curvature = objectives.curvature
 
-        # the curvature (objectives) and the comparator's step (regret)
-        monkeypatch.setattr(objectives, "power_iteration", counting)
-        monkeypatch.setattr(regret, "power_iteration", counting)
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape)
+            return curvature(A, *args, **kwargs)
+
+        # the first pass (regret) and any default G (objectives)
+        monkeypatch.setattr(objectives, "curvature", counting)
+        monkeypatch.setattr(regret, "curvature", counting)
         rows = sweep(base_config(T=1, seed=5), [5, 10, 20, 40], cumulative=True)
         assert [row.T for row in rows] == [5, 10, 20, 40]
         assert calls == [(5, 5)]
@@ -498,6 +527,12 @@ class TestSweep:
             sweep(cfg, [0, 3])
 
 
+TRACE_COLUMNS = (
+    "costs", "regret_partial", "avg_regret", "disagreement", "mean_field_residual",
+    "e1", "e2", "e3", "bound_partial",
+)
+
+
 class TestSerialization:
     def test_trace_csv_layout(self, tmp_path):
         trace = run(base_config(T=6, seed=2))
@@ -507,6 +542,30 @@ class TestSerialization:
         assert lines[0] == TRACE_HEADER
         assert len(lines) == 7
         assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(1, 7)]
+
+    def test_trace_csv_matches_the_csv_module(self, tmp_path):
+        def csv_module_writer(trace, path):  # the writer before the one-pass format
+            with open(path, "w", newline="") as f:
+                w = csv.writer(f)
+                w.writerow(TRACE_HEADER.split(","))
+                for i in range(trace.T):
+                    w.writerow(
+                        [str(i + 1)]
+                        + ["%.12g" % getattr(trace, name)[i] for name in TRACE_COLUMNS]
+                    )
+
+        trace = run(base_config(T=40, seed=3))
+        special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 1e300, -1e-300, 5e-324])
+        rng = np.random.default_rng(0)
+        for k, name in enumerate(TRACE_COLUMNS):
+            column = getattr(trace, name).copy()
+            column[rng.permutation(40)[:9]] = np.roll(special, k)
+            trace = replace(trace, **{name: column})
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trace_csv(trace, str(got))
+        csv_module_writer(trace, str(want))
+        assert b"inf" in got.read_bytes() and b"-0," in got.read_bytes()
+        assert got.read_bytes() == want.read_bytes()
 
     def test_sweep_csv_layout(self, tmp_path):
         rows = sweep(base_config(T=1, seed=2), [3, 6])

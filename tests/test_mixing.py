@@ -9,6 +9,7 @@ reference run within 1e-9 relative.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from netdual import (
     ActionBox,
     BlockMap,
+    DigraphSchedule,
     DualAveragingEngine,
     RunConfig,
     finalize,
@@ -108,6 +110,25 @@ def test_operator_is_formed_once_per_distinct_matrix():
     forms = [op for _, op in engine._operators.values()]
     assert len(forms) == 5
     assert all(isinstance(op, PaddedRows) for op in forms)
+
+
+def test_explicit_schedule_keeps_no_matrix_past_its_round():
+    # a periodic schedule keeps one matrix per slot; an explicit one serves
+    # each matrix for one round, so stepping through it must not keep T
+    n, T = 128, 300
+    ring = split_ring_schedule(n, 5).graphs
+    schedule = DigraphSchedule(n=n, graphs=tuple(ring[t % 5] for t in range(T)), period=0)
+    engine = DualAveragingEngine(schedule, BlockMap.scalar(n), ActionBox.uniform(-3, 3, n))
+    updates = np.random.default_rng(0).uniform(-1, 1, (T, n))
+    tracemalloc.start()
+    try:
+        for t in range(T):
+            engine.step(updates[t], alpha=1 / math.sqrt(t + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert engine.rounds == T
+    assert peak < 10 * n * n * 8
 
 
 GATHER_RUNS = pytest.mark.parametrize(

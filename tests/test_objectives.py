@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from conftest import power_iteration
 
-from netdual import ActionBox, ConfigError, QuadraticLoss, lipschitz_constants, power_iteration
+from netdual import ActionBox, ConfigError, QuadraticLoss, lipschitz_constants
+from netdual.objectives import curvature
+
+EPS = np.finfo(float).eps
 
 
 def finite_diff_check(obj, x, h=1e-6, box=None):
@@ -75,6 +79,36 @@ class TestPowerIteration:
 
     def test_zero_matrix(self):
         assert power_iteration(np.zeros((3, 3))) == 0.0
+
+
+class TestCurvature:
+    def test_diagonal_and_rotated_diagonal(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            p = int(rng.integers(1, 30))
+            d = rng.uniform(0.1, 10.0, p) * 10.0 ** rng.integers(-3, 4)
+            top = float(np.sqrt(d).max() ** 2)  # the top eigenvalue of A^T A
+            assert curvature(np.diag(np.sqrt(d))) == pytest.approx(top, rel=1e-12)
+            V, _ = np.linalg.qr(rng.normal(size=(p, p)))
+            A = np.sqrt(d)[:, None] * V.T  # A^T A = V diag(d) V^T
+            assert curvature(A) == pytest.approx(top, rel=1e-12)
+
+    def test_never_below_the_power_iteration(self):
+        rng = np.random.default_rng(31)
+        for k in range(200):
+            p = int(rng.integers(1, 25))
+            m = int(rng.integers(1, 2 * p + 1))
+            A = rng.normal(size=(m, p))
+            if k % 4 == 1:  # rank-deficient: a repeated column
+                A[:, -1] = A[:, 0]
+            elif k % 4 == 2:  # rank-deficient: fewer rows than columns
+                A = A[: max(1, p // 2)]
+            elif k % 8 == 3:
+                A = np.zeros((m, p))
+            # a Rayleigh quotient never exceeds the top eigenvalue in exact
+            # arithmetic; its rounding may put it an ulp above the eigensolve
+            assert curvature(A) >= power_iteration(A.T @ A) * (1 - 4 * EPS)
+        assert curvature(np.zeros((3, 4))) == 0.0
 
 
 class TestLipschitzConstants:

@@ -21,7 +21,7 @@ from netdual import (
     pushsum_regret_bound,
 )
 from netdual import objectives, regret
-from netdual.regret import round_columns
+from netdual.regret import round_columns, step_sizes
 
 
 def reduced_history(update_history, primal_history, box):
@@ -35,7 +35,9 @@ def reduced_history(update_history, primal_history, box):
 def split_terms(u, refs, gaps, losses, box, n, L, C):
     """The regret split over a whole history: its prefix-free columns, then
     the terms of the full prefix."""
-    return decomposition_terms(round_columns(losses, np.zeros_like(u), u, refs, box, n), gaps, L, C)
+    steps = step_sizes(len(u))
+    columns = round_columns(losses, np.zeros_like(u), u, refs, box, n, steps)
+    return decomposition_terms(columns, gaps, L, C)
 
 
 class TestStepSchedule:
@@ -122,14 +124,14 @@ class TestOfflineComparator:
 
     def test_makes_no_power_iteration(self, monkeypatch):
         calls = []
-        power_iteration = objectives.power_iteration
+        curvature = objectives.curvature
 
-        def counting(S, *args, **kwargs):
-            calls.append(S.shape)
-            return power_iteration(S, *args, **kwargs)
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape)
+            return curvature(A, *args, **kwargs)
 
-        monkeypatch.setattr(objectives, "power_iteration", counting)
-        monkeypatch.setattr(regret, "power_iteration", counting)
+        monkeypatch.setattr(objectives, "curvature", counting)
+        monkeypatch.setattr(regret, "curvature", counting)
         rng = np.random.default_rng(3)
         A = np.eye(4) + 0.3 * rng.uniform(-1, 1, (4, 4))
         losses = QuadraticLoss(A=A, q=rng.normal(scale=4.0, size=(30, 4)))
@@ -234,9 +236,14 @@ class TestDecomposition:
         box = ActionBox.uniform(-1.0, 1.0, 1)
         losses = QuadraticLoss(A=np.eye(1), q=np.zeros((1, 1)))
         with pytest.raises(ConfigError):
-            round_columns(losses, np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((1, 1)), box, n=1)
+            round_columns(
+                losses, np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((1, 1)), box, 1,
+                step_sizes(2),
+            )
         one = np.zeros((1, 1))
-        columns = round_columns(losses, one, one, one, box, n=1)
+        with pytest.raises(ConfigError):
+            round_columns(losses, one, one, one, box, 1, step_sizes(2))
+        columns = round_columns(losses, one, one, one, box, 1, step_sizes(1))
         with pytest.raises(ConfigError):
             decomposition_terms(columns, np.zeros(2), L=1.0, C=1.0)
 
