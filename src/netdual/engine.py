@@ -78,6 +78,20 @@ class PaddedRows:
         return out[:, 0, :]
 
 
+def block_diagnostics(Z, ratios, w, u_total, r=None) -> tuple:
+    """The diagnostics of c stacked rounds, each (c,) and bit for bit as one
+    round at a time: the disagreement, its square, the mean-field residual
+    and the weight residual |sum(w) - n|. Z and ratios are (c, n, p), w is
+    (c, n) or None, u_total (c, p); the mean field is r @ Z, or the mean."""
+    mf = Z.mean(axis=1) if r is None else np.matmul(r, Z)
+    d = ratios - mf[:, None, :]
+    row_sq = np.add.reduce(np.square(d, out=d), axis=2)
+    # norm(d, axis=2) summed; bit-identical without numpy's dispatch cost
+    dis = np.sqrt(row_sq).sum(axis=1)
+    w_res = np.zeros(len(Z)) if w is None else np.abs(w.sum(axis=1) - Z.shape[1])
+    return dis, row_sq.sum(axis=1), np.abs(mf - u_total).max(axis=1), w_res
+
+
 def mixing_operator(A: np.ndarray) -> np.ndarray | PaddedRows:
     """What the engine multiplies by in place of A: A itself, or its padded
     rows when the densest row has K nonzeros with GATHER_DENSITY * K <= n."""
@@ -112,6 +126,11 @@ class DualAveragingEngine:
                 f"box dimension p={self.box.p} but block map covers p={self.blocks.p}"
             )
         p = self.blocks.p
+        # constant over the run; _flat[k] is entry (owner[k], k) of a raveled (n, p)
+        self._owner = self.blocks.owner
+        self._flat = self._owner * p + np.arange(p)
+        self._r = None if self._w is not None else self.network.pair.r
+        self._r_owner = None if self._r is None else self._r[self._owner]
         self._Z = np.zeros((n, p))
         self._u_total = np.zeros(p)
         self._X = np.broadcast_to(self.box.clamp(np.zeros(p)), (n, p)).copy()
@@ -149,14 +168,14 @@ class DualAveragingEngine:
         """Each owned entry u[k] as it enters its owner's row: scaled by 1/r
         of the owner, or by n."""
         if self._w is None:
-            return u / self.network.pair.r[self.blocks.owner]
+            return u / self._r_owner
         return self.n * u
 
     def _injection(self, u: np.ndarray) -> np.ndarray:
         """The (n, p) increment that puts each owned entry u[k] into its
         owner's row."""
         U = np.zeros((self.n, self.p))
-        U[self.blocks.owner, np.arange(self.p)] = self._scaled(u)
+        U.reshape(-1)[self._flat] = self._scaled(u)
         return U
 
     def local_updates(self, H: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,7 +187,7 @@ class DualAveragingEngine:
         # row k of X[owner] times row k of H, as p stacked (1, p) @ (p, 1)
         # products: np.einsum would add 0.2-0.7 MB of its own code pages to
         # a run's peak resident memory on first use
-        X = self._X[self.blocks.owner]
+        X = self._X[self._owner]
         return (X[:, None, :] @ H[:, :, None])[:, 0, 0] - b
 
     def step(self, u: np.ndarray, alpha: float) -> None:
@@ -184,7 +203,8 @@ class DualAveragingEngine:
         Z = A @ self._Z
         # in place, with no (n, p) increment formed, to keep a round's peak
         # memory down; each (owner, k) pair occurs once, so the sums match
-        Z[self.blocks.owner, np.arange(self.p)] += self._scaled(u)
+        # (Z is a fresh C-contiguous product, so the reshape is a view)
+        Z.reshape(-1)[self._flat] += self._scaled(u)
         self._Z = Z
         if self._w is not None:
             self._w = A @ self._w
@@ -206,41 +226,39 @@ class DualAveragingEngine:
         """Weighted average of the duals (r, or uniform); tracks the
         injected-gradient sum exactly."""
         if self._w is None:
-            return self.network.pair.r @ self._Z
+            return self._r @ self._Z
         return self._Z.mean(axis=0)
 
-    def _diagnostics(self) -> tuple:
-        """The mean field and each agent's squared distance to it, formed at
-        the first diagnostic read after a step and reused until the next."""
+    def _diagnostics(self) -> list:
+        """The round's four diagnostics: ``block_diagnostics`` on a block of
+        one, at the first read after a step, reused until the next."""
         if self._diag_round != self.rounds:
-            mf = self.mean_field()
-            d = self._ratios - mf[None, :]
-            self._diag = (mf, np.add.reduce(np.square(d, out=d), axis=1))
+            w = None if self._w is None else self._w[None]
+            Z, R, u_total = self._Z[None], self._ratios[None], self._u_total[None]
+            self._diag = [float(v[0]) for v in block_diagnostics(Z, R, w, u_total, self._r)]
             self._diag_round = self.rounds
         return self._diag
 
+    def disagreement(self) -> float:
+        """Sum over agents of the debiased-dual distance to the mean field."""
+        return self._diagnostics()[0]
+
+    def disagreement_squared(self) -> float:
+        return self._diagnostics()[1]
+
     def mean_field_residual(self) -> float:
-        mf, _ = self._diagnostics()
-        return float(np.abs(mf - self._u_total).max()) if self.p else 0.0
+        return self._diagnostics()[2]
 
     def weight_conservation_residual(self) -> float:
         """|sum(w) - n|; 0.0 when no weight is tracked."""
-        if self._w is None:
-            return 0.0
-        return float(abs(self._w.sum() - self.n))
-
-    def disagreement(self) -> float:
-        """Sum over agents of the debiased-dual distance to the mean field."""
-        _, row_sq = self._diagnostics()
-        # norm(d, axis=1) summed; bit-identical without numpy's dispatch cost
-        return float(np.sqrt(row_sq).sum())
-
-    def disagreement_squared(self) -> float:
-        _, row_sq = self._diagnostics()
-        return float(row_sq.sum())
+        return self._diagnostics()[3]
 
     def primal_matrix(self) -> np.ndarray:
-        return self._X.copy()
+        """The agents' points, (n, p), as a read-only view: the step replaces
+        the array, so the view keeps this round's points."""
+        X = self._X.view()
+        X.flags.writeable = False
+        return X
 
 
 # Aliases, not subclasses: callers and bench/tracer.py (own-vars() methods only) use these names.

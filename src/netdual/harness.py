@@ -21,9 +21,10 @@ import numpy as np
 from .core import ActionBox, BlockMap, parse_numbers
 # bench/tracer.py wraps the engine's methods under the two alias names in this module
 from .engine import CirculationEngine, DualAveragingEngine, PushSumEngine  # noqa: F401
+from .engine import block_diagnostics
 from .errors import ConfigError, TopologyError
 from .objectives import QuadraticLoss, lipschitz_constants
-from .prox import project, prox_sup
+from .prox import prox_sup
 from .regret import (
     RegretTrace,
     RoundColumns,
@@ -420,6 +421,10 @@ def load_config(path: str) -> RunConfig:
 # simulation
 
 
+# simulate measures its rounds in blocks of max(1, BLOCK_VALUES // (n p))
+# rounds: each block stacks that many (n, p) states per array
+BLOCK_VALUES = 1 << 13
+
 # spectral_gap reads a pair that does not mix as 0 plus ~n*eps of roundoff
 # (4.4e-16 at n=3); the slowest stock pair, the lazy 200-cycle, has 4.9e-4
 SPECTRAL_GAP_TOL = 1e-10
@@ -536,56 +541,72 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         )
     H = A.T @ A
 
-    owner = config.blocks.owner
-    cols = np.arange(p)
-    actions = np.empty((T, p))
-    updates = np.empty((T, p))
-    refs = np.empty((T, p))
-    ref_gaps = np.empty(T)
-    disagreement = np.empty(T)
-    disagreement_sq = np.empty(T)
-    mf_residual = np.empty(T)
-    w_residual = np.empty(T)
+    flat = config.blocks.owner * p + np.arange(p)  # (owner[k], k) in a raveled (n, p)
+    neg_steps = -steps[:, None]
+    r = None if network.weighted else config.topology.pair.r
+    actions, updates, refs = (np.empty((T, p)) for _ in range(3))
+    ref_gaps, diag = np.empty(T), np.empty((4, T))  # diag: the four per-round diagnostics
     # the single-agent run on the same updates: the reference of round t
     # projects the sum through round t-1 with step alpha(t-2)
-    total = np.zeros(p)
-    ref = config.box.clamp(np.zeros(p))
+    total = np.zeros(p)  # the sum through the last measured round
+    ref = config.box.clamp(np.zeros(p))  # the reference of the next round to measure
 
+    def measure(Xs, Zs, Rs, Ws, t):
+        """Rounds t0+1..t in one vectorised pass over their held states."""
+        nonlocal total, ref
+        t0 = t - len(Xs)
+        d = np.array(Xs)  # the block's own copy of the points: X - ref is formed in it
+        Xs.clear()
+        actions[t0:t] = d.reshape(t - t0, -1)[:, flat]
+        # the running sums: cumsum adds in the order of total += u, bit for bit
+        U = updates[t0:t]
+        sums = total + U if t - t0 == 1 else np.cumsum(np.concatenate([total[None], U]), 0)[1:]
+        # nxt[k] = project(sums[k], alpha(t0+k)), the reference of round t0+k+2
+        nxt = config.box.clamp(neg_steps[t0:t] * sums)
+        refs[t0], refs[t0 + 1 : t] = ref, nxt[:-1]
+        total, ref = sums[-1], nxt[-1]
+        np.subtract(d, refs[t0:t, None, :], out=d)
+        ref_gaps[t0:t] = np.sqrt(np.add.reduce(np.square(d, out=d), axis=2)).sum(axis=1)
+        del d  # freed before the duals are stacked
+        Z = _stacked(Zs)
+        R, W = (Z, None) if r is not None else (_stacked(Rs), _stacked(Ws))
+        diag[:, t0:t] = block_diagnostics(Z, R, W, sums, r)
+        ok = np.isfinite(diag[0:3:2, t0:t])  # the disagreement and mean-field residual
+        if not ok.all():
+            k = t0 + int(ok.all(axis=0).argmin())
+            dis, _, mf, _ = diag[:, k].tolist()
+            raise FloatingPointError(
+                f"round {k + 1} left disagreement {dis}, mean-field residual {mf}"
+            )
+
+    c = max(1, BLOCK_VALUES // (config.n * p))
+    Xs, Zs, Rs, Ws = [], [], [], []  # the states of the open block's rounds
     for t, step in zip(range(1, T + 1), steps.tolist()):
-        X = engine.primal_matrix()
-        x_t = X[owner, cols]
+        Xs.append(engine.primal_matrix())
         # row by row: a stacked Q @ A rounds some rows differently
-        u = engine.local_updates(H, Q[t - 1] @ A)
+        updates[t - 1] = u = engine.local_updates(H, Q[t - 1] @ A)
         engine.step(u, step)
+        # the engine replaces these arrays each step and never writes into them
+        Zs.append(engine._Z)
+        if r is None:  # push-sum: the ratios and the weights as well
+            Rs.append(engine._ratios)
+            Ws.append(engine._w)
+        if len(Xs) == c or t == T:
+            measure(Xs, Zs, Rs, Ws, t)
 
-        actions[t - 1] = x_t
-        updates[t - 1] = u
-        refs[t - 1] = ref
-        d = X - ref
-        ref_gaps[t - 1] = np.sqrt(np.add.reduce(np.square(d, out=d), axis=1)).sum()
-        total += u
-        ref = project(total, step, config.box)
-        disagreement[t - 1] = dis = engine.disagreement()
-        disagreement_sq[t - 1] = engine.disagreement_squared()
-        mf_residual[t - 1] = mf = engine.mean_field_residual()
-        w_residual[t - 1] = engine.weight_conservation_residual()
-        if not (math.isfinite(dis) and math.isfinite(mf)):
-            raise FloatingPointError(f"round {t} left disagreement {dis}, mean-field residual {mf}")
-
+    dis, dis_sq, mf_res, w_res = diag
     return RunHistory(
-        config=config,
-        network=network,
-        losses=losses,
-        actions=actions,
-        updates=updates,
-        refs=refs,
-        ref_gaps=ref_gaps,
-        steps=steps,
-        disagreement=disagreement,
-        disagreement_squared=disagreement_sq,
-        mean_field_residual=mf_residual,
-        weight_residual=w_residual,
+        config=config, network=network, losses=losses, actions=actions, updates=updates,
+        refs=refs, ref_gaps=ref_gaps, steps=steps, disagreement=dis,
+        disagreement_squared=dis_sq, mean_field_residual=mf_res, weight_residual=w_res,
     )
+
+
+def _stacked(held: list) -> np.ndarray:
+    """The held arrays on a new first axis (one array as a view); empties the list."""
+    out = held[0][None] if len(held) == 1 else np.array(held)
+    held.clear()
+    return out
 
 
 def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:

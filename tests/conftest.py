@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from netdual import (
@@ -7,11 +9,14 @@ from netdual import (
     DualAveragingEngine,
     QuadraticLoss,
     ReversiblePair,
+    RunConfig,
     StaticTopology,
     UndirectedGraph,
+    harness,
     inv_sqrt_step,
     project,
 )
+from netdual.regret import step_sizes
 
 
 def centralized_reference(update_history, box: ActionBox, alpha=None) -> np.ndarray:
@@ -104,6 +109,58 @@ def unrolled_dual_check(engine: DualAveragingEngine, update_history: list) -> fl
         expected += R @ engine._injection(np.asarray(update_history[s], dtype=float))
         R = R @ engine._matrix(s)
     return float(np.max(np.abs(engine._Z - expected))) if t else 0.0
+
+
+def simulate_per_round(config: RunConfig) -> harness.RunHistory:
+    """``simulate`` measured round by round: each round's reference gap,
+    reference and diagnostics formed right after its step, by the formulas
+    the engine used before the diagnostics became one block function. The
+    oracle every blocked ``RunHistory`` is checked against, bit for bit."""
+    rng = harness.run_generator(config)
+    network = harness.network_constants(config)
+    engine = DualAveragingEngine(config.topology, config.blocks, config.box)
+    p, T = config.p, config.T
+    steps = step_sizes(T, config.alpha)
+    env = (config.environment or harness.sensing_environment_factory())(p, rng)
+    losses = QuadraticLoss(env.A, env.measurements(T, rng))
+    A, Q = losses.A, losses.q
+    H = A.T @ A
+
+    owner, cols = config.blocks.owner, np.arange(p)
+    actions, updates, refs = (np.empty((T, p)) for _ in range(3))
+    ref_gaps, dis, dis_sq, mf_res, w_res = (np.empty(T) for _ in range(5))
+    total = np.zeros(p)
+    ref = config.box.clamp(np.zeros(p))
+    for t, step in zip(range(1, T + 1), steps.tolist()):
+        X = engine.primal_matrix()
+        u = engine.local_updates(H, Q[t - 1] @ A)
+        engine.step(u, step)
+
+        actions[t - 1] = X[owner, cols]
+        updates[t - 1] = u
+        refs[t - 1] = ref
+        d = X - ref
+        ref_gaps[t - 1] = np.sqrt(np.add.reduce(np.square(d, out=d), axis=1)).sum()
+        total += u
+        ref = project(total, step, config.box)
+        mf = engine.mean_field()
+        d = engine.ratios() - mf[None, :]
+        row_sq = np.add.reduce(np.square(d, out=d), axis=1)
+        dis[t - 1] = dis_t = float(np.sqrt(row_sq).sum())
+        dis_sq[t - 1] = float(row_sq.sum())
+        mf_res[t - 1] = mf_t = float(np.abs(mf - total).max())
+        w_res[t - 1] = 0.0 if engine._w is None else float(abs(engine._w.sum() - engine.n))
+        if not (math.isfinite(dis_t) and math.isfinite(mf_t)):
+            raise FloatingPointError(
+                f"round {t} left disagreement {dis_t}, mean-field residual {mf_t}"
+            )
+
+    return harness.RunHistory(
+        config=config, network=network, losses=losses, actions=actions,
+        updates=updates, refs=refs, ref_gaps=ref_gaps, steps=steps,
+        disagreement=dis, disagreement_squared=dis_sq,
+        mean_field_residual=mf_res, weight_residual=w_res,
+    )
 
 
 def backward_product(schedule: DigraphSchedule, t: int, s: int) -> np.ndarray:

@@ -1,0 +1,150 @@
+"""simulate measures its rounds in blocks of c = max(1, BLOCK_VALUES // (n p)):
+the actions, the reference and its gaps and the diagnostics of c rounds in one
+vectorised pass over their held states. Every RunHistory array must equal the
+round-by-round oracle's bit for bit, at any block size and any horizon."""
+
+import tracemalloc
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from conftest import random_digraph_schedule, simulate_per_round
+
+from netdual import (
+    ActionBox,
+    BlockMap,
+    DualAveragingEngine,
+    RunConfig,
+    harness,
+    lazy_cycle_pair,
+    simulate,
+    split_ring_schedule,
+)
+from netdual.harness import fixed_environment_factory
+
+GROUPED = BlockMap(blocks=((0, 5), (1, 2), (3,), (4, 6, 7)))
+
+
+def config(algorithm, n, T, seed=5, blocks=None, **kw):
+    if blocks is not None:
+        topology = (
+            lazy_cycle_pair(blocks.n)
+            if algorithm == "oda-c"
+            else random_digraph_schedule(blocks.n, 3, np.random.default_rng(9), 0.8)
+        )
+    else:
+        topology = lazy_cycle_pair(n) if algorithm == "oda-c" else split_ring_schedule(n, 5)
+        blocks = BlockMap.scalar(n)
+    box = ActionBox.uniform(-10.0, 10.0, blocks.p)
+    return RunConfig(algorithm, topology, box, T=T, seed=seed, blocks=blocks, **kw)
+
+
+def assert_same_history(got, want):
+    arrays = [f.name for f in fields(got) if isinstance(getattr(got, f.name), np.ndarray)]
+    assert len(arrays) == 9
+    pairs = [(name, getattr(got, name), getattr(want, name)) for name in arrays]
+    pairs += [("losses.A", got.losses.A, want.losses.A), ("losses.q", got.losses.q, want.losses.q)]
+    for name, a, b in pairs:
+        assert np.array_equal(a, b), name
+        # bit for bit, the sign of zero included
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def set_block(monkeypatch, block, cfg):
+    """Make simulate measure `block` rounds at a time on cfg's network."""
+    if block != "default":
+        monkeypatch.setattr(harness, "BLOCK_VALUES", block * cfg.n * cfg.p)
+
+
+# T = 334 is a multiple of none of the block sizes: 1 aside, 7, and the
+# defaults 327 (n = p = 5), 20 (n = p = 20), 3 (n = p = 50) and 256 (GROUPED)
+CASES = [
+    ("oda-c", 5, None),
+    ("oda-ps", 5, None),
+    ("oda-c", 20, None),
+    ("oda-ps", 20, None),
+    ("oda-c", 50, None),
+    ("oda-ps", 50, None),
+    ("oda-c", None, GROUPED),
+    ("oda-ps", None, GROUPED),
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, "default"])
+@pytest.mark.parametrize(
+    "algorithm, n, blocks", CASES,
+    ids=[f"{a}-{'grouped' if b else n}" for a, n, b in CASES],
+)
+def test_blocks_match_the_round_by_round_oracle(algorithm, n, blocks, block, monkeypatch):
+    cfg = config(algorithm, n, T=334, blocks=blocks)
+    set_block(monkeypatch, block, cfg)
+    c = max(1, harness.BLOCK_VALUES // (cfg.n * cfg.p))
+    assert c == (block if block != "default" else {25: 327, 400: 20, 2500: 3, 32: 256}[cfg.n * cfg.p])
+    assert cfg.T % c or c == 1
+    assert_same_history(simulate(cfg), simulate_per_round(cfg))
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+@pytest.mark.parametrize("T", [0, 1, 6, 7, 8, 15])
+def test_horizons_around_the_block_edge(algorithm, T, monkeypatch):
+    cfg = config(algorithm, 5, T=T, seed=61)
+    set_block(monkeypatch, 7, cfg)
+    assert_same_history(simulate(cfg), simulate_per_round(cfg))
+
+
+def test_step_rule_values_reach_the_block_references(monkeypatch):
+    values = list(np.linspace(2.0, 0.1, 41))
+    cfg = config("oda-c", 5, T=40, alpha=lambda s: values[s])
+    set_block(monkeypatch, 7, cfg)
+    assert_same_history(simulate(cfg), simulate_per_round(cfg))
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+@pytest.mark.parametrize("block", [7, "default"])
+def test_a_nonfinite_round_in_mid_block_is_named(algorithm, block, monkeypatch):
+    # round 10's measurement overflows the injection: the oracle stops there,
+    # and the block holding rounds 8..14 (or 1..30) must name the same round
+    q = [np.zeros(5)] * 9 + [np.full(5, 1e308)]
+    cfg = config(algorithm, 5, T=30, environment=fixed_environment_factory(q))
+    set_block(monkeypatch, block, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError) as oracle:
+            simulate_per_round(cfg)
+        with pytest.raises(FloatingPointError) as blocked:
+            simulate(cfg)
+    assert str(oracle.value).startswith("round 10 left disagreement ")
+    assert str(blocked.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+def test_engine_diagnostics_are_the_oracle_formulas(algorithm):
+    """The engine's per-round methods read ``block_diagnostics`` as a block
+    of one; they must give the oracle's numbers exactly, round after round."""
+    cfg = config(algorithm, 20, T=60)
+    oracle = simulate_per_round(cfg)
+    engine = DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box)
+    for t in range(cfg.T):
+        engine.step(oracle.updates[t], float(oracle.steps[t]))
+        assert engine.disagreement() == oracle.disagreement[t]
+        assert engine.disagreement_squared() == oracle.disagreement_squared[t]
+        assert engine.mean_field_residual() == oracle.mean_field_residual[t]
+        assert engine.weight_conservation_residual() == oracle.weight_residual[t]
+
+
+def traced_peak(fn, cfg) -> int:
+    tracemalloc.start()
+    try:
+        fn(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "algorithm, n, T", [("oda-c", 20, 4000), ("oda-ps", 50, 2000)], ids=["sweep20", "pushsum50"]
+)
+def test_blocks_add_at_most_half_a_megabyte(algorithm, n, T):
+    cfg = config(algorithm, n, T=T)
+    oracle = traced_peak(simulate_per_round, cfg)
+    blocked = traced_peak(simulate, cfg)
+    assert blocked <= oracle + 0.5e6, (blocked, oracle)

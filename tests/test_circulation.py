@@ -66,9 +66,10 @@ class TestConstruction:
                 box=ActionBox.uniform(-1, 1, 2),
             )
 
-    def test_states_are_copies(self):
+    def test_primal_matrix_is_a_read_only_view(self):
         eng = cycle_engine()
-        eng.primal_matrix()[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            eng.primal_matrix()[0, 0] = 99.0
         assert eng.primal_matrix()[0, 0] == 0.0
 
     def test_tracks_no_weight_vector(self):

@@ -347,16 +347,26 @@ class TestSimulate:
 
     @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
     def test_one_mean_field_per_round(self, algorithm, monkeypatch):
-        calls = []
+        # each round's mean field is formed once, by the block call that
+        # measures the round (4 rounds per block here), and by nothing else
+        blocks, engine_calls = [], []
+        block_diagnostics = harness.block_diagnostics
         mean_field = DualAveragingEngine.mean_field
 
+        def counted_block(Z, *args):
+            blocks.append(len(Z))
+            return block_diagnostics(Z, *args)
+
         def counted(self):
-            calls.append(self.rounds)
+            engine_calls.append(self.rounds)
             return mean_field(self)
 
+        monkeypatch.setattr(harness, "block_diagnostics", counted_block)
+        monkeypatch.setattr(harness, "BLOCK_VALUES", 4 * 5 * 5)
         monkeypatch.setattr(DualAveragingEngine, "mean_field", counted)
         simulate(base_config(algorithm, T=9))
-        assert calls == list(range(1, 10))
+        assert blocks == [4, 4, 1]
+        assert engine_calls == []
 
     @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
     def test_one_division_per_round(self, algorithm, monkeypatch):
