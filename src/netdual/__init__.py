@@ -9,12 +9,8 @@ of network, certified disagreement and regret bounds, a deterministic
 simulation harness, and a CLI.
 """
 
-from .core import ActionBox, BlockMap
-from .engine import (
-    CirculationEngine,
-    DualAveragingEngine,
-    PushSumEngine,
-)
+from .core import ActionBox, BlockMap, prox_sup
+from .engine import DualAveragingEngine
 from .errors import ComparatorError, ConfigError, TopologyError
 from .harness import (
     FixedEnvironment,
@@ -31,14 +27,12 @@ from .harness import (
     write_trace_csv,
 )
 from .objectives import QuadraticLoss, lipschitz_constants
-from .prox import project, prox_sup
 from .regret import (
     ComparatorResult,
     RegretTrace,
     circulation_disagreement_bound,
     circulation_regret_bound,
     decomposition_terms,
-    inv_sqrt_step,
     network_regret,
     offline_comparator,
     pushsum_disagreement_bound,
@@ -52,7 +46,6 @@ from .topology import (
     StaticTopology,
     UndirectedGraph,
     build_pushsum_matrix,
-    check_geometric_decay,
     contraction_constants,
     lazy_cycle_pair,
     load_graph,
@@ -68,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionBox",
     "BlockMap",
-    "CirculationEngine",
     "ComparatorError",
     "ComparatorResult",
     "ConfigError",
@@ -77,7 +69,6 @@ __all__ = [
     "DualAveragingEngine",
     "FixedEnvironment",
     "GraphReport",
-    "PushSumEngine",
     "QuadraticLoss",
     "RegretTrace",
     "ReversiblePair",
@@ -88,21 +79,18 @@ __all__ = [
     "TopologyError",
     "UndirectedGraph",
     "build_pushsum_matrix",
-    "check_geometric_decay",
     "circulation_disagreement_bound",
     "circulation_regret_bound",
     "config_from_dict",
     "contraction_constants",
     "decomposition_terms",
     "finalize",
-    "inv_sqrt_step",
     "lazy_cycle_pair",
     "lipschitz_constants",
     "load_config",
     "load_graph",
     "network_regret",
     "offline_comparator",
-    "project",
     "prox_sup",
     "pushsum_disagreement_bound",
     "pushsum_regret_bound",

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .core import prox_sup
 from .errors import ComparatorError, ConfigError, TopologyError
 from .harness import (
     RunConfig,
@@ -31,7 +32,6 @@ from .harness import (
     write_trace_csv,
 )
 from .objectives import lipschitz_constants
-from .prox import prox_sup
 from .topology import StaticTopology, validate_reversible_pair
 
 EXIT_OK = 0

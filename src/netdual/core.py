@@ -1,4 +1,4 @@
-"""Shared value types: feasible box and coordinate ownership.
+"""Shared value types: feasible box, its prox bound and coordinate ownership.
 
 Conventions used throughout the package:
 
@@ -59,8 +59,13 @@ class ActionBox:
         y = np.maximum(x, self.lo)
         return np.minimum(y, self.hi, out=y)
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+
+def prox_sup(box: ActionBox) -> float:
+    """sup over the box of the proximal function psi(x) = 0.5 * ||x||^2:
+    0.5 * sum_k max(lo[k]^2, hi[k]^2). psi is 1-strongly convex and
+    nonnegative, so the prox step argmin_x <z, x> + psi(x) / alpha has the
+    coordinate-wise closed form clamp(-alpha * z)."""
+    return 0.5 * float(np.sum(np.maximum(box.lo**2, box.hi**2)))
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,6 @@ class DualAveragingEngine:
         self._X = np.broadcast_to(self.box.clamp(np.zeros(p)), (n, p)).copy()
         self._ratios = self._Z  # z_i / w_i with w = 1
         self._operators = {}  # id(matrix) -> (matrix, mixing_operator(matrix))
-        self._diag_round = -1  # the round _diag was formed at; none yet
 
     @property
     def n(self) -> int:
@@ -222,22 +221,13 @@ class DualAveragingEngine:
             return self._Z
         return self._Z / self._w[:, None]
 
-    def mean_field(self) -> np.ndarray:
-        """Weighted average of the duals (r, or uniform); tracks the
-        injected-gradient sum exactly."""
-        if self._w is None:
-            return self._r @ self._Z
-        return self._Z.mean(axis=0)
-
     def _diagnostics(self) -> list:
         """The round's four diagnostics: ``block_diagnostics`` on a block of
-        one, at the first read after a step, reused until the next."""
-        if self._diag_round != self.rounds:
-            w = None if self._w is None else self._w[None]
-            Z, R, u_total = self._Z[None], self._ratios[None], self._u_total[None]
-            self._diag = [float(v[0]) for v in block_diagnostics(Z, R, w, u_total, self._r)]
-            self._diag_round = self.rounds
-        return self._diag
+        one. ``simulate`` measures whole blocks itself; these methods serve
+        tests and the benchmark tracer's ``engine.diag`` layer."""
+        w = None if self._w is None else self._w[None]
+        Z, R, u_total = self._Z[None], self._ratios[None], self._u_total[None]
+        return [float(v[0]) for v in block_diagnostics(Z, R, w, u_total, self._r)]
 
     def disagreement(self) -> float:
         """Sum over agents of the debiased-dual distance to the mean field."""
@@ -259,8 +249,3 @@ class DualAveragingEngine:
         X = self._X.view()
         X.flags.writeable = False
         return X
-
-
-# Aliases, not subclasses: callers and bench/tracer.py (own-vars() methods only) use these names.
-CirculationEngine = PushSumEngine = DualAveragingEngine
-

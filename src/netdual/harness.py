@@ -18,13 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ActionBox, BlockMap, parse_numbers
-# bench/tracer.py wraps the engine's methods under the two alias names in this module
-from .engine import CirculationEngine, DualAveragingEngine, PushSumEngine  # noqa: F401
-from .engine import block_diagnostics
+from .core import ActionBox, BlockMap, parse_numbers, prox_sup
+from .engine import DualAveragingEngine, block_diagnostics
 from .errors import ConfigError, TopologyError
 from .objectives import QuadraticLoss, lipschitz_constants
-from .prox import prox_sup
 from .regret import (
     RegretTrace,
     RoundColumns,
@@ -50,6 +47,9 @@ from .topology import (
     validate_b_strong,
     validate_reversible_pair,
 )
+
+# the name under which bench/tracer.py (ENGINE_CLASSES) finds the engine's methods
+CirculationEngine = DualAveragingEngine
 
 TRACE_HEADER = (
     "t,cost,regret_partial,avg_regret,disagreement,"

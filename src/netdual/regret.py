@@ -19,16 +19,9 @@ from .objectives import QuadraticLoss, curvature
 from .topology import ContractionConstants
 
 
-def inv_sqrt_step(s: int) -> float:
-    """Default step-size schedule alpha(s) = 1/sqrt(s+1), s >= 0."""
-    return 1.0 / math.sqrt(s + 1)
-
-
 def step_sizes(T: int, alpha=None) -> np.ndarray:
-    """alpha(0..T) as one vector, alpha the rule (inv_sqrt_step by default).
-    The default is formed without a call per entry; each entry is the same
-    correctly rounded square root and division, so it equals the rule bit
-    for bit."""
+    """alpha(0..T) as one vector, alpha the rule; the default rule is
+    alpha(s) = 1/sqrt(s+1), formed without a call per entry."""
     if alpha is None:
         return 1.0 / np.sqrt(np.arange(1, T + 2))
     return np.array([alpha(s) for s in range(T + 1)], dtype=float)

@@ -273,34 +273,26 @@ def validate_b_strong(schedule: DigraphSchedule, cap: int | None = None) -> int 
     """Smallest window length B such that every B consecutive edge sets union
     to a strongly connected digraph; None if no B up to the cap works.
 
-    Periodic schedules are checked over every start offset in one period;
-    explicit schedules over every start that fits.
+    Windows are at most as long as the graph list: on a periodic schedule a
+    window of one period already holds every graph, so a longer window adds
+    no edge. Periodic schedules are checked over every start offset in one
+    period; explicit schedules over every start that fits.
     """
-    n = schedule.n
+    n, K = schedule.n, len(schedule.graphs)
     if cap is None:
         cap = 10 * n
-    if schedule.period >= 1:
-        starts = lambda B: range(schedule.period)
-        limit = cap
-    else:
-        starts = lambda B: range(len(schedule.graphs) - B + 1)
-        limit = min(cap, len(schedule.graphs))
-    for B in range(1, limit + 1):
-        ok = True
-        for s in starts(B):
-            union = set()
-            for j in range(B):
-                union |= schedule.graph_at(s + j)
-            if not _strongly_connected(union, n):
-                ok = False
-                break
-        if ok:
+    for B in range(1, min(cap, K) + 1):
+        starts = range(K) if schedule.period >= 1 else range(K - B + 1)
+        if all(
+            _strongly_connected(set().union(*(schedule.graph_at(s + j) for j in range(B))), n)
+            for s in starts
+        ):
             return B
     return None
 
 
 # ---------------------------------------------------------------------------
-# contraction constants and the geometric-decay certificate
+# contraction constants
 
 
 @dataclass(frozen=True)
@@ -382,54 +374,6 @@ def contraction_constants(
         one_minus_theta=one_minus_theta,
         log_one_minus_theta=log_one_minus_theta,
     )
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    max_ratio: float
-    worst: tuple  # (t, s, i, j) attaining the max
-    horizon: int
-
-
-def check_geometric_decay(
-    schedule: DigraphSchedule, constants: ContractionConstants, horizon: int
-) -> DecayReport:
-    """Empirical certificate that backward products contract geometrically.
-
-    For every 0 <= s <= t <= horizon, compares |[A(t:s)]_ij - phi_i(t)|
-    against beta * theta^(t-s), where phi_i(t) is estimated as the row mean
-    of A(t:0) (the limiting column profile). A max ratio <= 1 certifies the
-    claimed constants over the sampled range.
-    """
-    n = schedule.n
-    log_theta = math.log1p(-constants.one_minus_theta) if constants.theta > 0 else None
-    worst = (0, 0, 0, 0)
-    max_ratio = 0.0
-    # built once each: an explicit schedule builds its matrix on every call
-    matrices = [schedule.matrix_at(t) for t in range(horizon + 1)]
-    for t in range(horizon + 1):
-        products = {}
-        P = matrices[t]
-        products[t] = P
-        for s in range(t - 1, -1, -1):
-            P = P @ matrices[s]
-            products[s] = P
-        phi = products[0].mean(axis=1)
-        for s, P in products.items():
-            gap = t - s
-            if log_theta is None:
-                envelope = constants.beta if gap == 0 else 0.0
-                if envelope == 0.0:
-                    continue
-            else:
-                envelope = constants.beta * math.exp(gap * log_theta)
-            diff = np.abs(P - phi[:, None])
-            ratio = float(np.max(diff)) / envelope
-            if ratio > max_ratio:
-                max_ratio = ratio
-                ij = np.unravel_index(np.argmax(diff), diff.shape)
-                worst = (t, s, int(ij[0]), int(ij[1]))
-    return DecayReport(max_ratio=max_ratio, worst=worst, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from netdual import (
     ActionBox,
     ConfigError,
+    ContractionConstants,
     DigraphSchedule,
     DualAveragingEngine,
     QuadraticLoss,
@@ -13,10 +15,36 @@ from netdual import (
     StaticTopology,
     UndirectedGraph,
     harness,
-    inv_sqrt_step,
-    project,
 )
 from netdual.regret import step_sizes
+from netdual.topology import _strongly_connected
+
+
+def inv_sqrt_step(s: int) -> float:
+    """The default step-size rule alpha(s) = 1/sqrt(s+1), s >= 0, one call per
+    entry; ``step_sizes`` forms it as one vector."""
+    return 1.0 / math.sqrt(s + 1)
+
+
+def project(z: np.ndarray, alpha: float, box: ActionBox) -> np.ndarray:
+    """The prox step argmin_x <z, x> + psi(x) / alpha, psi = 0.5 * ||x||^2,
+    by its closed form clamp(-alpha * z); alpha > 0."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return box.clamp(-alpha * np.asarray(z, dtype=float))
+
+
+def in_box(box: ActionBox, x: np.ndarray, tol: float = 0.0) -> bool:
+    """Whether x lies in the box, each bound widened by tol."""
+    return bool(np.all(x >= box.lo - tol) and np.all(x <= box.hi + tol))
+
+
+def mean_field(engine: DualAveragingEngine) -> np.ndarray:
+    """Weighted average of the engine's duals (r, or uniform); tracks the
+    injected-gradient sum exactly."""
+    if engine._w is None:
+        return engine._r @ engine._Z
+    return engine._Z.mean(axis=0)
 
 
 def centralized_reference(update_history, box: ActionBox, alpha=None) -> np.ndarray:
@@ -143,7 +171,7 @@ def simulate_per_round(config: RunConfig) -> harness.RunHistory:
         ref_gaps[t - 1] = np.sqrt(np.add.reduce(np.square(d, out=d), axis=1)).sum()
         total += u
         ref = project(total, step, config.box)
-        mf = engine.mean_field()
+        mf = mean_field(engine)
         d = engine.ratios() - mf[None, :]
         row_sq = np.add.reduce(np.square(d, out=d), axis=1)
         dis[t - 1] = dis_t = float(np.sqrt(row_sq).sum())
@@ -228,3 +256,78 @@ def singleton_topology() -> StaticTopology:
         graph=UndirectedGraph(n=1, edges=frozenset()),
         pair=ReversiblePair(r=np.array([1.0]), M=np.array([[1.0]])),
     )
+
+
+def validate_b_strong_search(schedule: DigraphSchedule, cap: int | None = None) -> int | None:
+    """``validate_b_strong`` as it searched before windows were capped at the
+    graph list's length: every window length up to the cap, even past one
+    period of a periodic schedule. The oracle the capped search is checked
+    against."""
+    n = schedule.n
+    if cap is None:
+        cap = 10 * n
+    if schedule.period >= 1:
+        starts = lambda B: range(schedule.period)
+        limit = cap
+    else:
+        starts = lambda B: range(len(schedule.graphs) - B + 1)
+        limit = min(cap, len(schedule.graphs))
+    for B in range(1, limit + 1):
+        ok = True
+        for s in starts(B):
+            union = set()
+            for j in range(B):
+                union |= schedule.graph_at(s + j)
+            if not _strongly_connected(union, n):
+                ok = False
+                break
+        if ok:
+            return B
+    return None
+
+
+@dataclass(frozen=True)
+class DecayReport:
+    max_ratio: float
+    worst: tuple  # (t, s, i, j) attaining the max
+    horizon: int
+
+
+def check_geometric_decay(
+    schedule: DigraphSchedule, constants: ContractionConstants, horizon: int
+) -> DecayReport:
+    """Empirical certificate that backward products contract geometrically.
+
+    For every 0 <= s <= t <= horizon, compares |[A(t:s)]_ij - phi_i(t)|
+    against beta * theta^(t-s), where phi_i(t) is estimated as the row mean
+    of A(t:0) (the limiting column profile). A max ratio <= 1 certifies the
+    claimed constants over the sampled range.
+    """
+    log_theta = math.log1p(-constants.one_minus_theta) if constants.theta > 0 else None
+    worst = (0, 0, 0, 0)
+    max_ratio = 0.0
+    # built once each: an explicit schedule builds its matrix on every call
+    matrices = [schedule.matrix_at(t) for t in range(horizon + 1)]
+    for t in range(horizon + 1):
+        products = {}
+        P = matrices[t]
+        products[t] = P
+        for s in range(t - 1, -1, -1):
+            P = P @ matrices[s]
+            products[s] = P
+        phi = products[0].mean(axis=1)
+        for s, P in products.items():
+            gap = t - s
+            if log_theta is None:
+                envelope = constants.beta if gap == 0 else 0.0
+                if envelope == 0.0:
+                    continue
+            else:
+                envelope = constants.beta * math.exp(gap * log_theta)
+            diff = np.abs(P - phi[:, None])
+            ratio = float(np.max(diff)) / envelope
+            if ratio > max_ratio:
+                max_ratio = ratio
+                ij = np.unravel_index(np.argmax(diff), diff.shape)
+                worst = (t, s, int(ij[0]), int(ij[1]))
+    return DecayReport(max_ratio=max_ratio, worst=worst, horizon=horizon)

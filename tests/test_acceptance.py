@@ -10,7 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from conftest import random_digraph_schedule, unrolled_dual_check
+from conftest import check_geometric_decay, project, random_digraph_schedule, unrolled_dual_check
 
 from netdual import (
     ActionBox,
@@ -20,11 +20,9 @@ from netdual import (
     RunConfig,
     StaticTopology,
     UndirectedGraph,
-    check_geometric_decay,
     contraction_constants,
     lazy_cycle_pair,
     offline_comparator,
-    project,
     run,
     simulate,
     spectral_gap,

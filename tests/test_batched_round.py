@@ -13,14 +13,13 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import random_digraph_schedule, record_primals
+from conftest import mean_field, random_digraph_schedule, record_primals
 
 from netdual import (
     ActionBox,
     BlockMap,
-    CirculationEngine,
     DigraphSchedule,
-    PushSumEngine,
+    DualAveragingEngine,
     QuadraticLoss,
     RunConfig,
     lazy_cycle_pair,
@@ -77,19 +76,19 @@ def engine_state(engine):
 
 
 def engines(rng):
-    """Both engines on scalar and grouped block maps, n <= 10."""
-    yield CirculationEngine(
+    """The engine over both operators, on scalar and grouped block maps, n <= 10."""
+    yield DualAveragingEngine(
         network=lazy_cycle_pair(10), blocks=BlockMap.scalar(10), box=ActionBox.uniform(-3, 3, 10)
     )
-    yield CirculationEngine(
+    yield DualAveragingEngine(
         network=lazy_cycle_pair(4), blocks=GROUPED, box=ActionBox.uniform(-3, 3, 10)
     )
-    yield PushSumEngine(
+    yield DualAveragingEngine(
         network=split_ring_schedule(10, 4),
         blocks=BlockMap.scalar(10),
         box=ActionBox.uniform(-3, 3, 10),
     )
-    yield PushSumEngine(
+    yield DualAveragingEngine(
         network=random_digraph_schedule(4, 3, rng), blocks=GROUPED, box=ActionBox.uniform(-3, 3, 10)
     )
 
@@ -121,7 +120,7 @@ def test_diagnostics_match_direct_formulas_after_every_step():
     for engine in engines(rng):
         for t in range(1, 51):
             engine.step(rng.uniform(-2, 2, engine.p), alpha=0.5 / np.sqrt(t))
-            mf = engine.mean_field()
+            mf = mean_field(engine)
             d = engine.ratios() - mf[None, :]
             weights = 0.0 if engine._w is None else abs(engine._w.sum() - engine.n)
             want = {
@@ -167,9 +166,8 @@ def test_full_run_matches_reference(config, monkeypatch):
     history = simulate(config)
     got = {"primals": np.array(seen), "actions": history.actions, "updates": history.updates}
     seen.clear()
-    engine_class = CirculationEngine if config.algorithm == "oda-c" else PushSumEngine
-    monkeypatch.setattr(engine_class, "local_updates", reference_normal_form_updates)
-    monkeypatch.setattr(engine_class, "step", reference_step)
+    monkeypatch.setattr(DualAveragingEngine, "local_updates", reference_normal_form_updates)
+    monkeypatch.setattr(DualAveragingEngine, "step", reference_step)
     ref = simulate(config)
     want = {"primals": np.array(seen), "actions": ref.actions, "updates": ref.updates}
     assert got["primals"].shape == (config.T, config.n, config.p)

@@ -6,6 +6,7 @@ run report ``missing_layers`` and ``correct: false`` with no metrics, so a
 rename or removal in ``src/`` fails here, in the unit tests, first.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -13,7 +14,17 @@ import numpy as np
 import pytest
 
 import netdual
-from netdual import ActionBox, RunConfig, harness, lazy_cycle_pair, objectives, regret
+from netdual import (
+    ActionBox,
+    DualAveragingEngine,
+    RunConfig,
+    engine,
+    harness,
+    lazy_cycle_pair,
+    objectives,
+    regret,
+    topology,
+)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -109,3 +120,27 @@ def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
     assert curvature_calls == [(5, 5)]
     assert not hasattr(netdual, "power_iteration")
     assert not hasattr(objectives, "power_iteration")
+
+
+def test_test_helpers_stay_out_of_the_library():
+    """What only tests call lives in ``tests/conftest.py``: the prox step,
+    the step rule, the box check, the decay certificate, the engine's mean
+    field and the engine aliases. The harness keeps one alias, the name
+    ``bench/tracer.py`` finds the engine's methods under."""
+    retired = {
+        netdual: ("project", "inv_sqrt_step", "check_geometric_decay", "DecayReport",
+                  "CirculationEngine", "PushSumEngine", "prox"),
+        regret: ("inv_sqrt_step",),
+        topology: ("check_geometric_decay", "DecayReport"),
+        engine: ("CirculationEngine", "PushSumEngine"),
+        ActionBox: ("contains",),
+        DualAveragingEngine: ("mean_field",),
+    }
+    for owner, names in retired.items():
+        for name in names:
+            assert not hasattr(owner, name), name
+    with pytest.raises(ImportError):
+        importlib.import_module("netdual.prox")
+    assert harness.CirculationEngine is DualAveragingEngine
+    assert not hasattr(harness, "PushSumEngine")
+    assert len(netdual.__all__) == 45

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
-from conftest import centralized_reference, metropolis_topology, singleton_topology
+from conftest import (
+    centralized_reference,
+    inv_sqrt_step,
+    mean_field,
+    metropolis_topology,
+    singleton_topology,
+)
 
 from netdual import (
     ActionBox,
     BlockMap,
-    CirculationEngine,
     ConfigError,
     DualAveragingEngine,
     QuadraticLoss,
@@ -13,7 +18,6 @@ from netdual import (
     RunConfig,
     StaticTopology,
     TopologyError,
-    inv_sqrt_step,
     lazy_cycle_pair,
     simulate,
 )
@@ -21,7 +25,7 @@ from netdual.harness import network_constants
 
 
 def cycle_engine(n=3, lo=-10.0, hi=10.0):
-    return CirculationEngine(
+    return DualAveragingEngine(
         network=lazy_cycle_pair(n),
         blocks=BlockMap.scalar(n),
         box=ActionBox.uniform(lo, hi, n),
@@ -30,7 +34,7 @@ def cycle_engine(n=3, lo=-10.0, hi=10.0):
 
 class TestConstruction:
     def test_initial_state_is_projected_zero(self):
-        eng = CirculationEngine(
+        eng = DualAveragingEngine(
             network=lazy_cycle_pair(3),
             blocks=BlockMap.scalar(3),
             box=ActionBox.uniform(1.0, 2.0, 3),
@@ -52,7 +56,7 @@ class TestConstruction:
 
     def test_rejects_agent_count_mismatch(self):
         with pytest.raises(ConfigError):
-            CirculationEngine(
+            DualAveragingEngine(
                 network=lazy_cycle_pair(3),
                 blocks=BlockMap.scalar(4),
                 box=ActionBox.uniform(-1, 1, 4),
@@ -60,7 +64,7 @@ class TestConstruction:
 
     def test_rejects_box_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            CirculationEngine(
+            DualAveragingEngine(
                 network=lazy_cycle_pair(3),
                 blocks=BlockMap.scalar(3),
                 box=ActionBox.uniform(-1, 1, 2),
@@ -97,7 +101,7 @@ class TestStepDynamics:
         assert np.allclose(eng._Z[1], [0.0, 6.0, 0.0])
         assert np.allclose(eng._Z[2], [0.0, 0.0, 9.0])
         assert np.allclose(eng.primal_matrix()[0], [-1.5, 0.0, 0.0])
-        assert np.allclose(eng.mean_field(), [1.0, 2.0, 3.0])
+        assert np.allclose(mean_field(eng), [1.0, 2.0, 3.0])
         assert eng.rounds == 1
 
     def test_second_step_mixes_by_hand_computed_matrix(self):
@@ -113,7 +117,7 @@ class TestStepDynamics:
             ]
         )
         assert np.allclose(eng._Z, expected)
-        assert np.allclose(eng.mean_field(), [1.0, 2.0, 3.0])
+        assert np.allclose(mean_field(eng), [1.0, 2.0, 3.0])
         assert eng.mean_field_residual() <= 1e-15
 
     def test_identity_mixing_keeps_duals_local(self):
@@ -121,7 +125,7 @@ class TestStepDynamics:
         eye = StaticTopology(
             graph=topo.graph, pair=ReversiblePair(r=topo.pair.r, M=np.eye(3))
         )
-        eng = CirculationEngine(
+        eng = DualAveragingEngine(
             network=eye, blocks=BlockMap.scalar(3), box=ActionBox.uniform(-10, 10, 3)
         )
         for g in ([1.0, 1.0, 1.0], [2.0, 0.0, -1.0]):
@@ -159,7 +163,7 @@ class TestMeanFieldInvariance:
         for trial in range(5):
             topo = metropolis_topology(int(rng.integers(2, 7)), rng)
             n = topo.pair.n
-            eng = CirculationEngine(
+            eng = DualAveragingEngine(
                 network=topo,
                 blocks=BlockMap.scalar(n),
                 box=ActionBox.uniform(-5, 5, n),
@@ -178,7 +182,7 @@ class TestMeanFieldInvariance:
         for t in range(10):
             eng.step(rng.uniform(-3, 3, 5), alpha=0.5)
         Z = eng._Z
-        zbar = eng.mean_field()
+        zbar = mean_field(eng)
         sq = float(np.sum((Z - zbar) ** 2))
         norms = float(np.sum(np.linalg.norm(Z - zbar, axis=1)))
         assert eng.disagreement_squared() == pytest.approx(sq, rel=1e-12)
@@ -189,7 +193,7 @@ class TestMeanFieldInvariance:
 
 class TestSingleAgentEquivalence:
     def test_matches_centralized_trajectory(self):
-        eng = CirculationEngine(
+        eng = DualAveragingEngine(
             network=singleton_topology(),
             blocks=BlockMap.scalar(1),
             box=ActionBox.uniform(-2.0, 2.0, 1),

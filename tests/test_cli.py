@@ -139,6 +139,19 @@ class TestRunCommand:
         assert payload["comparator"]["iterations"] >= 1
         assert 0.0 <= payload["comparator"]["residual"] <= 1e-8
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["oda-c", "oda-ps"])
+    def test_graph_file_runs_as_the_same_graph_inline(self, which, tmp_path, capsys):
+        inline = dict(VALID_CONFIGS[which], T=30)
+        from_file = dict(inline, graph=write_json(tmp_path, "graph.json", inline["graph"]))
+        traces = []
+        for name, d in (("inline", inline), ("file", from_file)):
+            cfg = write_json(tmp_path, f"{name}.json", d)
+            code, payload = invoke(["run", "--config", cfg, "--out", str(tmp_path / name)], capsys)
+            assert code == 0
+            with open(payload["trace"], "rb") as f:
+                traces.append(f.read())
+        assert traces[0] == traces[1]
+
     def test_singular_sensing_map(self, tmp_path, capsys):
         # rank-1 A: every y with y0 + 2 y1 + y2 / 2 = 0.9 is a minimiser
         d = {
@@ -246,12 +259,13 @@ class TestSweepCommand:
 
     def test_bad_horizons_is_parse_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-c", "T": 1})
-        code, payload = invoke(
-            ["sweep", "--config", cfg, "--horizons", "5,abc", "--out", str(tmp_path)],
-            capsys,
-        )
-        assert code == 2
-        assert "horizons" in payload["error"]
+        for horizons in ("5,abc", ","):
+            code, payload = invoke(
+                ["sweep", "--config", cfg, "--horizons", horizons, "--out", str(tmp_path)],
+                capsys,
+            )
+            assert code == 2
+            assert "horizons" in payload["error"]
 
 
 class TestValidateGraphCommand:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import centralized_reference, random_digraph_schedule, record_primals
+from conftest import centralized_reference, inv_sqrt_step, random_digraph_schedule, record_primals
 
 from netdual import (
     ActionBox,
@@ -20,7 +20,6 @@ from netdual import (
     QuadraticLoss,
     RunConfig,
     finalize,
-    inv_sqrt_step,
     lazy_cycle_pair,
     simulate,
     split_ring_schedule,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import project
 from hypothesis import strategies as st
 
-from netdual import ActionBox, project, prox_sup
+from netdual import ActionBox, prox_sup
 
 
 def pgd_projection_oracle(z, alpha, box, iters=200):

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
-from conftest import centralized_reference, random_digraph_schedule, unrolled_dual_check
+from conftest import (
+    centralized_reference,
+    inv_sqrt_step,
+    mean_field,
+    random_digraph_schedule,
+    unrolled_dual_check,
+)
 
 from netdual import (
     ActionBox,
     BlockMap,
     ConfigError,
     DigraphSchedule,
-    PushSumEngine,
+    DualAveragingEngine,
     QuadraticLoss,
-    inv_sqrt_step,
     split_ring_schedule,
 )
 
@@ -18,13 +23,13 @@ def two_node_engine():
     sched = DigraphSchedule(
         n=2, graphs=(frozenset({(0, 0), (1, 1), (0, 1)}),), period=1
     )
-    return PushSumEngine(
+    return DualAveragingEngine(
         network=sched, blocks=BlockMap.scalar(2), box=ActionBox.uniform(-10, 10, 2)
     )
 
 
 def ring_engine(n=5, phases=3):
-    return PushSumEngine(
+    return DualAveragingEngine(
         network=split_ring_schedule(n, phases),
         blocks=BlockMap.scalar(n),
         box=ActionBox.uniform(-10, 10, n),
@@ -40,7 +45,7 @@ class TestConstruction:
 
     def test_rejects_agent_count_mismatch(self):
         with pytest.raises(ConfigError):
-            PushSumEngine(
+            DualAveragingEngine(
                 network=split_ring_schedule(5, 3),
                 blocks=BlockMap.scalar(4),
                 box=ActionBox.uniform(-1, 1, 4),
@@ -56,7 +61,7 @@ class TestStepDynamics:
         # weights mixed by the column-stochastic matrix [[1/2, 0], [1/2, 1]]
         assert np.allclose(eng._w, [0.5, 1.5])
         assert np.allclose(eng.ratios(), [[12.0, 0.0], [0.0, -4.0 / 3.0]])
-        assert np.allclose(eng.mean_field(), [3.0, -1.0])
+        assert np.allclose(mean_field(eng), [3.0, -1.0])
         assert eng.mean_field_residual() <= 1e-15
         assert np.allclose(eng.primal_matrix()[0], [-6.0, 0.0])
 
@@ -122,7 +127,7 @@ class TestUnrolledEquivalence:
     def test_random_schedule_history_matches(self):
         rng = np.random.default_rng(37)
         sched = random_digraph_schedule(4, 5, rng)
-        eng = PushSumEngine(
+        eng = DualAveragingEngine(
             network=sched, blocks=BlockMap.scalar(4), box=ActionBox.uniform(-8, 8, 4)
         )
         history = []
@@ -146,7 +151,7 @@ class TestSingleAgentEquivalence:
     def test_matches_centralized_trajectory(self):
         sched = DigraphSchedule(n=1, graphs=(frozenset({(0, 0)}),), period=1)
         box = ActionBox.uniform(-2.0, 2.0, 1)
-        eng = PushSumEngine(network=sched, blocks=BlockMap.scalar(1), box=box)
+        eng = DualAveragingEngine(network=sched, blocks=BlockMap.scalar(1), box=box)
         rng = np.random.default_rng(43)
         updates = rng.uniform(-3, 3, size=(12, 1))
         xs = []

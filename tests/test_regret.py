@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import centralized_reference, projected_gradient_comparator
+from conftest import centralized_reference, in_box, inv_sqrt_step, projected_gradient_comparator
 
 from netdual import (
     ActionBox,
@@ -14,7 +14,6 @@ from netdual import (
     circulation_regret_bound,
     contraction_constants,
     decomposition_terms,
-    inv_sqrt_step,
     network_regret,
     offline_comparator,
     pushsum_disagreement_bound,
@@ -117,7 +116,7 @@ class TestOfflineComparator:
             offline_comparator(losses, box, tol=1e-12, max_iter=0)
         err = exc.value
         assert err.best.shape == (2,)
-        assert box.contains(err.best)
+        assert in_box(box, err.best)
         assert err.value == pytest.approx(float(np.sum(losses.value(err.best))))
         assert err.grad_norm > 1e-12
         assert offline_comparator(losses, box, tol=1e-12).iterations > 1
@@ -171,7 +170,7 @@ def test_comparator_meets_kkt_on_random_box_qps():
         assert res.grad_residual <= tol, case
         assert np.all(np.abs(g[free]) <= eps), case
         assert np.all(g[y <= box.lo] >= -eps) and np.all(g[y >= box.hi] <= eps), case
-        assert box.contains(y), case
+        assert in_box(box, y), case
         assert res.value == float(np.sum(res.costs)), case
         if case % 10 == 0:
             oracle = projected_gradient_comparator(losses, box, tol=tol)

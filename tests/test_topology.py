@@ -1,9 +1,15 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
-from conftest import backward_product
+from conftest import (
+    backward_product,
+    check_geometric_decay,
+    random_digraph_schedule,
+    validate_b_strong_search,
+)
 
 from netdual import (
     ConfigError,
@@ -12,7 +18,6 @@ from netdual import (
     StaticTopology,
     UndirectedGraph,
     build_pushsum_matrix,
-    check_geometric_decay,
     contraction_constants,
     lazy_cycle_pair,
     load_graph,
@@ -243,6 +248,36 @@ class TestBStrongValidation:
         graphs = tuple(ring.graph_at(t) for t in range(6))
         sched = DigraphSchedule(n=5, graphs=graphs, period=0)
         assert validate_b_strong(sched) == 3
+
+    def test_agrees_with_the_search_past_one_period(self):
+        rng = np.random.default_rng(19)
+        answers = set()
+        for _ in range(60):
+            n, period = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            sched = random_digraph_schedule(n, period, rng, edge_prob=rng.choice([0.1, 0.2, 0.4]))
+            length = int(rng.integers(1, 13))
+            explicit = DigraphSchedule(
+                n=n, graphs=tuple(sched.graph_at(t) for t in range(length)), period=0
+            )
+            for schedule in (sched, explicit):
+                for cap in (None, 2):
+                    got = validate_b_strong(schedule, cap)
+                    assert got == validate_b_strong_search(schedule, cap)
+                    answers.add(got)
+        # the cases reach a window past one graph and a schedule never connected
+        assert None in answers and max(b for b in answers if b is not None) >= 3
+
+    def test_never_connected_schedule_stops_after_one_period(self):
+        # two disjoint 50-rings, each dealt over the same 5 phases: a whole
+        # period unions to both rings, so no longer window is tried
+        ring = split_ring_schedule(50, 5)
+        graphs = tuple(
+            g | {(i + 50, j + 50) for i, j in g} for g in ring.graphs
+        )
+        sched = DigraphSchedule(n=100, graphs=graphs, period=5)
+        start = time.perf_counter()
+        assert validate_b_strong(sched) is None
+        assert time.perf_counter() - start < 0.05
 
 
 class TestContractionConstants:
