@@ -128,6 +128,8 @@ class DualAveragingEngine:
         p = self.blocks.p
         # constant over the run; _flat[k] is entry (owner[k], k) of a raveled (n, p)
         self._owner = self.blocks.owner
+        # local_updates gathers X[owner]; the scalar map's gather is the identity
+        self._gather = not np.array_equal(self._owner, np.arange(n))
         self._flat = self._owner * p + np.arange(p)
         self._r = None if self._w is not None else self.network.pair.r
         self._r_owner = None if self._r is None else self._r[self._owner]
@@ -186,7 +188,7 @@ class DualAveragingEngine:
         # row k of X[owner] times row k of H, as p stacked (1, p) @ (p, 1)
         # products: np.einsum would add 0.2-0.7 MB of its own code pages to
         # a run's peak resident memory on first use
-        X = self._X[self._owner]
+        X = self._X[self._owner] if self._gather else self._X
         return (X[:, None, :] @ H[:, :, None])[:, 0, 0] - b
 
     def step(self, u: np.ndarray, alpha: float) -> None:

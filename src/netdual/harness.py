@@ -63,6 +63,11 @@ SWEEP_HEADER = "T,regret,avg_regret,theory_bound"
 # ---------------------------------------------------------------------------
 # randomness
 
+# simulate measures its rounds in blocks of max(1, BLOCK_VALUES // (n p))
+# rounds: each block stacks that many (n, p) states per array; normal_rows
+# draws the noise in blocks of about BLOCK_VALUES uniforms
+BLOCK_VALUES = 1 << 13
+
 
 def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     """Standard normal draws built from the generator's uniforms by the polar
@@ -80,6 +85,53 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
         take = min(vals.shape[0], count - filled)
         out[filled : filled + take] = vals[:take]
         filled += take
+    return out
+
+
+def normal_rows(rng: np.random.Generator, T: int, p: int) -> np.ndarray:
+    """The (T, p) stack of T calls of ``standard_normals(rng, p)``, bit for
+    bit, drawn in blocks of rounds, with rng left in the same state.
+
+    A round whose first polar attempt accepts at least p/2 pairs takes its
+    values from that attempt alone, so a block draws every round's first
+    attempt as one (rounds, 2, pairs) array of uniforms (u then v, in the
+    generator's order) and keeps the first p of each round's accepted u and
+    v values. At the first round that needs a second attempt the block
+    stops: the generator goes back to the block's start and redraws the
+    rounds before that one, and ``standard_normals`` draws the round itself;
+    the next block starts after it."""
+    out = np.empty((T, p))
+    pairs = max(8, p // 2 + p // 4 + 8)
+    size = max(1, BLOCK_VALUES // (2 * pairs))
+    cols = np.arange(p)
+    t = 0
+    while t < T and p:
+        saved = rng.bit_generator.state
+        B = rng.random((min(size, T - t), 2, pairs))
+        B *= 2.0
+        B -= 1.0
+        s = np.square(B[:, 0]) + np.square(B[:, 1])
+        ok = (s > 0.0) & (s < 1.0)
+        # log over the accepted s alone, contiguous as standard_normals has them
+        f = np.zeros_like(s)
+        acc = s[ok]
+        f[ok] = np.sqrt(-2.0 * np.log(acc) / acc)
+        B *= f[:, None, :]
+        # the accepted values in draw order: each round's u, then its v
+        vals = B[np.broadcast_to(ok[:, None, :], B.shape)]
+        twice = 2 * ok.sum(axis=1)
+        short = np.flatnonzero(twice < p)
+        c = int(short[0]) if short.size else len(B)
+        starts = np.cumsum(twice[:c]) - twice[:c]
+        out[t : t + c] = vals[starts[:, None] + cols]
+        t += c
+        if c < len(B):
+            # a redraw, not bit_generator.advance: advance would also drop
+            # a PCG64's buffered 32-bit half
+            rng.bit_generator.state = saved
+            rng.random(out=B[:c])
+            out[t] = standard_normals(rng, p)
+            t += 1
     return out
 
 
@@ -129,16 +181,21 @@ class SensingEnvironment:
         return self.target.shape[0]
 
     def measurements(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        """The (T, p) stack q_1..q_T, drawn round by round in round order."""
-        Q = np.empty((T, self.p))
+        """The (T, p) stack q_1..q_T: the T rounds' standard normals drawn in
+        blocks (``normal_rows``, bit for bit one round after another), then
+        each row mapped in place to its round's measurement."""
+        Q = normal_rows(rng, T, self.p)
         for t in range(T):
-            Q[t] = self.next_objective(rng)
+            Q[t] = self.next_objective(Q[t])
         return Q
 
-    # one round's draw is its own method so the benchmark can time it (harness.env)
-    def next_objective(self, rng: np.random.Generator) -> np.ndarray:
-        """One round's measurement q_t."""
-        return self.center + self._cov_sqrt @ standard_normals(rng, self.p)
+    # one row at a time: a stacked N @ cov_sqrt.T rounds some rows differently
+    # for a general covariance; a method of its own, so the benchmark times
+    # each round's map (harness.env)
+    def next_objective(self, z: np.ndarray) -> np.ndarray:
+        """One round's measurement q_t = A target + cov_sqrt z from its
+        standard normals z."""
+        return self.center + self._cov_sqrt @ z
 
     def measurement_ball(self) -> tuple:
         """A-priori (center, radius) of q_t: A target, six noise deviations."""
@@ -420,10 +477,6 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # simulation
 
-
-# simulate measures its rounds in blocks of max(1, BLOCK_VALUES // (n p))
-# rounds: each block stacks that many (n, p) states per array
-BLOCK_VALUES = 1 << 13
 
 # spectral_gap reads a pair that does not mix as 0 plus ~n*eps of roundoff
 # (4.4e-16 at n=3); the slowest stock pair, the lazy 200-cycle, has 4.9e-4

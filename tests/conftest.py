@@ -139,6 +139,17 @@ def unrolled_dual_check(engine: DualAveragingEngine, update_history: list) -> fl
     return float(np.max(np.abs(engine._Z - expected))) if t else 0.0
 
 
+def measurements_per_round(env: harness.SensingEnvironment, T: int, rng) -> np.ndarray:
+    """A sensing environment's (T, p) measurement stack drawn one round after
+    another, each round's standard normals by their own polar draw. The
+    oracle the blocked draw in ``SensingEnvironment.measurements`` is
+    checked against, bit for bit."""
+    Q = np.empty((T, env.p))
+    for t in range(T):
+        Q[t] = env.center + env._cov_sqrt @ harness.standard_normals(rng, env.p)
+    return Q
+
+
 def simulate_per_round(config: RunConfig) -> harness.RunHistory:
     """``simulate`` measured round by round: each round's reference gap,
     reference and diagnostics formed right after its step, by the formulas
