@@ -64,9 +64,14 @@ SWEEP_HEADER = "T,regret,avg_regret,theory_bound"
 # randomness
 
 # simulate measures its rounds in blocks of max(1, BLOCK_VALUES // (n p))
-# rounds: each block stacks that many (n, p) states per array; normal_rows
-# draws the noise in blocks of about BLOCK_VALUES uniforms
-BLOCK_VALUES = 1 << 13
+# rounds: each block stacks that many (n, p) states per array, and its
+# ~30 numpy calls carry a fixed cost that larger blocks spread over more
+# rounds. In-process at n = p = 50 the measurement took 50 us a round at
+# 1 << 13 (c = 3) and 40 at 1 << 14 (c = 6); 1 << 15 (c = 13) took 33 but
+# raised the tracemalloc peak of a run by 0.6 MB (3.97 -> 4.55). normal_rows
+# draws the noise in blocks of about BLOCK_VALUES uniforms: the same bits at
+# any block size, 2.1 us a round at p = 50 against 3.0 at 1 << 13
+BLOCK_VALUES = 1 << 14
 
 
 def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -581,12 +586,16 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     # of resident peak on 50-agent push-sum (heap layout; same Python data)
     if network is None:
         network = network_constants(config)
-    engine = DualAveragingEngine(config.topology, config.blocks, config.box)
     p, T = config.p, config.T
     steps = step_sizes(T, config.alpha)
     env = (config.environment or sensing_environment_factory())(p, rng)
     # nothing else draws from rng: the stack holds the noise in round order
     losses = QuadraticLoss(env.A, env.measurements(T, rng))
+    del env  # its covariance and root, 2 p^2 floats the loop never reads
+    # built once those are freed, so its (n, p) bounds can take their place
+    # on the heap: ring200-wide measured 10.0-10.4 MB of resident peak
+    # built before the environment, 9.3 MB after
+    engine = DualAveragingEngine(config.topology, config.blocks, config.box)
     A, Q = losses.A, losses.q
     if A.shape[1] != p or Q.shape != (T, A.shape[0]):
         raise ConfigError(
@@ -623,7 +632,10 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         del d  # freed before the duals are stacked
         Z = _stacked(Zs)
         R, W = (Z, None) if r is not None else (_stacked(Rs), _stacked(Ws))
-        diag[:, t0:t] = block_diagnostics(Z, R, W, sums, r)
+        # overwrite: a block of more than one round holds stacked copies,
+        # which the call may write into; a block of one holds the engine's
+        # own arrays
+        diag[:, t0:t] = block_diagnostics(Z, R, W, sums, r, t - t0 > 1)
         ok = np.isfinite(diag[0:3:2, t0:t])  # the disagreement and mean-field residual
         if not ok.all():
             k = t0 + int(ok.all(axis=0).argmin())

@@ -20,6 +20,7 @@ from netdual import (
     simulate,
     split_ring_schedule,
 )
+from netdual.engine import block_diagnostics
 from netdual.harness import fixed_environment_factory
 
 GROUPED = BlockMap(blocks=((0, 5), (1, 2), (3,), (4, 6, 7)))
@@ -57,7 +58,8 @@ def set_block(monkeypatch, block, cfg):
 
 
 # T = 334 is a multiple of none of the block sizes: 1 aside, 7, and the
-# defaults 327 (n = p = 5), 20 (n = p = 20), 3 (n = p = 50) and 256 (GROUPED)
+# defaults 655 (n = p = 5), 40 (n = p = 20), 6 (n = p = 50) and 512 (GROUPED),
+# the first and last longer than the run
 CASES = [
     ("oda-c", 5, None),
     ("oda-ps", 5, None),
@@ -79,7 +81,7 @@ def test_blocks_match_the_round_by_round_oracle(algorithm, n, blocks, block, mon
     cfg = config(algorithm, n, T=334, blocks=blocks)
     set_block(monkeypatch, block, cfg)
     c = max(1, harness.BLOCK_VALUES // (cfg.n * cfg.p))
-    assert c == (block if block != "default" else {25: 327, 400: 20, 2500: 3, 32: 256}[cfg.n * cfg.p])
+    assert c == (block if block != "default" else {25: 655, 400: 40, 2500: 6, 32: 512}[cfg.n * cfg.p])
     assert cfg.T % c or c == 1
     assert_same_history(simulate(cfg), simulate_per_round(cfg))
 
@@ -148,3 +150,63 @@ def test_blocks_add_at_most_half_a_megabyte(algorithm, n, T):
     oracle = traced_peak(simulate_per_round, cfg)
     blocked = traced_peak(simulate, cfg)
     assert blocked <= oracle + 0.5e6, (blocked, oracle)
+
+
+def read_only(a):
+    if a is None:
+        return None
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
+def snapshot(*arrays) -> list:
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+def test_block_diagnostics_writes_nothing_it_does_not_own(algorithm):
+    """A block of one holds the engine's own arrays: read without overwrite,
+    nothing may be written into them, and the engine's four diagnostics
+    methods must leave its state as they found it."""
+    cfg = config(algorithm, 20, T=25)
+    oracle = simulate_per_round(cfg)
+    engine = DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box)
+    for t in range(cfg.T):
+        engine.step(oracle.updates[t], float(oracle.steps[t]))
+    r = None if engine._w is not None else engine._r
+    state = (engine._Z, engine._ratios, engine._w, engine._u_total)
+    before = snapshot(*state)
+    Z, R, W, U = (read_only(None if a is None else a[None]) for a in state)
+    got = block_diagnostics(Z, R, W, U, r)
+    assert snapshot(*state) == before
+    assert [float(v[0]) for v in got] == [
+        oracle.disagreement[-1], oracle.disagreement_squared[-1],
+        oracle.mean_field_residual[-1], oracle.weight_residual[-1],
+    ]
+    engine.disagreement(), engine.disagreement_squared()
+    engine.mean_field_residual(), engine.weight_conservation_residual()
+    assert snapshot(*state) == before
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+def test_overwriting_a_block_gives_the_same_bits(algorithm):
+    """With overwrite the deviation is formed in the caller's ratios (in Z
+    itself for oda-c); the diagnostics must not move by a bit."""
+    cfg = config(algorithm, 20, T=9)
+    engine = DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box)
+    rng = np.random.default_rng(3)
+    held = []
+    for t in range(1, cfg.T + 1):
+        engine.step(rng.normal(size=cfg.p), 1.0 / t)
+        held.append((engine._Z, engine._ratios, engine._w))
+    Z, R, W = (None if held[0][k] is None else np.array([h[k] for h in held]) for k in range(3))
+    U = np.cumsum(rng.normal(size=(cfg.T, cfg.p)), axis=0)
+    r = None if W is not None else engine._r
+    want = block_diagnostics(Z, R, W, U, r)
+    if r is not None:
+        got = block_diagnostics(Z, Z, None, U, r, overwrite=True)
+    else:
+        got = block_diagnostics(Z, R.copy(), W, U, r, overwrite=True)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()

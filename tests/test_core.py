@@ -11,6 +11,7 @@ from netdual import (
     DigraphSchedule,
     DualAveragingEngine,
     RunConfig,
+    lazy_cycle_pair,
     simulate,
     split_ring_schedule,
 )
@@ -83,6 +84,26 @@ class TestActionBox:
             want = np.clip(-alpha * engine.ratios(), box.lo, box.hi)
             assert np.array_equal(engine._X.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("network", ["oda-c", "oda-ps"])
+    def test_full_size_bounds_project_as_np_clip(self, network):
+        """The engine projects against its bounds tiled to (n, p): at
+        n = p = 50, with a non-uniform box holding both zeros, the result
+        must be np.clip's against the (p,) bounds, bit for bit."""
+        n = 50
+        rng = np.random.default_rng(8)
+        lo = rng.choice([-3.0, -1.5, -0.5, 0.0, -0.0], n)
+        hi = rng.choice([0.0, -0.0, 0.25, 2.0, 4.0], n)
+        hi[lo == 0.0] = rng.choice([0.0, -0.0, 1.0], int((lo == 0.0).sum()))
+        box = ActionBox(lo=lo, hi=hi)
+        topology = lazy_cycle_pair(n) if network == "oda-c" else split_ring_schedule(n, 5)
+        engine = DualAveragingEngine(network=topology, blocks=BlockMap.scalar(n), box=box)
+        special = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 1e-300, -1e-300])
+        for t in range(1, 30):
+            alpha = 1.0 / t
+            engine.step(rng.choice(special, n) + rng.normal(0, 2, n) * rng.integers(0, 2, n), alpha)
+            want = np.clip(-alpha * engine.ratios(), lo, hi)
+            assert np.array_equal(engine._X.view(np.int64), want.view(np.int64))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=6))
     def test_clamp_is_idempotent_and_feasible(self, values):
@@ -147,3 +168,23 @@ class TestBlockEmbed:
         # from zero duals one step leaves only the injection: n * u[k] in
         # the row of the agent that owns k, zeros elsewhere
         assert np.array_equal(engine._Z, [[10.0, 0.0, 12.0], [0.0, 14.0, 0.0]])
+
+
+class TestLocalUpdates:
+    @pytest.mark.parametrize("n, blocks", [(50, None), (3, ((0, 4), (1, 2), (3,)))])
+    def test_row_dots_are_the_stacked_products(self, n, blocks):
+        """Entry k is row k of X[owner] times row k of H, bit for bit the
+        stacked (1, p) @ (p, 1) matmul products, at scales that expose any
+        change in the order of the sums."""
+        bm = BlockMap.scalar(n) if blocks is None else BlockMap(blocks=blocks)
+        engine = DualAveragingEngine(
+            split_ring_schedule(bm.n, 2), bm, ActionBox.uniform(-1e9, 1e9, bm.p)
+        )
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            scale = rng.choice([1e-8, 1.0, 1e6], (bm.n, bm.p))
+            engine._X = rng.normal(size=(bm.n, bm.p)) * scale
+            H, b = rng.normal(size=(bm.p, bm.p)), rng.normal(size=bm.p)
+            X = engine._X[bm.owner]
+            want = (X[:, None, :] @ H[:, :, None])[:, 0, 0] - b
+            assert engine.local_updates(H, b).tobytes() == want.tobytes()

@@ -45,8 +45,8 @@ SEEDED = [(1, 0), (3, 3), (20, 5), (50, 1), (200, 0)]
 SECOND_ATTEMPT = [(3, 3), (20, 5), (50, 1)]
 
 
-# the block sizes are 512, 455, 178, 91 and 25 rounds (p = 1, 3, 20, 50,
-# 200); 2001 is a multiple of none of them, 2000 of p = 200's
+# the block sizes are 1024, 910, 356, 182 and 51 rounds (p = 1, 3, 20, 50,
+# 200); 2000 and 2001 are multiples of none of them (whole blocks: below)
 @pytest.mark.parametrize("T", [0, 1, 7, 2000, 2001])
 @pytest.mark.parametrize("p, seed", SEEDED)
 def test_normal_rows_is_the_per_round_polar_draw(p, seed, T):
@@ -55,6 +55,15 @@ def test_normal_rows_is_the_per_round_polar_draw(p, seed, T):
     got = normal_rows(rows_rng, T, p)
     assert got.shape == (T, p)
     assert got.tobytes() == want.tobytes()
+    assert rows_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("p, seed", [(20, 5), (200, 0)])
+def test_normal_rows_at_a_multiple_of_the_block(p, seed):
+    size = max(1, harness.BLOCK_VALUES // (2 * pairs(p)))
+    loop_rng, rows_rng = generator(seed), generator(seed)
+    want = polar_loop(loop_rng, 3 * size, p)
+    assert normal_rows(rows_rng, 3 * size, p).tobytes() == want.tobytes()
     assert rows_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
