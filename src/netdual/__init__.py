@@ -45,7 +45,6 @@ from .topology import (
     ReversiblePair,
     StaticTopology,
     UndirectedGraph,
-    build_pushsum_matrix,
     contraction_constants,
     lazy_cycle_pair,
     load_graph,
@@ -78,7 +77,6 @@ __all__ = [
     "SweepRow",
     "TopologyError",
     "UndirectedGraph",
-    "build_pushsum_matrix",
     "circulation_disagreement_bound",
     "circulation_regret_bound",
     "config_from_dict",

@@ -1,4 +1,5 @@
-"""Shared value types: feasible box, its prox bound and coordinate ownership.
+"""Shared value types: feasible box, its prox bound and coordinate ownership;
+and the readers of JSON input (files, number arrays).
 
 Conventions used throughout the package:
 
@@ -9,6 +10,7 @@ Conventions used throughout the package:
   initial state (zero duals, primal = projection of the zero dual).
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +57,9 @@ class ActionBox:
         return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        # np.clip's result, bit for bit, without its dispatch cost
+        # np.clip's values without its dispatch cost; at a signed-zero tie
+        # (-0.0 against a bound of +0.0) the bound's zero is kept, where
+        # np.clip may keep x's
         y = np.maximum(x, self.lo)
         return np.minimum(y, self.hi, out=y)
 
@@ -127,3 +131,15 @@ def parse_numbers(value, name: str, shape: tuple) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ConfigError(f"{name} must hold finite numbers, got {value!r}")
     return a.astype(float, copy=False)
+
+
+def load_json(path: str, kind: str):
+    """The JSON value in the ``kind`` file (a graph or a config) at path; a
+    file that cannot be read or is not JSON raises ConfigError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise ConfigError(f"cannot read {kind} file {path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{kind} file {path} is not valid JSON: {e}") from None

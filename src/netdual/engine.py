@@ -15,14 +15,14 @@ this one update over two operators, read from the type of the network:
   agents act on the debiased ratios z_i / w_i.
 
 The mix reads each row of the matrix over its nonzeros when the matrix is
-sparse enough: each distinct matrix (the pair's M, each slot a periodic
-schedule caches, each round of an explicit one) gets one operator, chosen
-once by ``mixing_operator``. Above the density threshold that is the matrix
-itself, multiplied densely; below it, its padded-row form ``PaddedRows``,
-which gathers each row's neighbours.
-Measured at p = n, the two cost the same near n = GATHER_DENSITY * K, K the
-most nonzeros in any row (README, Sparse mixing). ``_matrix`` stays the
-dense source of truth.
+sparse enough: ``mixing_operator`` turns a matrix into what the engine
+multiplies by. Above the density threshold that is the matrix itself,
+multiplied densely; below it, its padded-row form ``PaddedRows``, which
+gathers each row's neighbours. Measured at p = n, the two cost the same
+near n = GATHER_DENSITY * K, K the most nonzeros in any row (README,
+Sparse mixing). The engine forms the operators of the pair's M and of a
+periodic schedule's ``period`` slots once, when it is built; an explicit
+schedule's round forms its own and keeps nothing.
 
 The engine checks only types and shapes: whether the network meets its
 algorithm's contract is certified before round 1, by
@@ -156,7 +156,11 @@ class DualAveragingEngine:
         self._lo = np.tile(self.box.lo, (n, 1))
         self._hi = np.tile(self.box.hi, (n, 1))
         self._ratios = self._Z  # z_i / w_i with w = 1
-        self._operators = {}  # id(matrix) -> (matrix, mixing_operator(matrix))
+        if self._w is None:
+            matrices = [self.network.pair.M]
+        else:  # one per slot; none for an explicit schedule (period 0)
+            matrices = [self.network.matrix_at(k) for k in range(self.network.period)]
+        self._operators = [mixing_operator(A) for A in matrices]
 
     @property
     def n(self) -> int:
@@ -165,24 +169,6 @@ class DualAveragingEngine:
     @property
     def p(self) -> int:
         return self.blocks.p
-
-    def _matrix(self, t: int) -> np.ndarray:
-        """The mixing matrix of round index t (0-based)."""
-        if self._w is None:
-            return self.network.pair.M
-        return self.network.matrix_at(t)
-
-    def _operator(self, A: np.ndarray) -> np.ndarray | PaddedRows:
-        """A's mixing operator, formed at A's first round and kept while the
-        network keeps A. The entry holds A, so its id is not reused while
-        the entry lives. An explicit schedule's matrix serves one round, so
-        its operator is not kept."""
-        if self._w is not None and self.network.period == 0:
-            return mixing_operator(A)
-        entry = self._operators.get(id(A))
-        if entry is None:
-            entry = self._operators[id(A)] = (A, mixing_operator(A))
-        return entry[1]
 
     def _scaled(self, u: np.ndarray) -> np.ndarray:
         """Each owned entry u[k] as it enters its owner's row: scaled by 1/r
@@ -217,7 +203,8 @@ class DualAveragingEngine:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.p,):
             raise ConfigError(f"update has shape {u.shape}, expected ({self.p},)")
-        A = self._operator(self._matrix(self.rounds))
+        ops, t = self._operators, self.rounds
+        A = ops[t % len(ops)] if ops else mixing_operator(self.network.matrix_at(t))
         self._u_total += u
         Z = A @ self._Z
         # in place, with no (n, p) increment formed, to keep a round's peak
@@ -230,7 +217,9 @@ class DualAveragingEngine:
         # the ratios are kept for the round's diagnostics: one division per round
         self._ratios = self.ratios()
         X = -alpha * self._ratios
-        # np.clip's result, bit for bit, without its dispatch cost
+        # np.clip's values without its dispatch cost; at a signed-zero tie
+        # (-0.0 against a bound of +0.0) the bound's zero is kept, where
+        # np.clip may keep X's
         np.maximum(X, self._lo, out=X)
         self._X = np.minimum(X, self._hi, out=X)
         self.rounds += 1

@@ -9,8 +9,6 @@ randomness flows through one PCG64 generator keyed by (seed, horizon), so a
 sweep row and a standalone run at the same horizon are bit-identical.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -18,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ActionBox, BlockMap, parse_numbers, prox_sup
+from .core import ActionBox, BlockMap, load_json, parse_numbers, prox_sup
 from .engine import DualAveragingEngine, block_diagnostics
 from .errors import ConfigError, TopologyError
 from .objectives import QuadraticLoss, lipschitz_constants
@@ -55,9 +53,10 @@ TRACE_HEADER = (
     "t,cost,regret_partial,avg_regret,disagreement,"
     "mean_field_residual,e1,e2,e3,bound_partial"
 )
-# a row as csv.writer writes it: no %.12g field needs quoting
+# rows as csv.writer writes them: no %.12g field needs quoting
 TRACE_ROW = "%d," + ",".join(["%.12g"] * 9) + "\r\n"
 SWEEP_HEADER = "T,regret,avg_regret,theory_bound"
+SWEEP_ROW = "%d," + ",".join(["%.12g"] * 3) + "\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ class RunConfig:
     T: int
     seed: int = 0
     blocks: BlockMap | None = None
-    alpha: Callable[[int], float] | None = None
+    alpha: tuple | None = None  # the step sizes alpha(0), alpha(1), ...; None: 1/sqrt(s+1)
     # (p, run generator) -> SensingEnvironment or FixedEnvironment
     environment: Callable[[int, np.random.Generator], object] | None = None
     regular: bool = False
@@ -314,8 +313,11 @@ class RunConfig:
         # finalize needs both of these after round T: fail before round 1
         if self.sigma2_sup is not None and not self.regular:
             raise ConfigError("a singular-value sup is only accepted for regular schedules")
-        if self.alpha is not None:
-            self.alpha(self.T)
+        if self.alpha is not None and len(self.alpha) <= self.T:
+            raise ConfigError(
+                f"alpha value list has {len(self.alpha)} entries; need index {self.T} "
+                "(the list must cover the horizon plus one)"
+            )
 
     @property
     def n(self) -> int:
@@ -342,7 +344,7 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
-def _alpha_from_spec(spec) -> Callable[[int], float] | None:
+def _alpha_from_spec(spec) -> tuple | None:
     if spec is None:
         return None
     if not isinstance(spec, dict):
@@ -350,19 +352,10 @@ def _alpha_from_spec(spec) -> Callable[[int], float] | None:
     if "values" in spec:
         if not isinstance(spec["values"], (list, tuple)):
             raise ConfigError(f'alpha "values" must be a list of numbers, got {spec["values"]!r}')
-        values = [_real(v, "alpha value") for v in spec["values"]]
+        values = tuple(_real(v, "alpha value") for v in spec["values"])
         if any(v <= 0 for v in values):
             raise ConfigError("alpha values must be positive")
-
-        def alpha(s: int) -> float:
-            if s >= len(values):
-                raise ConfigError(
-                    f"alpha value list has {len(values)} entries; need index {s} "
-                    "(the list must cover the horizon plus one)"
-                )
-            return values[s]
-
-        return alpha
+        return values
     rule = spec.get("rule", "inv-sqrt")
     if rule != "inv-sqrt":
         raise ConfigError(f'unknown alpha rule "{rule}"')
@@ -469,14 +462,7 @@ def config_from_dict(d: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path) as f:
-            d = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-    return config_from_dict(d)
+    return config_from_dict(load_json(path, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -779,10 +765,6 @@ def sweep(config: RunConfig, horizons, cumulative: bool = False) -> list:
 # serialization
 
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
-
-
 def write_trace_csv(trace: RegretTrace, path: str) -> None:
     """Per-round trace; floats carry 12 significant digits so reruns are
     byte-comparable."""
@@ -798,9 +780,7 @@ def write_trace_csv(trace: RegretTrace, path: str) -> None:
 
 def write_sweep_csv(rows, path: str) -> None:
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(SWEEP_HEADER.split(","))
-        for row in rows:
-            w.writerow(
-                [str(row.T), _fmt(row.regret), _fmt(row.avg_regret), _fmt(row.theory_bound)]
-            )
+        f.write(SWEEP_HEADER + "\r\n")
+        f.writelines(
+            SWEEP_ROW % (row.T, row.regret, row.avg_regret, row.theory_bound) for row in rows
+        )

@@ -20,11 +20,11 @@ from .topology import ContractionConstants
 
 
 def step_sizes(T: int, alpha=None) -> np.ndarray:
-    """alpha(0..T) as one vector, alpha the rule; the default rule is
-    alpha(s) = 1/sqrt(s+1), formed without a call per entry."""
+    """alpha(0..T) as one vector: the first T + 1 of the step values alpha,
+    or with alpha None the default rule alpha(s) = 1/sqrt(s+1)."""
     if alpha is None:
         return 1.0 / np.sqrt(np.arange(1, T + 2))
-    return np.array([alpha(s) for s in range(T + 1)], dtype=float)
+    return np.array(alpha[: T + 1], dtype=float)
 
 
 @dataclass(frozen=True)

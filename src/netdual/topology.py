@@ -9,13 +9,12 @@ by out-degrees, with geometric-contraction constants (beta, theta, gamma)
 describing how backward products A(t:s) approach a rank-one limit.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import parse_numbers
+from .core import load_json, parse_numbers
 from .errors import ConfigError
 
 
@@ -185,7 +184,6 @@ class DigraphSchedule:
     n: int
     graphs: tuple
     period: int = 1
-    _matrices: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.period < 0:
@@ -221,31 +219,22 @@ class DigraphSchedule:
         return self.graphs[t]
 
     def matrix_at(self, t: int) -> np.ndarray:
-        """The round's mixing matrix: a periodic schedule keeps each slot's,
-        an explicit one builds round t's per call, so a run holds one, not T."""
-        if self.period == 0:
-            return build_pushsum_matrix(self, t)
-        key = t % self.period
-        if key not in self._matrices:
-            self._matrices[key] = build_pushsum_matrix(self, t)
-        return self._matrices[key]
+        """Column-stochastic broadcast matrix for the graph active at time t.
 
-
-def build_pushsum_matrix(schedule: DigraphSchedule, t: int) -> np.ndarray:
-    """Column-stochastic broadcast matrix for the graph active at time t.
-
-    Entry (i, j) is 1/out_degree(j) when j sends to i (self-loops included,
-    and counted in the out-degree); the schedule checked the self-loops.
-    """
-    E = schedule.graph_at(t)
-    n = schedule.n
-    out_deg = np.zeros(n)
-    for a, _ in E:
-        out_deg[a] += 1
-    A = np.zeros((n, n))
-    for a, b in E:
-        A[b, a] = 1.0 / out_deg[a]
-    return A
+        Entry (i, j) is 1/out_degree(j) when j sends to i (self-loops
+        included, and counted in the out-degree); the schedule checked the
+        self-loops. Built per call: the engine forms a periodic schedule's
+        ``period`` matrices once, and an explicit schedule's one per round.
+        """
+        E = self.graph_at(t)
+        n = self.n
+        out_deg = np.zeros(n)
+        for a, _ in E:
+            out_deg[a] += 1
+        A = np.zeros((n, n))
+        for a, b in E:
+            A[b, a] = 1.0 / out_deg[a]
+        return A
 
 
 def _strongly_connected(edges: set, n: int) -> bool:
@@ -461,11 +450,4 @@ def topology_from_dict(spec: dict):
 
 def load_graph(path: str):
     """Load a graph description file (JSON, 0-based indices)."""
-    try:
-        with open(path) as f:
-            spec = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read graph file {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"graph file {path} is not valid JSON: {e}") from None
-    return topology_from_dict(spec)
+    return topology_from_dict(load_json(path, "graph"))

@@ -135,7 +135,7 @@ def unrolled_dual_check(engine: DualAveragingEngine, update_history: list) -> fl
     R = np.eye(engine.n)
     for s in range(t - 1, -1, -1):
         expected += R @ engine._injection(np.asarray(update_history[s], dtype=float))
-        R = R @ engine._matrix(s)
+        R = R @ (engine.network.pair.M if engine._w is None else engine.network.matrix_at(s))
     return float(np.max(np.abs(engine._Z - expected))) if t else 0.0
 
 

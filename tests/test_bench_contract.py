@@ -92,15 +92,18 @@ def test_environment_layer_times_every_round():
 def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
     """``finalize_s`` measures the first pass over a history: it reads the
     step sizes ``simulate`` formed as one vector and forms G by one
-    eigensolve. A finalize that called the step rule per round, or formed
+    eigensolve. A finalize that formed the step sizes again, or formed
     the curvature per prefix or by an iteration, would slow every
     benchmark operation without failing a check."""
-    alpha_calls, curvature_calls = [], []
+    step_calls, curvature_calls = [], []
+    step_sizes = regret.step_sizes
 
-    def alpha(s):
-        alpha_calls.append(s)
-        return 1.0 / (s + 1) ** 0.5
+    def counting_steps(T, alpha=None):
+        step_calls.append(T)
+        return step_sizes(T, alpha)
 
+    monkeypatch.setattr(regret, "step_sizes", counting_steps)
+    monkeypatch.setattr(harness, "step_sizes", counting_steps)
     curvature = objectives.curvature
 
     def counting(A):
@@ -109,14 +112,16 @@ def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
 
     monkeypatch.setattr(objectives, "curvature", counting)
     monkeypatch.setattr(regret, "curvature", counting)
+    alpha = tuple(1.0 / (s + 1) ** 0.5 for s in range(2001))
     config = RunConfig(
         "oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=2000, seed=5, alpha=alpha
     )
     history = harness.simulate(config)
-    alpha_calls.clear()
+    assert step_calls == [2000]
+    step_calls.clear()
     for T in (500, 2000):
         harness.finalize(history, T)
-    assert alpha_calls == []
+    assert step_calls == []
     assert curvature_calls == [(5, 5)]
     assert not hasattr(netdual, "power_iteration")
     assert not hasattr(objectives, "power_iteration")
@@ -143,4 +148,4 @@ def test_test_helpers_stay_out_of_the_library():
         importlib.import_module("netdual.prox")
     assert harness.CirculationEngine is DualAveragingEngine
     assert not hasattr(harness, "PushSumEngine")
-    assert len(netdual.__all__) == 45
+    assert len(netdual.__all__) == 44

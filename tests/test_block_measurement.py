@@ -96,7 +96,7 @@ def test_horizons_around_the_block_edge(algorithm, T, monkeypatch):
 
 def test_step_rule_values_reach_the_block_references(monkeypatch):
     values = list(np.linspace(2.0, 0.1, 41))
-    cfg = config("oda-c", 5, T=40, alpha=lambda s: values[s])
+    cfg = config("oda-c", 5, T=40, alpha=tuple(values))
     set_block(monkeypatch, 7, cfg)
     assert_same_history(simulate(cfg), simulate_per_round(cfg))
 

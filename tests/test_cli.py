@@ -215,6 +215,20 @@ class TestRunCommand:
         assert code == 2
         assert "not valid JSON" in payload["error"]
 
+    def test_config_that_is_not_an_object_is_parse_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", [{"algorithm": "oda-c", "T": 5}])
+        code, payload = invoke(["run", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert payload["error"] == "experiment config must be a JSON object"
+
+    def test_negative_seed_flag_is_parse_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-c", "T": 5})
+        code, payload = invoke(
+            ["run", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"], capsys
+        )
+        assert code == 2
+        assert payload["error"] == "seed must be nonnegative, got -1"
+
     def test_invalid_pair_is_validation_error(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path, "c.json", {"algorithm": "oda-c", "T": 5, "graph": BAD_PAIR_GRAPH}
@@ -294,6 +308,17 @@ class TestValidateGraphCommand:
         assert payload["B"] == 3
         assert payload["constants"]["gamma"] == pytest.approx(5.0**-15)
         assert payload["constants"]["beta"] == 4.0
+
+    def test_zero_singular_value_sup_mixes_in_one_round(self, tmp_path, capsys):
+        d = {"algorithm": "oda-ps", "T": 1, "regular": True, "sigma2_sup": 0.0}
+        cfg = write_json(tmp_path, "c.json", d)
+        code, payload = invoke(["validate-graph", "--config", cfg], capsys)
+        assert code == 0
+        constants = payload["constants"]
+        assert (constants["beta"], constants["theta"], constants["gamma"]) == (
+            math.sqrt(2.0), 0.0, 1.0
+        )
+        assert constants["log_one_minus_theta"] == 0.0
 
     def test_disconnected_schedule_fails(self, tmp_path, capsys):
         graph = {
@@ -430,6 +455,12 @@ class TestConfigBoundary:
             ("graph", {**PATH_PAIR, "M": [[0.5, math.inf], [0.5, 0.5]]}),
             ("alpha", {"values": 5}),
             ("alpha", {"values": None}),
+            ("blocks", [[0, 1], [2, 3, 4]]),
+            ("box", "wide"),
+            ("environment", {"type": "fixed"}),
+            ("graph", {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1]]], "period": -1}),
+            ("graph", {"n": 2, "mode": "schedule", "graphs": []}),
+            ("graph", {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1], [0, 2]]]}),
         ],
         ids=[
             "T-str", "T-float", "seed-str", "seed-negative", "tol-str",
@@ -438,7 +469,8 @@ class TestConfigBoundary:
             "sigma2-not-regular", "alpha-short", "graph-r-str", "arc-str", "edge-triple",
             "graphs-int", "box-lo-nan", "box-hi-inf", "fixed-q-nan", "fixed-A-inf",
             "sensing-target-inf", "sensing-A-nan", "sensing-P-inf", "graph-r-nan", "graph-M-inf",
-            "alpha-values-int", "alpha-values-null",
+            "alpha-values-int", "alpha-values-null", "blocks-agent-count", "box-neither",
+            "fixed-no-q", "period-negative", "graphs-empty", "arc-out-of-range",
         ],
     )
     def test_malformed_field_is_parse_error_before_simulating(

@@ -104,6 +104,22 @@ class TestActionBox:
             want = np.clip(-alpha * engine.ratios(), lo, hi)
             assert np.array_equal(engine._X.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("network", ["oda-c", "oda-ps"])
+    def test_negative_zero_clamps_to_the_bound_zero(self, network):
+        """At a signed-zero tie the pair np.maximum, np.minimum keeps the
+        bound's zero, where np.clip on a (1, 1) array keeps x's -0.0: -0.0
+        clamped against lo = +0.0 is +0.0, bit for bit."""
+        positive_zero = np.float64(0.0).view(np.int64)
+        box = ActionBox.uniform(0.0, 1.0, 1)
+        assert box.clamp(np.array([-0.0])).view(np.int64) == [positive_zero]
+        # from zero duals the step's -alpha * 0.0 is -0.0 in every entry
+        topology = lazy_cycle_pair(3) if network == "oda-c" else split_ring_schedule(3, 3)
+        box = ActionBox.uniform(0.0, 1.0, 3)
+        engine = DualAveragingEngine(network=topology, blocks=BlockMap.scalar(3), box=box)
+        engine.step(np.zeros(3), 0.5)
+        assert np.signbit(-0.5 * engine.ratios()).all()
+        assert engine._X.view(np.int64).tolist() == [[positive_zero] * 3] * 3
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=6))
     def test_clamp_is_idempotent_and_feasible(self, values):

@@ -16,6 +16,7 @@ from netdual import (
     QuadraticLoss,
     RunConfig,
     SensingEnvironment,
+    SweepRow,
     config_from_dict,
     finalize,
     harness,
@@ -106,6 +107,8 @@ class TestEnvironments:
     def test_sensing_rejects_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             SensingEnvironment(A=np.eye(3), target=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(ConfigError, match="covariance must be"):
+            SensingEnvironment(A=np.eye(2), target=np.zeros(2), cov=np.eye(3))
 
     def test_fixed_cycles(self):
         env = FixedEnvironment(A=np.eye(1), q_list=(np.array([1.0]), np.array([2.0])))
@@ -116,6 +119,10 @@ class TestEnvironments:
     def test_fixed_rejects_empty(self):
         with pytest.raises(ConfigError):
             FixedEnvironment(A=np.eye(1), q_list=())
+
+    def test_fixed_rejects_q_of_the_wrong_length(self):
+        with pytest.raises(ConfigError, match="each q must have shape"):
+            FixedEnvironment(A=np.eye(2), q_list=(np.zeros(2), np.zeros(3)))
 
     def test_sensing_factory_deterministic(self):
         make = sensing_environment_factory()
@@ -587,6 +594,30 @@ class TestSerialization:
         assert lines[0] == SWEEP_HEADER
         assert len(lines) == 3
         assert lines[1].startswith("3,")
+
+    def test_sweep_csv_matches_the_csv_module(self, tmp_path):
+        def csv_module_writer(rows, path):  # the writer before the one-pass format
+            with open(path, "w", newline="") as f:
+                w = csv.writer(f)
+                w.writerow(SWEEP_HEADER.split(","))
+                for row in rows:
+                    w.writerow(
+                        [str(row.T)]
+                        + ["%.12g" % x for x in (row.regret, row.avg_regret, row.theory_bound)]
+                    )
+
+        rows = sweep(base_config(T=1, seed=2), [3, 6, 9])
+        rows += [
+            SweepRow(12, math.inf, -math.inf, math.nan),
+            SweepRow(15, -0.0, 1e300, 0.0),
+            SweepRow(18, -1e-300, 5e-324, -1e300),
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_sweep_csv(rows, str(got))
+        csv_module_writer(rows, str(want))
+        for token in (b"inf", b"-inf", b"nan", b"-0", b"1e+300"):
+            assert token in got.read_bytes()
+        assert got.read_bytes() == want.read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for algorithm in ("oda-c", "oda-ps"):

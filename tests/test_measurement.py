@@ -73,7 +73,8 @@ def test_finalize_matches_per_round_replay(config, monkeypatch):
     history = simulate(config)
     primals = np.array(seen)
     assert primals.shape == (config.T, config.n, config.p)
-    box, alpha = config.box, config.alpha or inv_sqrt_step
+    box = config.box
+    alpha = inv_sqrt_step if config.alpha is None else config.alpha.__getitem__
 
     # the recorded single-agent run is the oracle's, operation for operation
     assert np.array_equal(history.refs, centralized_reference(history.updates, box)[:-1])

@@ -99,7 +99,11 @@ def test_rule_picks_dense_at_small_n_and_gather_on_the_200_cycle():
     assert isinstance(mixing_operator(lazy_cycle_pair(200).pair.M), PaddedRows)
 
 
-def test_operator_is_formed_once_per_distinct_matrix():
+def test_operator_is_formed_once_per_distinct_matrix(monkeypatch):
+    formed = []
+    monkeypatch.setattr(
+        engine_module, "mixing_operator", lambda A: formed.append(A) or mixing_operator(A)
+    )
     n = 128
     engine = DualAveragingEngine(
         split_ring_schedule(n, 5), BlockMap.scalar(n), ActionBox.uniform(-3, 3, n)
@@ -107,7 +111,8 @@ def test_operator_is_formed_once_per_distinct_matrix():
     rng = np.random.default_rng(0)
     for t in range(1, 13):
         engine.step(rng.uniform(-1, 1, n), alpha=1 / math.sqrt(t))
-    forms = [op for _, op in engine._operators.values()]
+    assert len(formed) == 5
+    forms = engine._operators
     assert len(forms) == 5
     assert all(isinstance(op, PaddedRows) for op in forms)
 

@@ -107,6 +107,12 @@ class TestOfflineComparator:
                 QuadraticLoss(A=np.eye(1), q=np.zeros((0, 1))), ActionBox.uniform(-1, 1, 1)
             )
 
+    def test_box_of_another_dimension_rejected(self):
+        with pytest.raises(ConfigError, match="disagrees with the box"):
+            offline_comparator(
+                QuadraticLoss(A=np.eye(2), q=np.zeros((3, 2))), ActionBox.uniform(-1, 1, 3)
+            )
+
     def test_iteration_cap_attaches_best(self):
         # correlated coordinates and an optimum on a face of the box: the
         # clamped Newton start is off, and one more pass is needed

@@ -17,7 +17,6 @@ from netdual import (
     ReversiblePair,
     StaticTopology,
     UndirectedGraph,
-    build_pushsum_matrix,
     contraction_constants,
     lazy_cycle_pair,
     load_graph,
@@ -122,6 +121,11 @@ class TestValidateReversiblePair:
             validate_reversible_pair(g, pair)
 
 
+    def test_pair_rejects_shape_mismatch(self):
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            ReversiblePair(r=np.full(3, 1 / 3), M=np.eye(2))
+
+
 class TestSpectralGap:
     def test_matches_eigendecomposition_oracle_on_cycle(self):
         pair = lazy_cycle_pair(5).pair
@@ -175,7 +179,7 @@ class TestPushSumMatrix:
         sched = DigraphSchedule(
             n=2, graphs=(frozenset({(0, 0), (1, 1), (0, 1)}),), period=1
         )
-        A = build_pushsum_matrix(sched, 0)
+        A = sched.matrix_at(0)
         # node 0 has out-degree 2 (self + to 1), node 1 only itself
         assert np.allclose(A, [[0.5, 0.0], [0.5, 1.0]])
 
@@ -189,7 +193,7 @@ class TestPushSumMatrix:
                     if i != j and rng.random() < 0.4:
                         edges.add((i, j))
             sched = DigraphSchedule(n=n, graphs=(frozenset(edges),), period=1)
-            A = build_pushsum_matrix(sched, 0)
+            A = sched.matrix_at(0)
             assert np.allclose(A.sum(axis=0), 1.0)
             assert np.all(A >= 0)
 
@@ -207,9 +211,9 @@ class TestDigraphSchedule:
         assert sched.graph_at(3) == g1
         assert sched.graph_at(4) == g0
 
-    def test_matrix_cache_reuses_periodic_slots(self):
+    def test_periodic_slots_share_a_matrix(self):
         sched = split_ring_schedule(5, 3)
-        assert sched.matrix_at(1) is sched.matrix_at(4)
+        assert np.array_equal(sched.matrix_at(1), sched.matrix_at(4))
 
     def test_explicit_list_bounds(self):
         g = frozenset({(0, 0)})
@@ -217,6 +221,8 @@ class TestDigraphSchedule:
         assert sched.graph_at(1) == g
         with pytest.raises(ConfigError):
             sched.graph_at(2)
+        with pytest.raises(ConfigError, match="negative time"):
+            sched.graph_at(-1)
 
     def test_rejects_period_count_mismatch(self):
         with pytest.raises(ConfigError):
@@ -317,6 +323,10 @@ class TestContractionConstants:
         assert cc.beta == pytest.approx(math.sqrt(2.0))
         assert cc.theta == 0.3
         assert cc.gamma == 1.0
+        # a sup of 0 mixes in one round: theta 0, and log(1 - theta) is 0
+        cc = contraction_constants(5, 2, regular=True, sigma2_sup=0.0)
+        assert (cc.beta, cc.theta, cc.gamma) == (math.sqrt(2.0), 0.0, 1.0)
+        assert (cc.one_minus_theta, cc.log_one_minus_theta) == (1.0, 0.0)
 
     def test_singular_value_requires_regular(self):
         with pytest.raises(ConfigError):
