@@ -141,11 +141,14 @@ class DualAveragingEngine:
                 f"box dimension p={self.box.p} but block map covers p={self.blocks.p}"
             )
         p = self.blocks.p
-        # constant over the run; _flat[k] is entry (owner[k], k) of a raveled (n, p)
+        # constant over the run; _inject[k] is entry (owner[k], k) of a raveled (n, p)
         self._owner = self.blocks.owner
         # local_updates gathers X[owner]; the scalar map's gather is the identity
         self._gather = not np.array_equal(self._owner, np.arange(n))
-        self._flat = self._owner * p + np.arange(p)
+        # the identity map (n = p) owns the diagonal: a strided view, which
+        # adds in place without the fancy index's gather and scatter
+        diagonal = slice(None, None, p + 1)
+        self._inject = self._owner * p + np.arange(p) if self._gather else diagonal
         self._r = None if self._w is not None else self.network.pair.r
         self._r_owner = None if self._r is None else self._r[self._owner]
         self._Z = np.zeros((n, p))
@@ -181,7 +184,7 @@ class DualAveragingEngine:
         """The (n, p) increment that puts each owned entry u[k] into its
         owner's row."""
         U = np.zeros((self.n, self.p))
-        U.reshape(-1)[self._flat] = self._scaled(u)
+        U.reshape(-1)[self._inject] = self._scaled(u)
         return U
 
     def local_updates(self, H: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -210,7 +213,7 @@ class DualAveragingEngine:
         # in place, with no (n, p) increment formed, to keep a round's peak
         # memory down; each (owner, k) pair occurs once, so the sums match
         # (Z is a fresh C-contiguous product, so the reshape is a view)
-        Z.reshape(-1)[self._flat] += self._scaled(u)
+        Z.reshape(-1)[self._inject] += self._scaled(u)
         self._Z = Z
         if self._w is not None:
             self._w = A @ self._w

@@ -187,19 +187,27 @@ class SensingEnvironment:
     def measurements(self, T: int, rng: np.random.Generator) -> np.ndarray:
         """The (T, p) stack q_1..q_T: the T rounds' standard normals drawn in
         blocks (``normal_rows``, bit for bit one round after another), then
-        each row mapped in place to its round's measurement."""
+        mapped in place to their measurements, BLOCK_VALUES // p rounds at a
+        time through one reused product buffer."""
         Q = normal_rows(rng, T, self.p)
-        for t in range(T):
-            Q[t] = self.next_objective(Q[t])
+        k = max(1, min(T, BLOCK_VALUES // self.p))
+        buf = np.empty((k, self.p, 1))
+        for a in range(0, T, k):
+            N = Q[a : a + k]
+            self.next_objective(N, buf[: len(N)], N)
         return Q
 
-    # one row at a time: a stacked N @ cov_sqrt.T rounds some rows differently
-    # for a general covariance; a method of its own, so the benchmark times
-    # each round's map (harness.env)
-    def next_objective(self, z: np.ndarray) -> np.ndarray:
-        """One round's measurement q_t = A target + cov_sqrt z from its
-        standard normals z."""
-        return self.center + self._cov_sqrt @ z
+    # a batched matmul of the (p, p) root with (k, p, 1) runs one gemv per
+    # round, the call cov_sqrt @ z makes, so each row is bit for bit the
+    # per-round map; a 2-D N @ cov_sqrt.T is one gemm and rounds some rows
+    # differently for a general covariance. A method of its own, so the
+    # benchmark times the map (harness.env, one span per block)
+    def next_objective(self, N: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write into ``out`` the measurements q = A target + cov_sqrt z of a
+        (k, p) block of rounds' standard normals N, one row per round;
+        ``buf`` takes the (k, p, 1) products, and ``out`` may be N itself."""
+        np.matmul(self._cov_sqrt, N[:, :, None], out=buf)
+        return np.add(self.center, buf[:, :, 0], out=out)
 
     def measurement_ball(self) -> tuple:
         """A-priori (center, radius) of q_t: A target, six noise deviations."""
@@ -313,11 +321,17 @@ class RunConfig:
         # finalize needs both of these after round T: fail before round 1
         if self.sigma2_sup is not None and not self.regular:
             raise ConfigError("a singular-value sup is only accepted for regular schedules")
-        if self.alpha is not None and len(self.alpha) <= self.T:
-            raise ConfigError(
-                f"alpha value list has {len(self.alpha)} entries; need index {self.T} "
-                "(the list must cover the horizon plus one)"
-            )
+        if self.alpha is not None:
+            if len(self.alpha) <= self.T:
+                raise ConfigError(
+                    f"alpha value list has {len(self.alpha)} entries; need index {self.T} "
+                    "(the list must cover the horizon plus one)"
+                )
+            # a step value that is not positive and finite would stop the run
+            # in its round, or bend the bounds after round T
+            bad = [v for v in self.alpha if not 0 < v < math.inf]
+            if bad:
+                raise ConfigError(f"alpha values must be positive and finite, got {bad[0]}")
 
     @property
     def n(self) -> int:
@@ -352,10 +366,8 @@ def _alpha_from_spec(spec) -> tuple | None:
     if "values" in spec:
         if not isinstance(spec["values"], (list, tuple)):
             raise ConfigError(f'alpha "values" must be a list of numbers, got {spec["values"]!r}')
-        values = tuple(_real(v, "alpha value") for v in spec["values"])
-        if any(v <= 0 for v in values):
-            raise ConfigError("alpha values must be positive")
-        return values
+        # RunConfig checks the values themselves
+        return tuple(_real(v, "alpha value") for v in spec["values"])
     rule = spec.get("rule", "inv-sqrt")
     if rule != "inv-sqrt":
         raise ConfigError(f'unknown alpha rule "{rule}"')
@@ -631,19 +643,23 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
             )
 
     c = max(1, BLOCK_VALUES // (config.n * p))
+    step_list = steps.tolist()
     Xs, Zs, Rs, Ws = [], [], [], []  # the states of the open block's rounds
-    for t, step in zip(range(1, T + 1), steps.tolist()):
-        Xs.append(engine.primal_matrix())
-        # row by row: a stacked Q @ A rounds some rows differently
-        updates[t - 1] = u = engine.local_updates(H, Q[t - 1] @ A)
-        engine.step(u, step)
-        # the engine replaces these arrays each step and never writes into them
-        Zs.append(engine._Z)
-        if r is None:  # push-sum: the ratios and the weights as well
-            Rs.append(engine._ratios)
-            Ws.append(engine._w)
-        if len(Xs) == c or t == T:
-            measure(Xs, Zs, Rs, Ws, t)
+    for t0 in range(0, T, c):
+        t1 = min(t0 + c, T)
+        # the block's b_t = A^T q_t, one gemv per row: bit for bit the
+        # per-round Q[t] @ A, where a 2-D Q @ A (one gemm) is not
+        Bs = np.matmul(Q[t0:t1, None, :], A)[:, 0, :]
+        for t in range(t0, t1):
+            Xs.append(engine.primal_matrix())
+            updates[t] = u = engine.local_updates(H, Bs[t - t0])
+            engine.step(u, step_list[t])
+            # the engine replaces these arrays each step and never writes into them
+            Zs.append(engine._Z)
+            if r is None:  # push-sum: the ratios and the weights as well
+                Rs.append(engine._ratios)
+                Ws.append(engine._w)
+        measure(Xs, Zs, Rs, Ws, t1)
 
     dis, dis_sq, mf_res, w_res = diag
     return RunHistory(

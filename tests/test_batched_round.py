@@ -26,6 +26,7 @@ from netdual import (
     run,
     simulate,
     split_ring_schedule,
+    topology_from_dict,
 )
 
 GROUPED = BlockMap(blocks=((0, 5), (1, 2), (3,), (4, 6, 7, 8, 9)))
@@ -194,3 +195,39 @@ def test_pushsum_n50_meets_run_invariants():
     assert np.all(trace.regret_partial <= trace.bound_partial + 1e-9)
     bound = trace.constants["disagreement_bound"]
     assert np.all(trace.disagreement_squared <= bound * (1 + 1e-12) + 1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+@pytest.mark.parametrize("n", [1, 5, 50])
+def test_strided_injection_is_the_fancy_index(n, algorithm):
+    """The identity map (n = p) injects through the strided diagonal view
+    Z.reshape(-1)[::p + 1]; from the same random duals a step must leave
+    the bytes the fancy index (owner * p + arange(p)) leaves."""
+    rng = np.random.default_rng(n)
+    if algorithm == "oda-ps":
+        network = split_ring_schedule(n, min(n, 3))
+    elif n == 1:  # a cycle needs 3 agents: the one-agent pair M = [[1]]
+        network = topology_from_dict(
+            {"mode": "static", "n": 1, "edges": [], "r": [1.0], "M": [[1.0]]}
+        )
+    else:
+        network = lazy_cycle_pair(n)
+    box = ActionBox.uniform(-4.0, 4.0, n)
+    strided = DualAveragingEngine(network, BlockMap.scalar(n), box)
+    assert strided._inject == slice(None, None, n + 1)
+    fancy = copy.deepcopy(strided)
+    fancy._inject = np.arange(n) * n + np.arange(n)
+    for engine in (strided, fancy):
+        engine._Z = np.random.default_rng(n + 1).normal(size=(n, n)) * 10.0
+    for t in range(3):
+        u = rng.uniform(-2.0, 2.0, n)
+        strided.step(u, 0.5 / (t + 1))
+        fancy.step(u, 0.5 / (t + 1))
+        assert strided._Z.tobytes() == fancy._Z.tobytes()
+        assert strided._X.tobytes() == fancy._X.tobytes()
+        assert strided._injection(u).tobytes() == fancy._injection(u).tobytes()
+
+
+def test_grouped_map_keeps_the_index():
+    engine = DualAveragingEngine(lazy_cycle_pair(4), GROUPED, ActionBox.uniform(-1.0, 1.0, 10))
+    assert np.array_equal(engine._inject, GROUPED.owner * 10 + np.arange(10))

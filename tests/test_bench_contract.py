@@ -71,14 +71,20 @@ def test_cumulative_sweep_shows_every_prefix_to_the_probe():
         assert np.array_equal(trace.y_star, comparator.y)
 
 
-def test_environment_layer_times_every_round():
-    """``harness.env`` times the sensing environment's one-round draw. A
-    simulate that drew its measurements past ``next_objective`` would keep
-    the name and read 0 s there; every round must pass through it once."""
+def traced_map_blocks(config, monkeypatch):
+    """Run ``simulate`` under the tracer; return the traced ``harness.env``
+    calls and the number of rounds each call mapped."""
+    rows = []
+    next_objective = harness.SensingEnvironment.next_objective
+
+    def recording(self, N, *args, **kwargs):
+        rows.append(len(N))
+        return next_objective(self, N, *args, **kwargs)
+
+    # patched before the tracer is built, so the tracer wraps the recorder
+    monkeypatch.setattr(harness.SensingEnvironment, "next_objective", recording)
     tracer_module = load_tracer()
     tracer = tracer_module.Tracer(harness, tracer_module.LAYERS)
-    T = 12
-    config = RunConfig("oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=T, seed=5)
     tracer.install()
     try:
         op = tracer.begin_op()
@@ -86,7 +92,32 @@ def test_environment_layer_times_every_round():
         tracer.end_op(op)
     finally:
         tracer.uninstall()
-    assert tracer.per_op()[0]["harness.env"][0] == T
+    return tracer.per_op()[0]["harness.env"], rows
+
+
+def test_environment_layer_times_every_round(monkeypatch):
+    """``harness.env`` times the sensing environment's measurement map, one
+    span per block of BLOCK_VALUES // p rounds. A simulate that mapped its
+    measurements past ``next_objective`` would keep the name and read 0 s
+    there; every round must pass through it once."""
+    T = 12
+    config = RunConfig("oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=T, seed=5)
+    (calls, _), rows = traced_map_blocks(config, monkeypatch)
+    assert calls == 1
+    assert rows == [T]
+
+
+def test_environment_layer_maps_a_ragged_last_block(monkeypatch):
+    """At p = 20 a map block is 819 rounds, so T = 2001 ends in a short
+    block; the blocks still cover every round once."""
+    T, p = 2001, 20
+    config = RunConfig("oda-c", lazy_cycle_pair(p), ActionBox.uniform(-10, 10, p), T=T, seed=5)
+    (calls, self_s), rows = traced_map_blocks(config, monkeypatch)
+    k = harness.BLOCK_VALUES // p
+    assert rows == [k, k, T - 2 * k]
+    assert calls == len(rows) == 3
+    assert sum(rows) == T
+    assert self_s > 0
 
 
 def test_finalize_forms_no_step_and_one_curvature(monkeypatch):

@@ -455,6 +455,9 @@ class TestConfigBoundary:
             ("graph", {**PATH_PAIR, "M": [[0.5, math.inf], [0.5, 0.5]]}),
             ("alpha", {"values": 5}),
             ("alpha", {"values": None}),
+            ("alpha", {"values": [1.0, math.nan] + [1.0] * 19}),
+            ("alpha", {"values": [1.0] * 20 + [-1.0]}),
+            ("alpha", {"values": [1.0] * 5 + [math.inf] + [1.0] * 15}),
             ("blocks", [[0, 1], [2, 3, 4]]),
             ("box", "wide"),
             ("environment", {"type": "fixed"}),
@@ -469,7 +472,8 @@ class TestConfigBoundary:
             "sigma2-not-regular", "alpha-short", "graph-r-str", "arc-str", "edge-triple",
             "graphs-int", "box-lo-nan", "box-hi-inf", "fixed-q-nan", "fixed-A-inf",
             "sensing-target-inf", "sensing-A-nan", "sensing-P-inf", "graph-r-nan", "graph-M-inf",
-            "alpha-values-int", "alpha-values-null", "blocks-agent-count", "box-neither",
+            "alpha-values-int", "alpha-values-null", "alpha-values-nan",
+            "alpha-values-negative-last", "alpha-values-inf", "blocks-agent-count", "box-neither",
             "fixed-no-q", "period-negative", "graphs-empty", "arc-out-of-range",
         ],
     )

@@ -178,6 +178,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="explicit schedule has 3 graphs"):
             replace(base_config(algorithm="oda-ps"), topology=explicit, T=4)
 
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            (1.0, -1.0, 1.0, 1.0),
+            (1.0, 1.0, 1.0, -1.0),
+            (0.0, 1.0, 1.0, 1.0),
+            (1.0, math.nan, 1.0, 1.0),
+            (1.0, 1.0, math.inf, 1.0),
+        ],
+        ids=["negative-round-2", "negative-last", "zero", "nan", "inf"],
+    )
+    def test_step_values_fail_before_round_one(self, alpha):
+        """A step value that is not positive and finite is rejected when the
+        config is built: a negative alpha(1) used to stop the run in round
+        2, and a negative alpha(T) to finish with a negative C / alpha(T)
+        term in bound_partial."""
+        with pytest.raises(ConfigError, match="alpha values must be positive and finite"):
+            base_config(T=3, alpha=alpha)
+        assert base_config(T=3, alpha=(1.0, 0.5, 0.25, 0.125)).alpha[-1] == 0.125
+
     def test_default_blocks_scalar(self):
         cfg = base_config()
         assert cfg.n == 5
