@@ -325,6 +325,8 @@ def main(argv=None) -> int:
         )
     except (FloatingPointError, np.linalg.LinAlgError) as e:
         return _fail(EXIT_RUNTIME, f"numerical failure: {e}", command=args.command)
+    except MemoryError as e:
+        return _fail(EXIT_RUNTIME, f"out of memory: {e}", command=args.command)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ algorithm's contract is certified before round 1, by
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import ActionBox, BlockMap
 from .errors import ConfigError
@@ -48,33 +49,50 @@ class PaddedRows:
     """A square matrix in ELLPACK form: row i's nonzeros are W[i, 0] at the
     columns nbr[i], by ascending column, padded at the end with weight 0 at
     column i. ``P @ X`` is the matrix product, each row summed over its
-    nonzeros only: O(n K p) against the dense O(n^2 p)."""
+    nonzeros only: O(n K p) against the dense O(n^2 p). A band, rows whose K
+    columns are consecutive and move up by one from row to row (the interior
+    of a cycle or a path), reads its neighbourhoods in place through a
+    read-only strided window of X; the other rows gather theirs. Each row is
+    the same gemv on the same data (row stride p for a C-contiguous X), so
+    the bits are the gather's."""
 
     nbr: np.ndarray  # (n, K) column indices
     W: np.ndarray  # (n, 1, K) weights
+    runs: tuple  # (rows, window slice or gathered nbr rows), covering 0..n-1
 
     @classmethod
     def of(cls, A: np.ndarray) -> "PaddedRows":
         nz = A != 0
+        n, i = A.shape[0], np.arange(A.shape[0])
         K = max(int(nz.sum(axis=1).max()), 1)
         # a stable sort puts each row's nonzero columns first, in ascending order
         cols = np.argsort(~nz, axis=1, kind="stable")[:, :K]
         held = np.take_along_axis(nz, cols, axis=1)
-        nbr = np.where(held, cols, np.arange(A.shape[0])[:, None])
+        nbr = np.where(held, cols, i[:, None])
         W = np.where(held, np.take_along_axis(A, cols, axis=1), 0.0)
-        return cls(nbr=nbr, W=W[:, None, :])
+        # band row i reads window[i + shift]; a run is rows of one shift, and
+        # gather rows (shift -n) are cut every ceil(n/K) rows, which keeps
+        # their gathered (rows, K, p) temporary near one (n, p) array
+        band = (np.diff(nbr, axis=1) == 1).all(axis=1)
+        shift = np.where(band, nbr[:, 0] - i, -n)
+        cut = (np.diff(shift, prepend=n) != 0) | (~band & (i % -(-n // K) == 0))
+        edges = [*np.flatnonzero(cut).tolist(), n]
+        runs = tuple(
+            (slice(a, b), slice(a + s, b + s) if s > -n else nbr[a:b])
+            for a, b, s in zip(edges, edges[1:], shift[edges[:-1]].tolist())
+        )
+        return cls(nbr=nbr, W=W[:, None, :], runs=runs)
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         if X.ndim == 1:  # the weight channel: one small (n, K) gather
             return (self.W @ X[self.nbr][:, :, None])[:, 0, 0]
         n, K = self.nbr.shape
         out = np.empty((n, 1, X.shape[1]))
-        # blocks of ceil(n/K) rows keep the gathered (rows, K, p) temporary
-        # near the size of one (n, p) array
-        rows = -(-n // K)
-        for s in range(0, n, rows):
-            b = slice(s, s + rows)
-            np.matmul(self.W[b], X[self.nbr[b]], out=out[b])
+        s0, s1 = X.strides
+        window = as_strided(X, (n - K + 1, K, X.shape[1]), (s0, s0, s1), writeable=False)
+        for rows, src in self.runs:
+            block = window[src] if type(src) is slice else X[src]
+            np.matmul(self.W[rows], block, out=out[rows])
         return out[:, 0, :]
 
 
@@ -151,6 +169,7 @@ class DualAveragingEngine:
         self._inject = self._owner * p + np.arange(p) if self._gather else diagonal
         self._r = None if self._w is not None else self.network.pair.r
         self._r_owner = None if self._r is None else self._r[self._owner]
+        self._n, self._u_shape = n, (p,)
         self._Z = np.zeros((n, p))
         self._u_total = np.zeros(p)
         self._X = np.broadcast_to(self.box.clamp(np.zeros(p)), (n, p)).copy()
@@ -173,39 +192,31 @@ class DualAveragingEngine:
     def p(self) -> int:
         return self.blocks.p
 
-    def _scaled(self, u: np.ndarray) -> np.ndarray:
-        """Each owned entry u[k] as it enters its owner's row: scaled by 1/r
-        of the owner, or by n."""
-        if self._w is None:
-            return u / self._r_owner
-        return self.n * u
-
     def _injection(self, u: np.ndarray) -> np.ndarray:
         """The (n, p) increment that puts each owned entry u[k] into its
         owner's row."""
         U = np.zeros((self.n, self.p))
-        U.reshape(-1)[self._inject] = self._scaled(u)
+        U.reshape(-1)[self._inject] = u / self._r_owner if self._w is None else self.n * u
         return U
 
-    def local_updates(self, H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def local_updates(self, H: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         """The owned gradient entries of f(x) = 0.5||Ax - q||^2 from its normal
         form H = A^T A, b = A^T q: entry k is (H x_owner(k))_k - b_k, the
         gradient in coordinate k at the point of the agent that owns k. One
         length-p dot product per coordinate, O(p^2); H is symmetric, so row k
-        of H stands for its column k."""
+        of H stands for its column k. Written into ``out`` when given."""
         # row k of X[owner] times row k of H: np.einsum would add 0.2-0.7 MB
         # of its own code pages to a run's peak resident memory on first use
         X = self._X[self._owner] if self._gather else self._X
-        return _row_dots(X, H) - b
+        return np.subtract(_row_dots(X, H), b, out)
 
     def step(self, u: np.ndarray, alpha: float) -> None:
-        """Mix the duals (and weights) with the round's matrix, inject the
-        owned gradient entries, then project the debiased duals."""
+        """Mix the duals (and weights) with the round's matrix, inject the owned
+        gradient entries (a float (p,) array), then project the debiased duals."""
         if alpha <= 0:
             raise ValueError(f"step size must be positive, got {alpha}")
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.p,):
-            raise ConfigError(f"update has shape {u.shape}, expected ({self.p},)")
+        if u.shape != self._u_shape:
+            raise ConfigError(f"update has shape {u.shape}, expected {self._u_shape}")
         ops, t = self._operators, self.rounds
         A = ops[t % len(ops)] if ops else mixing_operator(self.network.matrix_at(t))
         self._u_total += u
@@ -213,10 +224,12 @@ class DualAveragingEngine:
         # in place, with no (n, p) increment formed, to keep a round's peak
         # memory down; each (owner, k) pair occurs once, so the sums match
         # (Z is a fresh C-contiguous product, so the reshape is a view)
-        Z.reshape(-1)[self._inject] += self._scaled(u)
-        self._Z = Z
-        if self._w is not None:
+        if self._w is None:
+            Z.reshape(-1)[self._inject] += u / self._r_owner
+        else:
+            Z.reshape(-1)[self._inject] += self._n * u
             self._w = A @ self._w
+        self._Z = Z
         # the ratios are kept for the round's diagnostics: one division per round
         self._ratios = self.ratios()
         X = -alpha * self._ratios

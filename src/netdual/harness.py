@@ -403,9 +403,10 @@ def _environment_from_spec(spec, p: int):
             A=piece("A", (p, p)), target=piece("target", (p,)), cov=piece("P", (p, p))
         )
     if kind == "fixed":
-        if "q" not in spec:
+        q = piece("q", (None, p))
+        if q is None:
             raise ConfigError('fixed environment needs "q": a list of vectors')
-        return fixed_environment_factory(piece("q", (None, p)), A=piece("A", (p, p)))
+        return fixed_environment_factory(q, A=piece("A", (p, p)))
     raise ConfigError(f'unknown environment type "{kind}"')
 
 
@@ -645,16 +646,17 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     c = max(1, BLOCK_VALUES // (config.n * p))
     step_list = steps.tolist()
     Xs, Zs, Rs, Ws = [], [], [], []  # the states of the open block's rounds
+    # bound once; each still runs once a round, where a tracer can time it
+    local_updates, step = engine.local_updates, engine.step
     for t0 in range(0, T, c):
         t1 = min(t0 + c, T)
         # the block's b_t = A^T q_t, one gemv per row: bit for bit the
         # per-round Q[t] @ A, where a 2-D Q @ A (one gemm) is not
         Bs = np.matmul(Q[t0:t1, None, :], A)[:, 0, :]
-        for t in range(t0, t1):
-            Xs.append(engine.primal_matrix())
-            updates[t] = u = engine.local_updates(H, Bs[t - t0])
-            engine.step(u, step_list[t])
+        for b, u, alpha in zip(Bs, updates[t0:t1], step_list[t0:t1]):
             # the engine replaces these arrays each step and never writes into them
+            Xs.append(engine._X)
+            step(local_updates(H, b, u), alpha)
             Zs.append(engine._Z)
             if r is None:  # push-sum: the ratios and the weights as well
                 Rs.append(engine._ratios)

@@ -213,19 +213,19 @@ def backward_product(schedule: DigraphSchedule, t: int, s: int) -> np.ndarray:
 
 
 def record_primals(monkeypatch) -> list:
-    """Collect every (n, p) primal matrix the engine hands out, in order.
+    """Collect every (n, p) primal matrix the engine's local updates read,
+    in order.
 
-    simulate reads the agents' points once per round, before the step, so
+    simulate forms the owned gradients once per round, before the step, so
     during a run entry t-1 holds the points acted on at round t."""
     seen = []
-    primal_matrix = DualAveragingEngine.primal_matrix
+    local_updates = DualAveragingEngine.local_updates
 
-    def recording(self):
-        X = primal_matrix(self)
-        seen.append(X.copy())
-        return X
+    def recording(self, *args):
+        seen.append(self._X.copy())
+        return local_updates(self, *args)
 
-    monkeypatch.setattr(DualAveragingEngine, "primal_matrix", recording)
+    monkeypatch.setattr(DualAveragingEngine, "local_updates", recording)
     return seen
 
 

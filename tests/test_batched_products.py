@@ -3,8 +3,11 @@ time: each round's measurement ``center + cov_sqrt @ z`` and its
 ``b_t = A^T q_t``. A batched matmul of a matrix with a stack of vectors runs
 one gemv per row, the call the per-row product makes, so every row must be
 the per-row product's bytes; a 2-D gemm would round some rows differently.
-The identity is a property of the numpy and BLAS build, so a mismatch names
-the build."""
+The sparse mix rests on the same identity: each row of ``PaddedRows @ Z`` is
+one gemv over the row's K neighbours, read through a strided window of Z or
+a gathered copy, and must be the gathered per-row product's bytes. The
+identity is a property of the numpy and BLAS build, so a mismatch names the
+build."""
 
 import contextlib
 import io
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 from conftest import measurements_per_round
 
-from netdual import harness
+from netdual import harness, lazy_cycle_pair, split_ring_schedule
+from netdual.engine import PaddedRows
 
 
 def numpy_build() -> str:
@@ -82,3 +86,78 @@ def test_measurements_are_the_per_round_map(p, T):
     want = measurements_per_round(env, T, oracle_rng)
     assert_rows_bytes(got, want, f"measurements at p={p}")
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def path_matrix(n, rng):
+    """A path graph's random row-stochastic weights: two nonzeros in the end
+    rows, which are padded, and three in every interior row."""
+    A = np.zeros((n, n))
+    for i in range(n):
+        cols = [j for j in (i - 1, i, i + 1) if 0 <= j < n]
+        A[i, cols] = rng.uniform(0.1, 1.0, len(cols))
+    return A / A.sum(axis=1, keepdims=True)
+
+
+def mixed_rows_matrix(rng, n=60):
+    """Wrap-around rows, padded rows and two bands that read different
+    windows (row i from column i - 1, then from column i), K = 3."""
+    A = np.zeros((n, n))
+    for i in range(n):
+        if i < 30 or i >= n - 2:
+            cols = [(i - 1) % n, i, (i + 1) % n] if i < 30 else [i, (i + 1) % n, (i + 2) % n]
+        elif i < 40:
+            cols = [i, i + 1]
+        else:
+            cols = [i, i + 1, i + 2]
+        A[i, cols] = rng.uniform(0.1, 1.0, len(cols))
+    return A
+
+
+def random_cycle(n, rng):
+    """The n-cycle's sparsity with random weights, which round."""
+    return (lazy_cycle_pair(n).pair.M != 0) * rng.uniform(0.1, 1.0, (n, n))
+
+
+MIX_RNG = np.random.default_rng(17)
+MIX_MATRICES = {
+    "cycle40": lazy_cycle_pair(40).pair.M,
+    "cycle200": lazy_cycle_pair(200).pair.M,
+    "random-cycle200": random_cycle(200, MIX_RNG),
+    "path50": path_matrix(50, MIX_RNG),
+    "mixed60": mixed_rows_matrix(MIX_RNG),
+    **{
+        f"split-ring200-phase{k}": split_ring_schedule(200, 5).matrix_at(k)
+        for k in range(5)
+    },
+}
+
+
+@pytest.mark.parametrize("p", [1, 3, 200])
+@pytest.mark.parametrize("name", sorted(MIX_MATRICES))
+def test_padded_rows_product_is_the_gathered_per_row_product(name, p):
+    """Band rows read their neighbourhoods through a strided window of Z,
+    the other rows through a gathered copy; either way row i must be the
+    bytes of the gathered product W[i] @ Z[nbr[i]]."""
+    A = MIX_MATRICES[name]
+    n = len(A)
+    P = PaddedRows.of(A)
+    rng = np.random.default_rng([n, p])
+    Z = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    got = P @ Z
+    assert got.shape == (n, p)
+    rows = [(P.W[i] @ Z[P.nbr[i]])[0] for i in range(n)]
+    assert_rows_bytes(got, rows, f"{name} @ Z, p={p}")
+
+
+def test_band_rows_read_the_window():
+    """The cycle's interior and the mixed matrix's two bands are windowed,
+    the wrap-around and padded rows gathered."""
+
+    def windowed(A):
+        P = PaddedRows.of(A)
+        return [(rows.start, rows.stop) for rows, src in P.runs if type(src) is slice]
+
+    assert windowed(MIX_MATRICES["cycle200"]) == [(1, 199)]
+    assert windowed(MIX_MATRICES["path50"]) == [(1, 49)]
+    assert windowed(MIX_MATRICES["mixed60"]) == [(1, 30), (40, 58)]
+    assert windowed(np.eye(7)) == [(0, 7)]

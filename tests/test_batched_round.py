@@ -40,9 +40,10 @@ def reference_local_updates(engine, objective):
     return u
 
 
-def reference_normal_form_updates(engine, H, b):
-    """The per-agent round on the normal form simulate passes: H x_i - b."""
-    u = np.zeros(engine.p)
+def reference_normal_form_updates(engine, H, b, out=None):
+    """The per-agent round on the normal form simulate passes: H x_i - b,
+    written into ``out`` when given."""
+    u = np.zeros(engine.p) if out is None else out
     for i, block in enumerate(engine.blocks.blocks):
         g = H @ engine._X[i] - b
         u[list(block)] = g[list(block)]
@@ -166,9 +167,9 @@ def test_full_run_matches_reference(config, monkeypatch):
     seen = record_primals(monkeypatch)
     history = simulate(config)
     got = {"primals": np.array(seen), "actions": history.actions, "updates": history.updates}
-    seen.clear()
     monkeypatch.setattr(DualAveragingEngine, "local_updates", reference_normal_form_updates)
     monkeypatch.setattr(DualAveragingEngine, "step", reference_step)
+    seen = record_primals(monkeypatch)
     ref = simulate(config)
     want = {"primals": np.array(seen), "actions": ref.actions, "updates": ref.updates}
     assert got["primals"].shape == (config.T, config.n, config.p)

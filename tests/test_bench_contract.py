@@ -23,6 +23,7 @@ from netdual import (
     lazy_cycle_pair,
     objectives,
     regret,
+    split_ring_schedule,
     topology,
 )
 
@@ -83,6 +84,12 @@ def traced_map_blocks(config, monkeypatch):
 
     # patched before the tracer is built, so the tracer wraps the recorder
     monkeypatch.setattr(harness.SensingEnvironment, "next_objective", recording)
+    return traced_simulate(config)["harness.env"], rows
+
+
+def traced_simulate(config):
+    """Run ``simulate`` as one traced operation; return its {layer: (calls,
+    self seconds)}."""
     tracer_module = load_tracer()
     tracer = tracer_module.Tracer(harness, tracer_module.LAYERS)
     tracer.install()
@@ -92,7 +99,7 @@ def traced_map_blocks(config, monkeypatch):
         tracer.end_op(op)
     finally:
         tracer.uninstall()
-    return tracer.per_op()[0]["harness.env"], rows
+    return tracer.per_op()[0]
 
 
 def test_environment_layer_times_every_round(monkeypatch):
@@ -118,6 +125,24 @@ def test_environment_layer_maps_a_ragged_last_block(monkeypatch):
     assert calls == len(rows) == 3
     assert sum(rows) == T
     assert self_s > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig("oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=45, seed=5),
+        RunConfig("oda-ps", split_ring_schedule(6, 3), ActionBox.uniform(-10, 10, 6), T=45, seed=5),
+    ],
+    ids=["oda-c", "oda-ps"],
+)
+def test_engine_layers_time_every_round(config):
+    """``engine.step`` and ``engine.local_updates`` time the engine's class
+    methods, one span per round each. A round loop that bound them before
+    the tracer wrapped the class, or inlined them, would keep the names and
+    read 0 s there."""
+    layers = traced_simulate(config)
+    assert layers["engine.step"][0] == config.T
+    assert layers["engine.local_updates"][0] == config.T
 
 
 def test_finalize_forms_no_step_and_one_curvature(monkeypatch):

@@ -181,6 +181,21 @@ class TestRunCommand:
         assert 1e-300 < payload["grad_norm"] < 1e-6
         assert math.isfinite(payload["best_value"])
 
+    def test_out_of_memory_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # a horizon too long for the step sizes, without allocating them
+        def no_memory(T, alpha=None):
+            raise MemoryError(f"Unable to allocate {8 * (T + 1)} bytes")
+
+        monkeypatch.setattr(harness, "step_sizes", no_memory)
+        cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-c", "T": 1000000000000})
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 4
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["command"] == "run"
+        assert payload["error"].startswith("out of memory: ")
+
     def test_pushsum_reports_weight_residual(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-ps", "T": 25})
         code, payload = invoke(
@@ -461,6 +476,7 @@ class TestConfigBoundary:
             ("blocks", [[0, 1], [2, 3, 4]]),
             ("box", "wide"),
             ("environment", {"type": "fixed"}),
+            ("environment", {"type": "fixed", "q": None}),
             ("graph", {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1]]], "period": -1}),
             ("graph", {"n": 2, "mode": "schedule", "graphs": []}),
             ("graph", {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1], [0, 2]]]}),
@@ -474,7 +490,7 @@ class TestConfigBoundary:
             "sensing-target-inf", "sensing-A-nan", "sensing-P-inf", "graph-r-nan", "graph-M-inf",
             "alpha-values-int", "alpha-values-null", "alpha-values-nan",
             "alpha-values-negative-last", "alpha-values-inf", "blocks-agent-count", "box-neither",
-            "fixed-no-q", "period-negative", "graphs-empty", "arc-out-of-range",
+            "fixed-no-q", "fixed-q-null", "period-negative", "graphs-empty", "arc-out-of-range",
         ],
     )
     def test_malformed_field_is_parse_error_before_simulating(

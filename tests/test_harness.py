@@ -369,9 +369,9 @@ class TestSimulate:
             gradient_calls.append(np.shape(x))
             return gradient(self, x)
 
-        def recording(self, H, b):
+        def recording(self, H, b, *args):
             seen.append(H)
-            return local_updates(self, H, b)
+            return local_updates(self, H, b, *args)
 
         monkeypatch.setattr(QuadraticLoss, "gradient", counted)
         monkeypatch.setattr(DualAveragingEngine, "local_updates", recording)
