@@ -268,10 +268,3 @@ class DualAveragingEngine:
     def weight_conservation_residual(self) -> float:
         """|sum(w) - n|; 0.0 when no weight is tracked."""
         return self._diagnostics()[3]
-
-    def primal_matrix(self) -> np.ndarray:
-        """The agents' points, (n, p), as a read-only view: the step replaces
-        the array, so the view keeps this round's points."""
-        X = self._X.view()
-        X.flags.writeable = False
-        return X

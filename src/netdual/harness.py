@@ -67,76 +67,8 @@ SWEEP_ROW = "%d," + ",".join(["%.12g"] * 3) + "\r\n"
 # ~30 numpy calls carry a fixed cost that larger blocks spread over more
 # rounds. In-process at n = p = 50 the measurement took 50 us a round at
 # 1 << 13 (c = 3) and 40 at 1 << 14 (c = 6); 1 << 15 (c = 13) took 33 but
-# raised the tracemalloc peak of a run by 0.6 MB (3.97 -> 4.55). normal_rows
-# draws the noise in blocks of about BLOCK_VALUES uniforms: the same bits at
-# any block size, 2.1 us a round at p = 50 against 3.0 at 1 << 13
+# raised the tracemalloc peak of a run by 0.6 MB (3.97 -> 4.55)
 BLOCK_VALUES = 1 << 14
-
-
-def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Standard normal draws built from the generator's uniforms by the polar
-    rejection method; batched so large counts stay vectorized."""
-    out = np.empty(count)
-    filled = 0
-    while filled < count:
-        pairs = max(8, (count - filled) // 2 + (count - filled) // 4 + 8)
-        u = 2.0 * rng.random(pairs) - 1.0
-        v = 2.0 * rng.random(pairs) - 1.0
-        s = u * u + v * v
-        ok = (s > 0.0) & (s < 1.0)
-        f = np.sqrt(-2.0 * np.log(s[ok]) / s[ok])
-        vals = np.concatenate([u[ok] * f, v[ok] * f])
-        take = min(vals.shape[0], count - filled)
-        out[filled : filled + take] = vals[:take]
-        filled += take
-    return out
-
-
-def normal_rows(rng: np.random.Generator, T: int, p: int) -> np.ndarray:
-    """The (T, p) stack of T calls of ``standard_normals(rng, p)``, bit for
-    bit, drawn in blocks of rounds, with rng left in the same state.
-
-    A round whose first polar attempt accepts at least p/2 pairs takes its
-    values from that attempt alone, so a block draws every round's first
-    attempt as one (rounds, 2, pairs) array of uniforms (u then v, in the
-    generator's order) and keeps the first p of each round's accepted u and
-    v values. At the first round that needs a second attempt the block
-    stops: the generator goes back to the block's start and redraws the
-    rounds before that one, and ``standard_normals`` draws the round itself;
-    the next block starts after it."""
-    out = np.empty((T, p))
-    pairs = max(8, p // 2 + p // 4 + 8)
-    size = max(1, BLOCK_VALUES // (2 * pairs))
-    cols = np.arange(p)
-    t = 0
-    while t < T and p:
-        saved = rng.bit_generator.state
-        B = rng.random((min(size, T - t), 2, pairs))
-        B *= 2.0
-        B -= 1.0
-        s = np.square(B[:, 0]) + np.square(B[:, 1])
-        ok = (s > 0.0) & (s < 1.0)
-        # log over the accepted s alone, contiguous as standard_normals has them
-        f = np.zeros_like(s)
-        acc = s[ok]
-        f[ok] = np.sqrt(-2.0 * np.log(acc) / acc)
-        B *= f[:, None, :]
-        # the accepted values in draw order: each round's u, then its v
-        vals = B[np.broadcast_to(ok[:, None, :], B.shape)]
-        twice = 2 * ok.sum(axis=1)
-        short = np.flatnonzero(twice < p)
-        c = int(short[0]) if short.size else len(B)
-        starts = np.cumsum(twice[:c]) - twice[:c]
-        out[t : t + c] = vals[starts[:, None] + cols]
-        t += c
-        if c < len(B):
-            # a redraw, not bit_generator.advance: advance would also drop
-            # a PCG64's buffered 32-bit half
-            rng.bit_generator.state = saved
-            rng.random(out=B[:c])
-            out[t] = standard_normals(rng, p)
-            t += 1
-    return out
 
 
 def covariance_sqrt(P: np.ndarray) -> np.ndarray:
@@ -185,11 +117,12 @@ class SensingEnvironment:
         return self.target.shape[0]
 
     def measurements(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        """The (T, p) stack q_1..q_T: the T rounds' standard normals drawn in
-        blocks (``normal_rows``, bit for bit one round after another), then
-        mapped in place to their measurements, BLOCK_VALUES // p rounds at a
-        time through one reused product buffer."""
-        Q = normal_rows(rng, T, self.p)
+        """The (T, p) stack q_1..q_T: the T rounds' standard normals drawn
+        by one ``rng.standard_normal((T, p))`` call, in round order and bit
+        for bit T calls of ``rng.standard_normal(p)``, then mapped in place
+        to their measurements, BLOCK_VALUES // p rounds at a time through
+        one reused product buffer."""
+        Q = rng.standard_normal((T, self.p))
         k = max(1, min(T, BLOCK_VALUES // self.p))
         buf = np.empty((k, self.p, 1))
         for a in range(0, T, k):

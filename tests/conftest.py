@@ -1,5 +1,7 @@
+import contextlib
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -141,13 +143,42 @@ def unrolled_dual_check(engine: DualAveragingEngine, update_history: list) -> fl
 
 def measurements_per_round(env: harness.SensingEnvironment, T: int, rng) -> np.ndarray:
     """A sensing environment's (T, p) measurement stack drawn one round after
-    another, each round's standard normals by their own polar draw. The
-    oracle the blocked draw in ``SensingEnvironment.measurements`` is
-    checked against, bit for bit."""
+    another, each round's standard normals by their own
+    ``rng.standard_normal(p)`` call. The oracle the one-call draw and the
+    blocked map in ``SensingEnvironment.measurements`` are checked against,
+    bit for bit."""
     Q = np.empty((T, env.p))
     for t in range(T):
-        Q[t] = env.center + env._cov_sqrt @ harness.standard_normals(rng, env.p)
+        Q[t] = env.center + env._cov_sqrt @ rng.standard_normal(env.p)
     return Q
+
+
+def numpy_build() -> str:
+    """numpy's version and the name and version of the BLAS it was built
+    against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except TypeError:  # numpy < 1.26 only prints its configuration
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            np.show_config()
+        blas = out.getvalue()
+    return f"numpy {np.__version__}, BLAS {blas}"
+
+
+def run_bytes(config: RunConfig, path) -> tuple:
+    """The bytes of one run: each RunHistory array and ``losses.q`` by name,
+    and the trace CSV written to ``path``."""
+    history = harness.simulate(config)
+    harness.write_trace_csv(harness.finalize(history), path)
+    arrays = {
+        f.name: getattr(history, f.name).tobytes()
+        for f in fields(history)
+        if isinstance(getattr(history, f.name), np.ndarray)
+    }
+    arrays["losses.q"] = history.losses.q.tobytes()
+    return arrays, path.read_bytes()
 
 
 def simulate_per_round(config: RunConfig) -> harness.RunHistory:
@@ -171,7 +202,7 @@ def simulate_per_round(config: RunConfig) -> harness.RunHistory:
     total = np.zeros(p)
     ref = config.box.clamp(np.zeros(p))
     for t, step in zip(range(1, T + 1), steps.tolist()):
-        X = engine.primal_matrix()
+        X = engine._X
         u = engine.local_updates(H, Q[t - 1] @ A)
         engine.step(u, step)
 

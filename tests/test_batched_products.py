@@ -9,27 +9,12 @@ a gathered copy, and must be the gathered per-row product's bytes. The
 identity is a property of the numpy and BLAS build, so a mismatch names the
 build."""
 
-import contextlib
-import io
-
 import numpy as np
 import pytest
-from conftest import measurements_per_round
+from conftest import measurements_per_round, numpy_build
 
 from netdual import harness, lazy_cycle_pair, split_ring_schedule
 from netdual.engine import PaddedRows
-
-
-def numpy_build() -> str:
-    """numpy's version and the BLAS it was built against."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy < 1.26 only prints its configuration
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            np.show_config()
-        blas = out.getvalue()
-    return f"numpy {np.__version__}, BLAS {blas}"
 
 
 def assert_rows_bytes(got, rows, what):
@@ -74,9 +59,11 @@ def random_covariance(p, rng):
 
 # the map's blocks are BLOCK_VALUES // p rounds: 16384 (p = 1), 819 (p = 20)
 # and 81 (p = 200); T = 2001 and 500 are multiples of neither, 1638 of 819
-@pytest.mark.parametrize("p, T", [(1, 2001), (20, 2001), (20, 1638), (200, 500)])
+@pytest.mark.parametrize(
+    "p, T", [(1, 2001), (20, 2001), (20, 1638), (200, 500), (3, 0), (50, 7)]
+)
 def test_measurements_are_the_per_round_map(p, T):
-    """The blocked map over the blocked draw, against the oracle that draws
+    """The blocked map over the one-call draw, against the oracle that draws
     and maps one round after another, with a non-diagonal covariance."""
     env = harness.sensing_environment_factory(cov=random_covariance(p, np.random.default_rng(p)))(
         p, np.random.default_rng(3)

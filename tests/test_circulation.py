@@ -40,7 +40,7 @@ class TestConstruction:
             box=ActionBox.uniform(1.0, 2.0, 3),
         )
         assert np.array_equal(eng._Z, np.zeros((3, 3)))
-        assert np.array_equal(eng.primal_matrix(), np.full((3, 3), 1.0))  # clamp of zero
+        assert np.array_equal(eng._X, np.full((3, 3), 1.0))  # clamp of zero
         assert eng.rounds == 0
         assert eng.mean_field_residual() == 0.0
 
@@ -70,12 +70,6 @@ class TestConstruction:
                 box=ActionBox.uniform(-1, 1, 2),
             )
 
-    def test_primal_matrix_is_a_read_only_view(self):
-        eng = cycle_engine()
-        with pytest.raises(ValueError):
-            eng.primal_matrix()[0, 0] = 99.0
-        assert eng.primal_matrix()[0, 0] == 0.0
-
     def test_tracks_no_weight_vector(self):
         eng = cycle_engine()
         eng.step(np.array([1.0, 2.0, 3.0]), alpha=0.5)
@@ -100,7 +94,7 @@ class TestStepDynamics:
         assert np.allclose(eng._Z[0], [3.0, 0.0, 0.0])
         assert np.allclose(eng._Z[1], [0.0, 6.0, 0.0])
         assert np.allclose(eng._Z[2], [0.0, 0.0, 9.0])
-        assert np.allclose(eng.primal_matrix()[0], [-1.5, 0.0, 0.0])
+        assert np.allclose(eng._X[0], [-1.5, 0.0, 0.0])
         assert np.allclose(mean_field(eng), [1.0, 2.0, 3.0])
         assert eng.rounds == 1
 
@@ -151,7 +145,7 @@ class TestStepDynamics:
         eng = cycle_engine()
         eng.step(np.array([1.0, 2.0, 3.0]), alpha=0.5)
         obj = QuadraticLoss(A=np.eye(3), q=np.zeros(3))
-        X = eng.primal_matrix()
+        X = eng._X
         updates = eng.local_updates(obj.A.T @ obj.A, obj.q @ obj.A)
         for i in range(3):
             assert updates[i] == pytest.approx(obj.gradient(X[i])[i])
@@ -203,7 +197,7 @@ class TestSingleAgentEquivalence:
         xs = []
         for t in range(1, 16):
             eng.step(updates[t - 1], alpha=inv_sqrt_step(t - 1))
-            xs.append(eng.primal_matrix()[0].copy())
+            xs.append(eng._X[0].copy())
         refs = centralized_reference(updates, ActionBox.uniform(-2.0, 2.0, 1))
         for t in range(1, 16):
             assert np.max(np.abs(xs[t - 1] - refs[t])) <= 1e-12

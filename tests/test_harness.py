@@ -40,7 +40,6 @@ from netdual.harness import (
     fixed_environment_factory,
     run_generator,
     sensing_environment_factory,
-    standard_normals,
 )
 from netdual.regret import step_sizes
 
@@ -54,21 +53,6 @@ def base_config(algorithm="oda-c", T=20, **kw):
         T=T,
         **kw,
     )
-
-
-class TestStandardNormals:
-    def test_deterministic(self):
-        a = standard_normals(np.random.Generator(np.random.PCG64(5)), 64)
-        b = standard_normals(np.random.Generator(np.random.PCG64(5)), 64)
-        assert np.array_equal(a, b)
-
-    def test_moments(self):
-        draws = standard_normals(np.random.Generator(np.random.PCG64(11)), 100_000)
-        assert abs(float(np.mean(draws))) < 0.02
-        assert abs(float(np.var(draws)) - 1.0) < 0.05
-
-    def test_empty(self):
-        assert standard_normals(np.random.Generator(np.random.PCG64(1)), 0).shape == (0,)
 
 
 class TestCovarianceSqrt:

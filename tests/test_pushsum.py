@@ -63,7 +63,7 @@ class TestStepDynamics:
         assert np.allclose(eng.ratios(), [[12.0, 0.0], [0.0, -4.0 / 3.0]])
         assert np.allclose(mean_field(eng), [3.0, -1.0])
         assert eng.mean_field_residual() <= 1e-15
-        assert np.allclose(eng.primal_matrix()[0], [-6.0, 0.0])
+        assert np.allclose(eng._X[0], [-6.0, 0.0])
 
     def test_second_step_mixes_duals_and_weights(self):
         eng = two_node_engine()
@@ -103,7 +103,7 @@ class TestStepDynamics:
         eng = ring_engine()
         eng.step(np.arange(5.0), alpha=0.7)
         obj = QuadraticLoss(A=np.eye(5), q=np.ones(5))
-        X = eng.primal_matrix()
+        X = eng._X
         for i, u in enumerate(eng.local_updates(obj.A.T @ obj.A, obj.q @ obj.A)):
             assert u == pytest.approx(obj.gradient(X[i])[i])
 
@@ -158,7 +158,7 @@ class TestSingleAgentEquivalence:
         for t in range(1, 13):
             eng.step(updates[t - 1], alpha=inv_sqrt_step(t - 1))
             assert eng._w[0] == 1.0
-            xs.append(eng.primal_matrix()[0].copy())
+            xs.append(eng._X[0].copy())
         refs = centralized_reference(updates, box)
         for t in range(1, 13):
             assert np.max(np.abs(xs[t - 1] - refs[t])) <= 1e-12
