@@ -32,7 +32,6 @@ algorithm's contract is certified before round 1, by
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import ActionBox, BlockMap
 from .errors import ConfigError
@@ -87,9 +86,12 @@ class PaddedRows:
         if X.ndim == 1:  # the weight channel: one small (n, K) gather
             return (self.W @ X[self.nbr][:, :, None])[:, 0, 0]
         n, K = self.nbr.shape
+        X = np.ascontiguousarray(X)  # the window's buffer; a no-op on the engine's duals
         out = np.empty((n, 1, X.shape[1]))
         s0, s1 = X.strides
-        window = as_strided(X, (n - K + 1, K, X.shape[1]), (s0, s0, s1), writeable=False)
+        # as_strided's view without its Python wrapper: ~1 against ~6 us
+        window = np.ndarray((n - K + 1, K, X.shape[1]), X.dtype, X, 0, (s0, s0, s1))
+        window.flags.writeable = False
         for rows, src in self.runs:
             block = window[src] if type(src) is slice else X[src]
             np.matmul(self.W[rows], block, out=out[rows])
@@ -106,18 +108,17 @@ else:  # numpy < 2
         return (X[:, None, :] @ H[:, :, None])[:, 0, 0]
 
 
-def block_diagnostics(Z, ratios, w, u_total, r=None, overwrite=False) -> tuple:
+def block_diagnostics(Z, ratios, w, u_total, r=None, out=None) -> tuple:
     """The diagnostics of c stacked rounds, each (c,) and bit for bit as one
     round at a time: the disagreement, its square, the mean-field residual
     and the weight residual |sum(w) - n|. Z and ratios are (c, n, p), w is
     (c, n) or None, u_total (c, p); the mean field is r @ Z, or the mean.
 
-    Z, w and u_total are only read. ratios is only read unless
-    ``overwrite``: then the call forms the deviation from the mean field in
-    ratios itself and leaves it there, so the caller must own ratios (with
-    r given, ratios may be Z, which is read before it is overwritten)."""
+    Only ``out``, a (c, n, p) buffer the caller owns, is written: it takes
+    the deviation from the mean field (a fresh array without it). It may be
+    ratios, or Z itself, which is read before it is written."""
     mf = Z.mean(axis=1) if r is None else np.matmul(r, Z)
-    d = np.subtract(ratios, mf[:, None, :], out=ratios if overwrite else None)
+    d = np.subtract(ratios, mf[:, None, :], out=out)
     row_sq = np.add.reduce(np.square(d, out=d), axis=2)
     # norm(d, axis=2) summed; bit-identical without numpy's dispatch cost
     dis = np.sqrt(row_sq).sum(axis=1)
@@ -250,7 +251,7 @@ class DualAveragingEngine:
         """The round's four diagnostics: ``block_diagnostics`` on a block of
         one. ``simulate`` measures whole blocks itself; these methods serve
         tests and the benchmark tracer's ``engine.diag`` layer. The block
-        holds the engine's own arrays, so nothing is overwritten."""
+        holds the engine's own arrays, so no ``out`` is given."""
         w = None if self._w is None else self._w[None]
         Z, R, u_total = self._Z[None], self._ratios[None], self._u_total[None]
         return [float(v[0]) for v in block_diagnostics(Z, R, w, u_total, self._r)]

@@ -549,8 +549,9 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         """Rounds t0+1..t in one vectorised pass over their held states."""
         nonlocal total, ref
         t0 = t - len(Xs)
-        d = np.array(Xs)  # the block's own copy of the points: X - ref is formed in it
-        Xs.clear()
+        # X - ref is formed in the block's points: a stacked copy, or the
+        # one round's own points, which its step replaced
+        d = _stacked(Xs)
         actions[t0:t] = d.reshape(t - t0, -1)[:, flat]
         # the running sums: cumsum adds in the order of total += u, bit for bit
         U = updates[t0:t]
@@ -561,13 +562,14 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         total, ref = sums[-1], nxt[-1]
         np.subtract(d, refs[t0:t, None, :], out=d)
         ref_gaps[t0:t] = np.sqrt(np.add.reduce(np.square(d, out=d), axis=2)).sum(axis=1)
-        del d  # freed before the duals are stacked
+        dead = d if t - t0 == 1 else None
+        del d  # a longer block's stacked points are freed before its duals are stacked
         Z = _stacked(Zs)
         R, W = (Z, None) if r is not None else (_stacked(Rs), _stacked(Ws))
-        # overwrite: a block of more than one round holds stacked copies,
-        # which the call may write into; a block of one holds the engine's
-        # own arrays
-        diag[:, t0:t] = block_diagnostics(Z, R, W, sums, r, t - t0 > 1)
+        # the deviation from the mean field is formed in a block of one's dead
+        # points (its duals are the engine's own), else in the stacked ratios
+        out = R if dead is None else dead
+        diag[:, t0:t] = block_diagnostics(Z, R, W, sums, r, out)
         ok = np.isfinite(diag[0:3:2, t0:t])  # the disagreement and mean-field residual
         if not ok.all():
             k = t0 + int(ok.all(axis=0).argmin())

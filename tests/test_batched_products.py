@@ -148,3 +148,15 @@ def test_band_rows_read_the_window():
     assert windowed(MIX_MATRICES["path50"]) == [(1, 49)]
     assert windowed(MIX_MATRICES["mixed60"]) == [(1, 30), (40, 58)]
     assert windowed(np.eye(7)) == [(0, 7)]
+
+
+@pytest.mark.parametrize("name", ["cycle200", "path50", "mixed60"])
+def test_a_strided_operand_is_read_by_its_values(name):
+    """The window is a view of a C-contiguous buffer: a column-strided or
+    Fortran-ordered operand must give the bytes of its contiguous copy."""
+    A = MIX_MATRICES[name]
+    n = len(A)
+    P = PaddedRows.of(A)
+    wide = np.random.default_rng(n).normal(size=(n, 14))
+    for Z in (wide[:, ::2], np.asfortranarray(wide)):
+        assert_rows_bytes(P @ Z, P @ np.ascontiguousarray(Z), f"{name} @ strided Z")

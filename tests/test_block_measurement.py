@@ -166,7 +166,7 @@ def snapshot(*arrays) -> list:
 
 @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
 def test_block_diagnostics_writes_nothing_it_does_not_own(algorithm):
-    """A block of one holds the engine's own arrays: read without overwrite,
+    """A block of one holds the engine's own arrays: read with no ``out``,
     nothing may be written into them, and the engine's four diagnostics
     methods must leave its state as they found it."""
     cfg = config(algorithm, 20, T=25)
@@ -189,10 +189,9 @@ def test_block_diagnostics_writes_nothing_it_does_not_own(algorithm):
     assert snapshot(*state) == before
 
 
-@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
-def test_overwriting_a_block_gives_the_same_bits(algorithm):
-    """With overwrite the deviation is formed in the caller's ratios (in Z
-    itself for oda-c); the diagnostics must not move by a bit."""
+def held_block(algorithm) -> tuple:
+    """Nine rounds' stacked Z, ratios and weights (None for oda-c), running
+    sums U and the stationary r (None for oda-ps)."""
     cfg = config(algorithm, 20, T=9)
     engine = DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box)
     rng = np.random.default_rng(3)
@@ -203,10 +202,69 @@ def test_overwriting_a_block_gives_the_same_bits(algorithm):
     Z, R, W = (None if held[0][k] is None else np.array([h[k] for h in held]) for k in range(3))
     U = np.cumsum(rng.normal(size=(cfg.T, cfg.p)), axis=0)
     r = None if W is not None else engine._r
+    return Z, R, W, U, r
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+def test_deviation_in_the_stacked_ratios_gives_the_same_bits(algorithm):
+    """With out= the caller's ratios (Z itself for oda-c) the deviation is
+    formed in them; the diagnostics must not move by a bit."""
+    Z, R, W, U, r = held_block(algorithm)
     want = block_diagnostics(Z, R, W, U, r)
     if r is not None:
-        got = block_diagnostics(Z, Z, None, U, r, overwrite=True)
+        got = block_diagnostics(Z, Z, None, U, r, out=Z)
     else:
-        got = block_diagnostics(Z, R.copy(), W, U, r, overwrite=True)
+        R = R.copy()
+        got = block_diagnostics(Z, R, W, U, r, out=R)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+def test_deviation_in_a_separate_buffer_gives_the_same_bits(algorithm):
+    """With out= a buffer of its own (simulate's dead points, for a block of
+    one) the diagnostics keep their bits, and Z, the ratios and the weights
+    keep theirs: read-only views of them must not be written."""
+    Z, R, W, U, r = held_block(algorithm)
+    want = block_diagnostics(Z, R, W, U, r)
+    before = snapshot(Z, R, W)
+    out = np.full_like(R, np.nan)
+    got = block_diagnostics(read_only(Z), read_only(R), read_only(W), U, r, out=out)
+    assert snapshot(Z, R, W) == before
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def guard_live_state(monkeypatch):
+    """Wrap ``DualAveragingEngine.step``: after each step the engine's
+    current _X, _Z, _ratios and _w are read-only, and the arrays the step
+    replaced are writable again, so a write into a live array raises."""
+    step = DualAveragingEngine.step
+
+    def live(engine):
+        return [a for a in (engine._X, engine._Z, engine._ratios, engine._w) if a is not None]
+
+    def guarded(engine, *args):
+        before = live(engine)
+        step(engine, *args)
+        after = live(engine)
+        for a in before:
+            if not any(a is b for b in after):
+                a.flags.writeable = True
+        for a in after:
+            a.flags.writeable = False
+
+    monkeypatch.setattr(DualAveragingEngine, "step", guarded)
+
+
+# n = 5 runs one block of 655 rounds then a block of one at the default size
+@pytest.mark.parametrize("block", [1, "default"])
+@pytest.mark.parametrize("algorithm, n, T", [
+    ("oda-c", 5, 656), ("oda-ps", 5, 656), ("oda-c", 200, 12), ("oda-ps", 200, 12),
+])
+def test_simulate_writes_only_into_replaced_arrays(algorithm, n, T, block, monkeypatch):
+    cfg = config(algorithm, n, T=T)
+    want = simulate_per_round(cfg)
+    set_block(monkeypatch, block, cfg)
+    guard_live_state(monkeypatch)
+    assert_same_history(simulate(cfg), want)

@@ -1,16 +1,21 @@
 """Golden hashes: the sha256 of the trace CSV, of every ``RunHistory`` array
-and of ``losses.q`` for six small runs, recorded in ``golden_hashes.json``.
+and of ``losses.q`` for eight runs, recorded in ``golden_hashes.json``. Six
+are small (n <= 20, so ``simulate`` measures 40 or more rounds a block); the
+two 200-agent runs measure one round a block and mix through ``PaddedRows``.
 
 Reruns of one config are byte-identical, so any change of these bytes is a
 change of the program, of numpy's streams (NEP 19 lets a ``Generator``
 method's stream change between feature releases) or of the BLAS kernels. A
 mismatch names the recorded and the current build and prints the new hash.
 A change that moves bits on purpose records the file again, with
-``python tests/test_golden_hashes.py``, and says why.
+``python tests/test_golden_hashes.py``, and says why;
+``python tests/test_golden_hashes.py NAME ...`` records only the named cases
+and keeps the others as recorded.
 """
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -67,6 +72,13 @@ CASES = {
         "oda-ps", split_ring_schedule(20, 4), box(20), T=400, seed=2
     ),
     "oda-ps/explicit": explicit_config,
+    # one round a block (n p > BLOCK_VALUES) and a PaddedRows mix
+    "oda-c/cycle200": lambda: RunConfig(
+        "oda-c", lazy_cycle_pair(200), ActionBox.uniform(-8.0, 8.0, 200), T=40, seed=5
+    ),
+    "oda-ps/split-ring200": lambda: RunConfig(
+        "oda-ps", split_ring_schedule(200, 5), ActionBox.uniform(-8.0, 8.0, 200), T=40, seed=5
+    ),
 }
 
 
@@ -92,7 +104,13 @@ def test_run_bytes_match_the_recorded_hashes(name, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; known: {list(CASES)}")
+    hashes = json.loads(RECORD.read_text())["hashes"] if sys.argv[1:] else {}
     with tempfile.TemporaryDirectory() as directory:
-        hashes = {name: case_hashes(name, Path(directory)) for name in CASES}
+        hashes.update({name: case_hashes(name, Path(directory)) for name in names})
+    hashes = {name: hashes[name] for name in CASES if name in hashes}
     RECORD.write_text(json.dumps({"build": numpy_build(), "hashes": hashes}, indent=1) + "\n")
-    print(f"wrote {RECORD}")
+    print(f"wrote {RECORD}: {', '.join(names)}")
