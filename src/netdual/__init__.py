@@ -30,13 +30,11 @@ from .objectives import QuadraticLoss, lipschitz_constants
 from .regret import (
     ComparatorResult,
     RegretTrace,
-    circulation_disagreement_bound,
-    circulation_regret_bound,
     decomposition_terms,
+    disagreement_bound,
     network_regret,
     offline_comparator,
-    pushsum_disagreement_bound,
-    pushsum_regret_bound,
+    regret_bound,
 )
 from .topology import (
     ContractionConstants,
@@ -77,11 +75,10 @@ __all__ = [
     "SweepRow",
     "TopologyError",
     "UndirectedGraph",
-    "circulation_disagreement_bound",
-    "circulation_regret_bound",
     "config_from_dict",
     "contraction_constants",
     "decomposition_terms",
+    "disagreement_bound",
     "finalize",
     "lazy_cycle_pair",
     "lipschitz_constants",
@@ -90,8 +87,7 @@ __all__ = [
     "network_regret",
     "offline_comparator",
     "prox_sup",
-    "pushsum_disagreement_bound",
-    "pushsum_regret_bound",
+    "regret_bound",
     "run",
     "simulate",
     "spectral_gap",

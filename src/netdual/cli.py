@@ -28,6 +28,7 @@ from .harness import (
     run_generator,
     sensing_environment_factory,
     sweep,
+    theory_bound,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -196,16 +197,16 @@ def cmd_bounds(args) -> int:
     L, G = _apriori_constants(config)
     C = prox_sup(config.box)
     D = config.box.diameter
-    rows = []
-    for T in horizons:
-        bound = network.regret_bound(T, L, G, D, C)
-        rows.append(
-            {
-                "T": T,
-                "bound": bound,
-                "sqrt_coefficient": (bound - C * math.sqrt(T + 1)) / math.sqrt(T) if T else 0.0,
-            }
-        )
+    # at T = 1 with C = 0 the bound is exactly its sqrt(T) coefficient
+    coefficient = theory_bound(config, network, 1, L, G, D, 0.0)
+    rows = [
+        {
+            "T": T,
+            "bound": theory_bound(config, network, T, L, G, D, C),
+            "sqrt_coefficient": coefficient,
+        }
+        for T in horizons
+    ]
     _emit(
         {
             "command": "bounds",

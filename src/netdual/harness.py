@@ -23,13 +23,13 @@ from .objectives import QuadraticLoss, lipschitz_constants
 from .regret import (
     RegretTrace,
     RoundColumns,
-    circulation_disagreement_bound,
-    circulation_regret_bound,
+    circulation_log_kappa,
     decomposition_terms,
+    disagreement_bound,
     network_regret,
     offline_comparator,
-    pushsum_disagreement_bound,
-    pushsum_regret_bound,
+    pushsum_log_kappa,
+    regret_bound,
     round_columns,
     step_sizes,
 )
@@ -426,8 +426,7 @@ class NetworkConstants:
     or the losses, so a run works it out once, before round 1."""
 
     fields: dict  # spectral_gap and r_min, or B and the contraction constants
-    disagreement_bound: Callable[[float], float]  # of L
-    regret_bound: Callable[[int, float, float, float, float], float]  # of T, L, G, D, C
+    log_kappa: float  # log of the contraction factor both bound evaluators take
     weighted: bool  # push-sum: finalize reports the weight-conservation residual
 
 
@@ -454,8 +453,7 @@ def network_constants(config: RunConfig) -> NetworkConstants:
             )
         return NetworkConstants(
             {"spectral_gap": lam, "r_min": r_min},
-            lambda L: circulation_disagreement_bound(n, L, r_min, lam),
-            lambda T, L, G, D, C: circulation_regret_bound(T, n, L, G, D, C, r_min, lam),
+            circulation_log_kappa(n, r_min, lam),
             weighted=False,
         )
     # module-level names: bench/tracer.py wraps these two in this module
@@ -468,10 +466,21 @@ def network_constants(config: RunConfig) -> NetworkConstants:
             "B": B, "beta": cc.beta, "theta": cc.theta, "gamma": cc.gamma,
             "log_gamma": cc.log_gamma, "log_one_minus_theta": cc.log_one_minus_theta,
         },
-        lambda L: pushsum_disagreement_bound(n, L, cc),
-        lambda T, L, G, D, C: pushsum_regret_bound(T, n, L, G, D, C, cc),
+        pushsum_log_kappa(n, cc),
         weighted=True,
     )
+
+
+def theory_bound(
+    config: RunConfig, network: NetworkConstants, T: int, L: float, G: float, D: float,
+    C: float,
+) -> float:
+    """The certified regret bound over T rounds. Its closed form holds for
+    the default step rule alpha(s) = 1/sqrt(s+1) only, so a config with
+    step values gets inf."""
+    if config.alpha is not None:
+        return math.inf
+    return regret_bound(T, config.n, L, G, D, C, network.log_kappa)
 
 
 @dataclass
@@ -635,7 +644,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
             bound_partial=empty, y_star=box.clamp(np.zeros(p)),
             comparator_value=0.0,
             constants={"L": 0.0, "G": 0.0, "D": D, "C": C},
-            theory_bound=C,
+            theory_bound=theory_bound(config, history.network, 0, 0.0, 0.0, D, C),
         )
 
     # O(T) per prefix from here on: the prefix-free columns are formed once
@@ -649,7 +658,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     net = history.network
     constants = {
         "L": L, "G": G, "D": D, "C": C, "n": n, **net.fields,
-        "disagreement_bound": net.disagreement_bound(L),
+        "disagreement_bound": disagreement_bound(n, L, net.log_kappa),
     }
     if net.weighted:
         constants["max_weight_residual"] = float(np.max(history.weight_residual[:T]))
@@ -670,7 +679,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
         comparator_iterations=comp.iterations,
         comparator_residual=comp.grad_residual,
         constants=constants,
-        theory_bound=net.regret_bound(T, L, G, D, C),
+        theory_bound=theory_bound(config, net, T, L, G, D, C),
     )
 
 

@@ -208,84 +208,63 @@ def decomposition_terms(
 
 # ---------------------------------------------------------------------------
 # closed-form bounds
+#
+# One argument bounds both engines: the network enters only through a
+# contraction factor kappa, which caps the worst-case disagreement of the
+# duals. Each family gives log kappa, so push-sum's n^(nB) stays finite;
+# the two evaluators take it, and an overflow gives inf.
 
 
-def _one_minus_sqrt_one_minus(lam: float) -> float:
-    # stable form of 1 - sqrt(1-lam) for small lam
-    return lam / (1.0 + math.sqrt(max(0.0, 1.0 - lam)))
-
-
-def circulation_disagreement_bound(n: int, L: float, r_min: float, lam: float) -> float:
-    """Worst-case sum over agents of the squared dual distance to the mean
-    field, valid at every round, for the static-graph engine.
-
-    A single agent coincides with its own mean field, so n = 1 gives 0.
-    """
-    if L == 0.0 or n == 1:
-        return 0.0
-    delta = _one_minus_sqrt_one_minus(lam)
+def circulation_log_kappa(n: int, r_min: float, lam: float) -> float:
+    """log kappa of a reversible pair: kappa = r_min^(-3/2) / delta with
+    delta = 1 - sqrt(1 - lam). A single agent coincides with its own mean
+    field, so n = 1 gives -inf."""
+    if n == 1:
+        return -math.inf
+    delta = lam / (1.0 + math.sqrt(max(0.0, 1.0 - lam)))  # 1 - sqrt(1-lam), stable for small lam
     if delta <= 0.0:
         raise ConfigError("spectral gap must be positive for a finite bound")
-    return n * L * L / (r_min**3 * delta * delta)
+    return -1.5 * math.log(r_min) - math.log(delta)
 
 
-def pushsum_disagreement_bound(
-    n: int, L: float, constants: ContractionConstants
-) -> float:
-    """Worst-case sum over agents of the squared debiased-dual distance to the
-    mean field, valid at every round, for the push-sum engine."""
-    if L == 0.0 or n == 1 or constants.theta == 0.0:
-        return 0.0
-    log_val = (
-        math.log(2.0 * constants.beta * L * n)
+def pushsum_log_kappa(n: int, constants: ContractionConstants) -> float:
+    """log kappa of a push-sum schedule: kappa = 2 beta sqrt(n) / (gamma
+    theta (1 - theta)). A single agent, or theta = 0, mixes at once: -inf."""
+    if n == 1 or constants.theta == 0.0:
+        return -math.inf
+    return (
+        math.log(2.0 * constants.beta) + 0.5 * math.log(n)
         - constants.log_gamma
         - math.log1p(-constants.one_minus_theta)
         - constants.log_one_minus_theta
     )
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _exp(log_val: float) -> float:
     try:
-        return math.exp(2.0 * log_val)
+        return math.exp(log_val)
     except OverflowError:
         return math.inf
 
 
-def circulation_regret_bound(
-    T: int, n: int, L: float, G: float, D: float, C: float, r_min: float, lam: float
-) -> float:
-    """A-priori regret bound for the static-graph engine with the default
-    step schedule. The disagreement coefficient vanishes for n = 1."""
-    if L == 0.0 or n == 1:
-        disagree = 0.0
-    else:
-        delta = _one_minus_sqrt_one_minus(lam)
-        if delta <= 0.0:
-            raise ConfigError("spectral gap must be positive for a finite bound")
-        disagree = 2.0 * n * L * (L + math.sqrt(n) * G * D) / (r_min**1.5 * delta)
-    return (n * L * L + disagree) * math.sqrt(T) + C * math.sqrt(T + 1)
+def disagreement_bound(n: int, L: float, log_kappa: float) -> float:
+    """n L^2 kappa^2: the worst-case sum over agents of the squared
+    (debiased) dual distance to the mean field, valid at every round."""
+    return _exp(math.log(n) + 2.0 * (_log(L) + log_kappa))
 
 
-def pushsum_regret_bound(
-    T: int, n: int, L: float, G: float, D: float, C: float,
-    constants: ContractionConstants,
+def regret_bound(
+    T: int, n: int, L: float, G: float, D: float, C: float, log_kappa: float
 ) -> float:
-    """A-priori regret bound for the push-sum engine with the default step
-    schedule; evaluated in log space so huge contraction ratios do not
-    overflow prematurely. The disagreement coefficient vanishes for n = 1."""
-    if L == 0.0 or n == 1 or constants.theta == 0.0:
-        disagree = 0.0
-    else:
-        log_val = (
-            math.log(4.0 * constants.beta)
-            + 1.5 * math.log(n)
-            + math.log(L)
-            + math.log(L + math.sqrt(n) * G * D)
-            - constants.log_gamma
-            - math.log1p(-constants.one_minus_theta)
-            - constants.log_one_minus_theta
-        )
-        try:
-            disagree = math.exp(log_val)
-        except OverflowError:
-            disagree = math.inf
+    """A-priori regret bound for the default step rule alpha(s) = 1/sqrt(s+1):
+    (n L^2 + 2 n L (L + sqrt(n) G D) kappa) sqrt(T) + C sqrt(T + 1)."""
+    disagree = _exp(
+        math.log(2.0 * n) + _log(L) + _log(L + math.sqrt(n) * G * D) + log_kappa
+    )
     return (n * L * L + disagree) * math.sqrt(T) + C * math.sqrt(T + 1)
 
 

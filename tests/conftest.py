@@ -373,3 +373,89 @@ def check_geometric_decay(
                 ij = np.unravel_index(np.argmax(diff), diff.shape)
                 worst = (t, s, int(ij[0]), int(ij[1]))
     return DecayReport(max_ratio=max_ratio, worst=worst, horizon=horizon)
+
+
+# ---------------------------------------------------------------------------
+# reference closed forms: the four bound functions as the library wrote them,
+# one per engine and bound, before both bounds took one contraction factor.
+# The oracle ``regret.disagreement_bound`` and ``regret.regret_bound`` are
+# checked against.
+
+
+def _one_minus_sqrt_one_minus(lam: float) -> float:
+    # stable form of 1 - sqrt(1-lam) for small lam
+    return lam / (1.0 + math.sqrt(max(0.0, 1.0 - lam)))
+
+
+def circulation_disagreement_bound(n: int, L: float, r_min: float, lam: float) -> float:
+    """Worst-case sum over agents of the squared dual distance to the mean
+    field, valid at every round, for the static-graph engine.
+
+    A single agent coincides with its own mean field, so n = 1 gives 0.
+    """
+    if L == 0.0 or n == 1:
+        return 0.0
+    delta = _one_minus_sqrt_one_minus(lam)
+    if delta <= 0.0:
+        raise ConfigError("spectral gap must be positive for a finite bound")
+    return n * L * L / (r_min**3 * delta * delta)
+
+
+def pushsum_disagreement_bound(
+    n: int, L: float, constants: ContractionConstants
+) -> float:
+    """Worst-case sum over agents of the squared debiased-dual distance to the
+    mean field, valid at every round, for the push-sum engine."""
+    if L == 0.0 or n == 1 or constants.theta == 0.0:
+        return 0.0
+    log_val = (
+        math.log(2.0 * constants.beta * L * n)
+        - constants.log_gamma
+        - math.log1p(-constants.one_minus_theta)
+        - constants.log_one_minus_theta
+    )
+    try:
+        return math.exp(2.0 * log_val)
+    except OverflowError:
+        return math.inf
+
+
+def circulation_regret_bound(
+    T: int, n: int, L: float, G: float, D: float, C: float, r_min: float, lam: float
+) -> float:
+    """A-priori regret bound for the static-graph engine with the default
+    step schedule. The disagreement coefficient vanishes for n = 1."""
+    if L == 0.0 or n == 1:
+        disagree = 0.0
+    else:
+        delta = _one_minus_sqrt_one_minus(lam)
+        if delta <= 0.0:
+            raise ConfigError("spectral gap must be positive for a finite bound")
+        disagree = 2.0 * n * L * (L + math.sqrt(n) * G * D) / (r_min**1.5 * delta)
+    return (n * L * L + disagree) * math.sqrt(T) + C * math.sqrt(T + 1)
+
+
+def pushsum_regret_bound(
+    T: int, n: int, L: float, G: float, D: float, C: float,
+    constants: ContractionConstants,
+) -> float:
+    """A-priori regret bound for the push-sum engine with the default step
+    schedule; evaluated in log space so huge contraction ratios do not
+    overflow prematurely. The disagreement coefficient vanishes for n = 1."""
+    if L == 0.0 or n == 1 or constants.theta == 0.0:
+        disagree = 0.0
+    else:
+        log_val = (
+            math.log(4.0 * constants.beta)
+            + 1.5 * math.log(n)
+            + math.log(L)
+            + math.log(L + math.sqrt(n) * G * D)
+            - constants.log_gamma
+            - math.log1p(-constants.one_minus_theta)
+            - constants.log_one_minus_theta
+        )
+        try:
+            disagree = math.exp(log_val)
+        except OverflowError:
+            disagree = math.inf
+    return (n * L * L + disagree) * math.sqrt(T) + C * math.sqrt(T + 1)

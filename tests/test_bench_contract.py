@@ -186,12 +186,16 @@ def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
 def test_test_helpers_stay_out_of_the_library():
     """What only tests call lives in ``tests/conftest.py``: the prox step,
     the step rule, the box check, the decay certificate, the engine's mean
-    field and the engine aliases. The harness keeps one alias, the name
-    ``bench/tracer.py`` finds the engine's methods under."""
+    field and the engine aliases; so do the four per-engine closed forms,
+    which both bounds now derive from one contraction factor. The harness
+    keeps one alias, the name ``bench/tracer.py`` finds the engine's
+    methods under."""
+    closed_forms = ("circulation_disagreement_bound", "circulation_regret_bound",
+                    "pushsum_disagreement_bound", "pushsum_regret_bound")
     retired = {
         netdual: ("project", "inv_sqrt_step", "check_geometric_decay", "DecayReport",
-                  "CirculationEngine", "PushSumEngine", "prox"),
-        regret: ("inv_sqrt_step",),
+                  "CirculationEngine", "PushSumEngine", "prox", *closed_forms),
+        regret: ("inv_sqrt_step", *closed_forms),
         topology: ("check_geometric_decay", "DecayReport"),
         engine: ("CirculationEngine", "PushSumEngine"),
         ActionBox: ("contains",),
@@ -204,4 +208,4 @@ def test_test_helpers_stay_out_of_the_library():
         importlib.import_module("netdual.prox")
     assert harness.CirculationEngine is DualAveragingEngine
     assert not hasattr(harness, "PushSumEngine")
-    assert len(netdual.__all__) == 44
+    assert len(netdual.__all__) == 42

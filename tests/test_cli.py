@@ -679,3 +679,34 @@ class TestVacuousBounds:
         checks = _trace_checks(run(config))
         assert checks["disagreement_within_bound"] and checks["regret_within_theory_bound"]
         assert checks["vacuous_bounds"] == ["disagreement_bound", "theory_bound"]
+
+    def test_step_values_have_no_theory_certificate(self, tmp_path, capsys):
+        # the default rule's own values, given as a list: the closed form is
+        # certified for the rule, not for a list, so only its bound goes
+        values = [1.0 / math.sqrt(s + 1) for s in range(21)]
+
+        def config(alpha):
+            return RunConfig(
+                "oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=20, seed=11,
+                alpha=alpha,
+            )
+
+        listed, default = run(config(tuple(values))), run(config(None))
+        assert listed.theory_bound == math.inf and math.isfinite(default.theory_bound)
+        assert listed.constants == default.constants
+        assert _trace_checks(listed)["vacuous_bounds"] == ["theory_bound"]
+        assert _trace_checks(default)["vacuous_bounds"] == []
+
+        rows = {}
+        for name, alpha in (("values", {"values": values}), ("rule", {"rule": "inv-sqrt"}),
+                            ("none", None)):
+            d = {"algorithm": "oda-c", "T": 20, **({"alpha": alpha} if alpha else {})}
+            code, payload = invoke(
+                ["bounds", "--config", write_json(tmp_path, f"{name}.json", d),
+                 "--horizons", "0,10,20"], capsys,
+            )
+            assert code == 0
+            rows[name] = payload["rows"]
+        assert all(r["bound"] == r["sqrt_coefficient"] == math.inf for r in rows["values"])
+        assert rows["rule"] == rows["none"]
+        assert all(math.isfinite(r["bound"]) for r in rows["none"])

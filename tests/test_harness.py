@@ -413,6 +413,15 @@ class TestFinalize:
         assert trace.regret == 0.0
         assert trace.theory_bound == prox_sup(ActionBox.uniform(-10, 10, 5))
 
+    def test_step_values_get_no_theory_certificate(self):
+        values = tuple(inv_sqrt_step(s) for s in range(13))
+        for T in (0, 12):
+            listed = run(base_config(T=T, seed=7, alpha=values))
+            default = run(base_config(T=T, seed=7))
+            assert listed.theory_bound == math.inf
+            assert math.isfinite(default.theory_bound)
+            assert listed.constants == default.constants
+
     def test_prefix_cannot_exceed_horizon(self):
         with pytest.raises(ConfigError):
             finalize(simulate(base_config(T=4)), T=5)

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import conftest
 from conftest import centralized_reference, in_box, inv_sqrt_step, projected_gradient_comparator
 
 from netdual import (
@@ -10,17 +12,20 @@ from netdual import (
     ConfigError,
     QuadraticLoss,
     RegretTrace,
-    circulation_disagreement_bound,
-    circulation_regret_bound,
     contraction_constants,
     decomposition_terms,
+    disagreement_bound,
     network_regret,
     offline_comparator,
-    pushsum_disagreement_bound,
-    pushsum_regret_bound,
+    regret_bound,
 )
 from netdual import objectives, regret
-from netdual.regret import round_columns, step_sizes
+from netdual.regret import (
+    circulation_log_kappa,
+    pushsum_log_kappa,
+    round_columns,
+    step_sizes,
+)
 
 
 def reduced_history(update_history, primal_history, box):
@@ -255,41 +260,49 @@ class TestDecomposition:
 
 class TestClosedFormBounds:
     def test_zero_lipschitz_leaves_only_prox_term(self):
-        assert circulation_regret_bound(
-            T=3, n=4, L=0.0, G=1.0, D=1.0, C=2.0, r_min=0.25, lam=0.5
+        assert regret_bound(
+            T=3, n=4, L=0.0, G=1.0, D=1.0, C=2.0,
+            log_kappa=circulation_log_kappa(4, r_min=0.25, lam=0.5),
         ) == pytest.approx(4.0)  # 2 * sqrt(4)
 
     def test_single_agent_drops_disagreement(self):
-        got = circulation_regret_bound(
-            T=4, n=1, L=2.0, G=3.0, D=1.0, C=1.0, r_min=1.0, lam=1.0
+        got = regret_bound(
+            T=4, n=1, L=2.0, G=3.0, D=1.0, C=1.0,
+            log_kappa=circulation_log_kappa(1, r_min=1.0, lam=1.0),
         )
         assert got == pytest.approx(4.0 * 2.0 + math.sqrt(5))
         c = contraction_constants(1, 1)
-        got_ps = pushsum_regret_bound(T=4, n=1, L=2.0, G=3.0, D=1.0, C=1.0, constants=c)
+        got_ps = regret_bound(
+            T=4, n=1, L=2.0, G=3.0, D=1.0, C=1.0, log_kappa=pushsum_log_kappa(1, c)
+        )
         assert got_ps == pytest.approx(4.0 * 2.0 + math.sqrt(5))
-        assert circulation_disagreement_bound(1, 2.0, 1.0, 1.0) == 0.0
-        assert pushsum_disagreement_bound(1, 2.0, c) == 0.0
+        assert disagreement_bound(1, 2.0, circulation_log_kappa(1, 1.0, 1.0)) == 0.0
+        assert disagreement_bound(1, 2.0, pushsum_log_kappa(1, c)) == 0.0
 
     def test_circulation_hand_values(self):
         # lam = 3/4 gives delta = 1/2; r_min = 1/4 gives r_min^1.5 = 1/8
-        got = circulation_regret_bound(
-            T=9, n=4, L=1.0, G=1.0, D=1.0, C=0.0, r_min=0.25, lam=0.75
+        got = regret_bound(
+            T=9, n=4, L=1.0, G=1.0, D=1.0, C=0.0,
+            log_kappa=circulation_log_kappa(4, r_min=0.25, lam=0.75),
         )
         disagree = 2.0 * 4 * (1.0 + 2.0) / ((1 / 8) * 0.5)
         assert got == pytest.approx((4.0 + disagree) * 3.0)
-        assert circulation_disagreement_bound(4, 1.0, 0.25, 0.75) == pytest.approx(
+        assert disagreement_bound(4, 1.0, circulation_log_kappa(4, 0.25, 0.75)) == pytest.approx(
             4.0 / ((0.25**3) * 0.25)
         )
 
     def test_circulation_rejects_zero_gap(self):
         with pytest.raises(ConfigError):
-            circulation_regret_bound(
-                T=1, n=2, L=1.0, G=1.0, D=1.0, C=0.0, r_min=0.5, lam=0.0
+            regret_bound(
+                T=1, n=2, L=1.0, G=1.0, D=1.0, C=0.0,
+                log_kappa=circulation_log_kappa(2, r_min=0.5, lam=0.0),
             )
 
     def test_pushsum_log_domain_matches_plain_formula(self):
         c = contraction_constants(3, 2)
-        got = pushsum_regret_bound(T=16, n=3, L=2.0, G=1.5, D=4.0, C=3.0, constants=c)
+        got = regret_bound(
+            T=16, n=3, L=2.0, G=1.5, D=4.0, C=3.0, log_kappa=pushsum_log_kappa(3, c)
+        )
         plain_disagree = (
             4.0 * c.beta * 3**1.5 * 2.0 * (2.0 + math.sqrt(3) * 1.5 * 4.0)
             / (c.gamma * c.theta * c.one_minus_theta)
@@ -297,17 +310,71 @@ class TestClosedFormBounds:
         plain = (3 * 4.0 + plain_disagree) * 4.0 + 3.0 * math.sqrt(17)
         assert got == pytest.approx(plain, rel=1e-9)
 
-        sigma = pushsum_disagreement_bound(3, 2.0, c)
+        sigma = disagreement_bound(3, 2.0, pushsum_log_kappa(3, c))
         plain_sigma = (2.0 * c.beta * 2.0 * 3 / (c.gamma * c.theta * c.one_minus_theta)) ** 2
         assert sigma == pytest.approx(plain_sigma, rel=1e-9)
 
     def test_pushsum_underflow_returns_inf(self):
         c = contraction_constants(50, 10)
         assert c.gamma == 0.0
-        assert pushsum_regret_bound(
-            T=10, n=50, L=1.0, G=1.0, D=1.0, C=0.0, constants=c
+        assert regret_bound(
+            T=10, n=50, L=1.0, G=1.0, D=1.0, C=0.0, log_kappa=pushsum_log_kappa(50, c)
         ) == math.inf
-        assert pushsum_disagreement_bound(50, 1.0, c) == math.inf
+        assert disagreement_bound(50, 1.0, pushsum_log_kappa(50, c)) == math.inf
+
+
+def same_bound(got: float, want: float) -> bool:
+    """Within 1e-12 relative, and inf (or NaN) exactly where want is."""
+    if not math.isfinite(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+ORACLE_N = (1, 2, 3, 5, 20, 50)
+ORACLE_L = (0.0, 1e-3, 0.7, 3.0, 1e4)
+ORACLE_GD = ((1.0, 1.0), (2.5, 16.0))
+ORACLE_T = (0, 1, 100, 10**6)
+
+
+class TestOneFactorOracle:
+    """Both evaluators against the four closed forms they replaced
+    (``tests/conftest.py``), over every family of network."""
+
+    @pytest.mark.parametrize("r_min, lam", [(1.0, 1.0), (0.25, 0.75), (0.05, 0.3), (0.005, 4.9e-4)])
+    def test_circulation(self, r_min, lam):
+        for n, L, (G, D), T in itertools.product(ORACLE_N, ORACLE_L, ORACLE_GD, ORACLE_T):
+            log_kappa = circulation_log_kappa(n, r_min, lam)
+            assert same_bound(
+                disagreement_bound(n, L, log_kappa),
+                conftest.circulation_disagreement_bound(n, L, r_min, lam),
+            ), (n, L)
+            assert same_bound(
+                regret_bound(T, n, L, G, D, 3.0, log_kappa),
+                conftest.circulation_regret_bound(T, n, L, G, D, 3.0, r_min, lam),
+            ), (T, n, L, G, D)
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 10])
+    @pytest.mark.parametrize(
+        "regular, sigma2_sup", [(False, None), (True, None), (True, 0.0), (True, 0.5)]
+    )
+    def test_pushsum(self, B, regular, sigma2_sup):
+        for n, L, (G, D), T in itertools.product(ORACLE_N, ORACLE_L, ORACLE_GD, ORACLE_T):
+            c = contraction_constants(n, B, regular=regular, sigma2_sup=sigma2_sup)
+            log_kappa = pushsum_log_kappa(n, c)
+            assert same_bound(
+                disagreement_bound(n, L, log_kappa),
+                conftest.pushsum_disagreement_bound(n, L, c),
+            ), (n, L)
+            assert same_bound(
+                regret_bound(T, n, L, G, D, 3.0, log_kappa),
+                conftest.pushsum_regret_bound(T, n, L, G, D, 3.0, c),
+            ), (T, n, L, G, D)
+
+    def test_grid_reaches_the_overflow_region(self):
+        for B in (5, 10):
+            c = contraction_constants(50, B)
+            assert conftest.pushsum_disagreement_bound(50, 1.0, c) == math.inf
+            assert conftest.pushsum_regret_bound(1, 50, 1.0, 1.0, 1.0, 0.0, c) == math.inf
 
 
 class TestRegretTrace:
