@@ -30,6 +30,7 @@ algorithm's contract is certified before round 1, by
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -82,12 +83,14 @@ class PaddedRows:
         )
         return cls(nbr=nbr, W=W[:, None, :], runs=runs)
 
-    def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        if X.ndim == 1:  # the weight channel: one small (n, K) gather
-            return (self.W @ X[self.nbr][:, :, None])[:, 0, 0]
+    def matmul(self, X: np.ndarray, out=None) -> np.ndarray:
+        """``P @ X``, into ``out`` (C-contiguous, apart from X) when given."""
         n, K = self.nbr.shape
+        if X.ndim == 1:  # the weight channel: one small (n, K) gather
+            out = None if out is None else out.reshape(n, 1, 1)
+            return np.matmul(self.W, X[self.nbr][:, :, None], out=out)[:, 0, 0]
         X = np.ascontiguousarray(X)  # the window's buffer; a no-op on the engine's duals
-        out = np.empty((n, 1, X.shape[1]))
+        out = np.empty((n, 1, X.shape[1])) if out is None else out.reshape(n, 1, -1)
         s0, s1 = X.strides
         # as_strided's view without its Python wrapper: ~1 against ~6 us
         window = np.ndarray((n - K + 1, K, X.shape[1]), X.dtype, X, 0, (s0, s0, s1))
@@ -96,6 +99,8 @@ class PaddedRows:
             block = window[src] if type(src) is slice else X[src]
             np.matmul(self.W[rows], block, out=out[rows])
         return out[:, 0, :]
+
+    __matmul__ = matmul
 
 
 if hasattr(np, "vecdot"):
@@ -173,12 +178,12 @@ class DualAveragingEngine:
         self._n, self._u_shape = n, (p,)
         self._Z = np.zeros((n, p))
         self._u_total = np.zeros(p)
-        self._X = np.broadcast_to(self.box.clamp(np.zeros(p)), (n, p)).copy()
+        # a read-only view of one row: no step writes into the points it replaces
+        self._X = np.broadcast_to(self.box.clamp(np.zeros(p)), (n, p))
         # the bounds at full size: np.maximum against a (p,) bound runs n
         # loops of length p, against an (n, p) one a single contiguous loop
         self._lo = np.tile(self.box.lo, (n, 1))
         self._hi = np.tile(self.box.hi, (n, 1))
-        self._ratios = self._Z  # z_i / w_i with w = 1
         if self._w is None:
             matrices = [self.network.pair.M]
         else:  # one per slot; none for an explicit schedule (period 0)
@@ -193,13 +198,6 @@ class DualAveragingEngine:
     def p(self) -> int:
         return self.blocks.p
 
-    def _injection(self, u: np.ndarray) -> np.ndarray:
-        """The (n, p) increment that puts each owned entry u[k] into its
-        owner's row."""
-        U = np.zeros((self.n, self.p))
-        U.reshape(-1)[self._inject] = u / self._r_owner if self._w is None else self.n * u
-        return U
-
     def local_updates(self, H: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         """The owned gradient entries of f(x) = 0.5||Ax - q||^2 from its normal
         form H = A^T A, b = A^T q: entry k is (H x_owner(k))_k - b_k, the
@@ -211,29 +209,33 @@ class DualAveragingEngine:
         X = self._X[self._owner] if self._gather else self._X
         return np.subtract(_row_dots(X, H), b, out)
 
-    def step(self, u: np.ndarray, alpha: float) -> None:
+    def step(self, u: np.ndarray, alpha: float, X=None, Z=None, w=None) -> None:
         """Mix the duals (and weights) with the round's matrix, inject the owned
-        gradient entries (a float (p,) array), then project the debiased duals."""
+        gradient entries (a float (p,) array), then project the debiased duals.
+        Writes the new points, duals and weights into X, Z and w when given,
+        else allocates them: C-contiguous arrays apart from the state the
+        step reads, except that X may be the duals it mixes (no w for oda-c)."""
         if alpha <= 0:
             raise ValueError(f"step size must be positive, got {alpha}")
         if u.shape != self._u_shape:
             raise ConfigError(f"update has shape {u.shape}, expected {self._u_shape}")
         ops, t = self._operators, self.rounds
         A = ops[t % len(ops)] if ops else mixing_operator(self.network.matrix_at(t))
+        mix = A.matmul if type(A) is PaddedRows else partial(np.matmul, A)
         self._u_total += u
-        Z = A @ self._Z
+        Z = mix(self._Z, out=Z)
         # in place, with no (n, p) increment formed, to keep a round's peak
         # memory down; each (owner, k) pair occurs once, so the sums match
-        # (Z is a fresh C-contiguous product, so the reshape is a view)
+        # (Z is C-contiguous, so the reshape is a view)
         if self._w is None:
             Z.reshape(-1)[self._inject] += u / self._r_owner
         else:
             Z.reshape(-1)[self._inject] += self._n * u
-            self._w = A @ self._w
+            self._w = mix(self._w, out=w)
         self._Z = Z
-        # the ratios are kept for the round's diagnostics: one division per round
-        self._ratios = self.ratios()
-        X = -alpha * self._ratios
+        # the ratios (Z for oda-c) are formed in X and projected there: R * -alpha
+        R = self.ratios(X)
+        X = np.multiply(R, -alpha, out=X if R is Z else R)
         # np.clip's values without its dispatch cost; at a signed-zero tie
         # (-0.0 against a bound of +0.0) the bound's zero is kept, where
         # np.clip may keep X's
@@ -241,19 +243,18 @@ class DualAveragingEngine:
         self._X = np.minimum(X, self._hi, out=X)
         self.rounds += 1
 
-    def ratios(self) -> np.ndarray:
-        """The duals the agents act on: z_i / w_i, or z_i with no weights."""
+    def ratios(self, out=None) -> np.ndarray:
+        """The duals the agents act on: z_i / w_i (into ``out`` if given), or z_i."""
         if self._w is None:
             return self._Z
-        return self._Z / self._w[:, None]
+        return np.divide(self._Z, self._w[:, None], out=out)
 
     def _diagnostics(self) -> list:
         """The round's four diagnostics: ``block_diagnostics`` on a block of
         one. ``simulate`` measures whole blocks itself; these methods serve
-        tests and the benchmark tracer's ``engine.diag`` layer. The block
-        holds the engine's own arrays, so no ``out`` is given."""
+        tests and the benchmark tracer's ``engine.diag`` layer."""
         w = None if self._w is None else self._w[None]
-        Z, R, u_total = self._Z[None], self._ratios[None], self._u_total[None]
+        Z, R, u_total = self._Z[None], self.ratios()[None], self._u_total[None]
         return [float(v[0]) for v in block_diagnostics(Z, R, w, u_total, self._r)]
 
     def disagreement(self) -> float:

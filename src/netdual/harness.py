@@ -62,13 +62,13 @@ SWEEP_ROW = "%d," + ",".join(["%.12g"] * 3) + "\r\n"
 # ---------------------------------------------------------------------------
 # randomness
 
-# simulate measures its rounds in blocks of max(1, BLOCK_VALUES // (n p))
-# rounds: each block stacks that many (n, p) states per array, and its
-# ~30 numpy calls carry a fixed cost that larger blocks spread over more
-# rounds. In-process at n = p = 50 the measurement took 50 us a round at
-# 1 << 13 (c = 3) and 40 at 1 << 14 (c = 6); 1 << 15 (c = 13) took 33 but
-# raised the tracemalloc peak of a run by 0.6 MB (3.97 -> 4.55)
-BLOCK_VALUES = 1 << 14
+# simulate measures its rounds in blocks of c = max(1, BLOCK_VALUES // (n p)),
+# each in 2c + 1 (n, p) slots; a block's ~30 numpy calls carry a fixed cost
+# that larger blocks spread over more rounds. In-process at n = p = 50 a run
+# took 57.9 us a round at 1 << 14 (c = 6), 51.9 at 3 << 13 (c = 9) and 50.5
+# at 1 << 15 (c = 13), which failed the memory guard of n = p = 20 (T = 4000)
+# by 5 kB; 3 << 13 passes it by 135 kB
+BLOCK_VALUES = 3 << 13
 
 
 def covariance_sqrt(P: np.ndarray) -> np.ndarray:
@@ -545,7 +545,6 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     H = A.T @ A
 
     flat = config.blocks.owner * p + np.arange(p)  # (owner[k], k) in a raveled (n, p)
-    neg_steps = -steps[:, None]
     r = None if network.weighted else config.topology.pair.r
     actions, updates, refs = (np.empty((T, p)) for _ in range(3))
     ref_gaps, diag = np.empty(T), np.empty((4, T))  # diag: the four per-round diagnostics
@@ -554,58 +553,61 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     total = np.zeros(p)  # the sum through the last measured round
     ref = config.box.clamp(np.zeros(p))  # the reference of the next round to measure
 
-    def measure(Xs, Zs, Rs, Ws, t):
-        """Rounds t0+1..t in one vectorised pass over their held states."""
-        nonlocal total, ref
-        t0 = t - len(Xs)
-        # X - ref is formed in the block's points: a stacked copy, or the
-        # one round's own points, which its step replaced
-        d = _stacked(Xs)
-        actions[t0:t] = d.reshape(t - t0, -1)[:, flat]
-        # the running sums: cumsum adds in the order of total += u, bit for bit
-        U = updates[t0:t]
-        sums = total + U if t - t0 == 1 else np.cumsum(np.concatenate([total[None], U]), 0)[1:]
-        # nxt[k] = project(sums[k], alpha(t0+k)), the reference of round t0+k+2
-        nxt = config.box.clamp(neg_steps[t0:t] * sums)
-        refs[t0], refs[t0 + 1 : t] = ref, nxt[:-1]
-        total, ref = sums[-1], nxt[-1]
-        np.subtract(d, refs[t0:t, None, :], out=d)
-        ref_gaps[t0:t] = np.sqrt(np.add.reduce(np.square(d, out=d), axis=2)).sum(axis=1)
-        dead = d if t - t0 == 1 else None
-        del d  # a longer block's stacked points are freed before its duals are stacked
-        Z = _stacked(Zs)
-        R, W = (Z, None) if r is not None else (_stacked(Rs), _stacked(Ws))
-        # the deviation from the mean field is formed in a block of one's dead
-        # points (its duals are the engine's own), else in the stacked ratios
-        out = R if dead is None else dead
-        diag[:, t0:t] = block_diagnostics(Z, R, W, sums, r, out)
-        ok = np.isfinite(diag[0:3:2, t0:t])  # the disagreement and mean-field residual
-        if not ok.all():
-            k = t0 + int(ok.all(axis=0).argmin())
-            dis, _, mf, _ = diag[:, k].tolist()
-            raise FloatingPointError(
-                f"round {k + 1} left disagreement {dis}, mean-field residual {mf}"
-            )
-
-    c = max(1, BLOCK_VALUES // (config.n * p))
-    step_list = steps.tolist()
-    Xs, Zs, Rs, Ws = [], [], [], []  # the states of the open block's rounds
+    n, c = config.n, max(1, BLOCK_VALUES // (config.n * p))
+    # the engine steps into 2c + 1 (n, p) slots, c + 1 of points and c of
+    # duals, each beside an (n,) weight slot. A block of k > 1 rounds reads
+    # Xb[:k] (the first point copied in) and Zb[:k]. A block of one reads its
+    # point in place and steps into a free slot and the slot of the duals it
+    # mixed, so at c = 1 three slots take turns. Two buffers: at ring200-wide
+    # one took 10.03 MB of resident peak, these take 9.68
+    Xb, Zb = np.empty((c + 1, n, p)), np.empty((c, n, p))
+    slots = [*Xb, *Zb]
+    Wb = None if r is not None else np.empty((2 * c + 1, n))
+    wslots = [None] * len(slots) if Wb is None else list(Wb)
+    Xb[0] = ref  # round 1's points: every agent starts where the reference does
+    x, z = 0, c  # the slots of the next round's point and of the duals it mixes
     # bound once; each still runs once a round, where a tracer can time it
     local_updates, step = engine.local_updates, engine.step
     for t0 in range(0, T, c):
         t1 = min(t0 + c, T)
+        k = t1 - t0
+        if k == 1:
+            xs, zs = [z], [min({0, 1, 2} - {x, z})]
+            X, Z = slots[x][None], slots[zs[0]][None]
+        else:
+            if x:
+                Xb[0] = slots[x]
+            xs, zs = range(1, k + 1), range(c + 1, c + k + 1)
+            X, Z = Xb[:k], Zb[:k]
         # the block's b_t = A^T q_t, one gemv per row: bit for bit the
         # per-round Q[t] @ A, where a 2-D Q @ A (one gemm) is not
         Bs = np.matmul(Q[t0:t1, None, :], A)[:, 0, :]
-        for b, u, alpha in zip(Bs, updates[t0:t1], step_list[t0:t1]):
-            # the engine replaces these arrays each step and never writes into them
-            Xs.append(engine._X)
-            step(local_updates(H, b, u), alpha)
-            Zs.append(engine._Z)
-            if r is None:  # push-sum: the ratios and the weights as well
-                Rs.append(engine._ratios)
-                Ws.append(engine._w)
-        measure(Xs, Zs, Rs, Ws, t1)
+        for b, u, alpha, i, j in zip(Bs, updates[t0:t1], steps[t0:t1].tolist(), xs, zs):
+            step(local_updates(H, b, u), alpha, slots[i], slots[j], wslots[j])
+        x, z = xs[-1], zs[-1]
+        # the block's rounds in one pass, which writes only into its spent points
+        actions[t0:t1] = X.reshape(k, -1)[:, flat]
+        # the running sums: cumsum adds in the order of total += u, bit for bit
+        U = updates[t0:t1]
+        sums = total + U if k == 1 else np.cumsum(np.concatenate([total[None], U]), 0)[1:]
+        # nxt[j] = project(sums[j], alpha(t0+j)), the reference of round t0+j+2
+        nxt = config.box.clamp(-steps[t0:t1, None] * sums)
+        refs[t0], refs[t0 + 1 : t1] = ref, nxt[:-1]
+        total, ref = sums[-1], nxt[-1]
+        np.subtract(X, refs[t0:t1, None, :], out=X)
+        ref_gaps[t0:t1] = np.sqrt(np.add.reduce(np.square(X, out=X), axis=2)).sum(axis=1)
+        # the spent points take push-sum's ratios (Z / w, the step's division),
+        # then the deviation from the mean field
+        W = None if Wb is None else Wb[zs[0] : z + 1]
+        R = Z if W is None else np.divide(Z, W[..., None], out=X)
+        diag[:, t0:t1] = block_diagnostics(Z, R, W, sums, r, X)
+        ok = np.isfinite(diag[0:3:2, t0:t1])  # the disagreement and mean-field residual
+        if not ok.all():
+            t = t0 + int(ok.all(axis=0).argmin())
+            dis, _, mf, _ = diag[:, t].tolist()
+            raise FloatingPointError(
+                f"round {t + 1} left disagreement {dis}, mean-field residual {mf}"
+            )
 
     dis, dis_sq, mf_res, w_res = diag
     return RunHistory(
@@ -613,13 +615,6 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         refs=refs, ref_gaps=ref_gaps, steps=steps, disagreement=dis,
         disagreement_squared=dis_sq, mean_field_residual=mf_res, weight_residual=w_res,
     )
-
-
-def _stacked(held: list) -> np.ndarray:
-    """The held arrays on a new first axis (one array as a view); empties the list."""
-    out = held[0][None] if len(held) == 1 else np.array(held)
-    held.clear()
-    return out
 
 
 def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:

@@ -262,6 +262,8 @@ def regret_bound(
 ) -> float:
     """A-priori regret bound for the default step rule alpha(s) = 1/sqrt(s+1):
     (n L^2 + 2 n L (L + sqrt(n) G D) kappa) sqrt(T) + C sqrt(T + 1)."""
+    if T == 0:  # C, also where the sqrt(T) coefficient is inf (inf * 0 is NaN)
+        return C
     disagree = _exp(
         math.log(2.0 * n) + _log(L) + _log(L + math.sqrt(n) * G * D) + log_kappa
     )

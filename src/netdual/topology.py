@@ -163,8 +163,9 @@ def spectral_gap(pair: ReversiblePair) -> float:
         return 1.0
     s = np.sqrt(r)
     S = (s[:, None] * M) / s[None, :]
-    sing = np.linalg.svd(S, compute_uv=False)
-    lam = 1.0 - float(sing[1]) ** 2
+    # S is symmetric for a reversible pair: its singular values are |eigenvalues|
+    sing = np.sort(np.abs(np.linalg.eigvalsh(S)))
+    lam = 1.0 - float(sing[-2]) ** 2
     return float(min(1.0, max(0.0, lam)))
 
 

@@ -119,6 +119,14 @@ def projected_gradient_comparator(
     return None
 
 
+def injection(engine: DualAveragingEngine, u: np.ndarray) -> np.ndarray:
+    """The (n, p) increment by which a step puts each owned entry u[k] into
+    its owner's row, through the engine's own injection index."""
+    U = np.zeros((engine.n, engine.p))
+    U.reshape(-1)[engine._inject] = u / engine._r_owner if engine._w is None else engine.n * u
+    return U
+
+
 def unrolled_dual_check(engine: DualAveragingEngine, update_history: list) -> float:
     """Verify the engine's duals against the explicit matrix-product expansion.
 
@@ -136,9 +144,20 @@ def unrolled_dual_check(engine: DualAveragingEngine, update_history: list) -> fl
     expected = np.zeros((engine.n, engine.p))
     R = np.eye(engine.n)
     for s in range(t - 1, -1, -1):
-        expected += R @ engine._injection(np.asarray(update_history[s], dtype=float))
+        expected += R @ injection(engine, np.asarray(update_history[s], dtype=float))
         R = R @ (engine.network.pair.M if engine._w is None else engine.network.matrix_at(s))
     return float(np.max(np.abs(engine._Z - expected))) if t else 0.0
+
+
+def svd_spectral_gap(pair: ReversiblePair) -> float:
+    """1 minus the squared second singular value of S = diag(sqrt(r)) M
+    diag(1/sqrt(r)), taken by the SVD: the oracle for ``spectral_gap``,
+    which reads the same values as S's eigenvalue magnitudes."""
+    if pair.n == 1:
+        return 1.0
+    s = np.sqrt(pair.r)
+    sing = np.linalg.svd((s[:, None] * pair.M) / s[None, :], compute_uv=False)
+    return float(min(1.0, max(0.0, 1.0 - float(sing[1]) ** 2)))
 
 
 def measurements_per_round(env: harness.SensingEnvironment, T: int, rng) -> np.ndarray:

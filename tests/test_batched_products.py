@@ -57,10 +57,11 @@ def random_covariance(p, rng):
     return 0.1 * (M @ M.T) + 0.05 * np.eye(p)
 
 
-# the map's blocks are BLOCK_VALUES // p rounds: 16384 (p = 1), 819 (p = 20)
-# and 81 (p = 200); T = 2001 and 500 are multiples of neither, 1638 of 819
+# the map's blocks are BLOCK_VALUES // p rounds: 24576 (p = 1), 1228 (p = 20)
+# and 122 (p = 200); T = 2001 and 500 are multiples of neither, 2456 of 1228
 @pytest.mark.parametrize(
-    "p, T", [(1, 2001), (20, 2001), (20, 1638), (200, 500), (3, 0), (50, 7)]
+    "p, T",
+    [(1, 2001), (20, 2001), (20, 2 * (harness.BLOCK_VALUES // 20)), (200, 500), (3, 0), (50, 7)],
 )
 def test_measurements_are_the_per_round_map(p, T):
     """The blocked map over the one-call draw, against the oracle that draws
@@ -160,3 +161,52 @@ def test_a_strided_operand_is_read_by_its_values(name):
     wide = np.random.default_rng(n).normal(size=(n, 14))
     for Z in (wide[:, ::2], np.asfortranarray(wide)):
         assert_rows_bytes(P @ Z, P @ np.ascontiguousarray(Z), f"{name} @ strided Z")
+
+
+# the dense operators the engine multiplies by (GATHER_DENSITY * K > n) and
+# the sparse ones as dense matrices
+DENSE_MATRICES = {
+    **{f"cycle{n}": lazy_cycle_pair(n).pair.M for n in (5, 20, 50)},
+    **{f"split-ring50-phase{k}": split_ring_schedule(50, 5).matrix_at(k) for k in range(5)},
+    **MIX_MATRICES,
+}
+
+
+def slot_buffer(shape, slot=2):
+    """One slot of a NaN-filled (4, *shape) block buffer, as simulate steps into."""
+    return np.full((4, *shape), np.nan)[slot]
+
+
+def operands(n, p):
+    rng = np.random.default_rng([n, p, 1])
+    Z = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    return Z, rng.uniform(0.5, 2.0, n)
+
+
+@pytest.mark.parametrize("p", [1, 3, 200])
+@pytest.mark.parametrize("name", sorted(DENSE_MATRICES))
+def test_dense_product_into_a_slot_is_the_allocated_product(name, p):
+    """np.matmul(A, Z, out=slot) runs the gemm (and, for the weights, the
+    gemv) that A @ Z runs: the slot must hold the allocated product's bytes."""
+    A = DENSE_MATRICES[name]
+    Z, w = operands(len(A), p)
+    for X, what in ((Z, f"dense {name} @ Z, p={p}"), (w, f"dense {name} @ w")):
+        out = slot_buffer(X.shape)
+        got = np.matmul(A, X, out=out)
+        assert got is out
+        assert_rows_bytes(out, A @ X, what)
+
+
+@pytest.mark.parametrize("p", [1, 3, 200])
+@pytest.mark.parametrize("name", sorted(MIX_MATRICES))
+def test_padded_rows_product_into_a_slot_is_the_allocated_product(name, p):
+    """PaddedRows.matmul writes its windowed, gathered and padded rows, and
+    the weight channel's gather, into the slot it is given: the bytes of the
+    product that allocates its result."""
+    P = PaddedRows.of(MIX_MATRICES[name])
+    Z, w = operands(len(P.nbr), p)
+    for X, what in ((Z, f"{name} @ Z into a slot, p={p}"), (w, f"{name} @ w into a slot")):
+        out = slot_buffer(X.shape)
+        got = P.matmul(X, out)
+        assert np.shares_memory(got, out) and got.shape == out.shape
+        assert_rows_bytes(out, P @ X, what)

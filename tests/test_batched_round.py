@@ -13,7 +13,7 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import mean_field, random_digraph_schedule, record_primals
+from conftest import injection, mean_field, random_digraph_schedule, record_primals
 
 from netdual import (
     ActionBox,
@@ -50,7 +50,8 @@ def reference_normal_form_updates(engine, H, b, out=None):
     return u
 
 
-def reference_step(engine, u, alpha):
+def reference_step(engine, u, alpha, X=None, Z=None, w=None):
+    """The per-agent step, its results copied into X, Z and w when given."""
     pushsum = isinstance(engine.network, DigraphSchedule)
     U = np.zeros((engine.n, engine.p))
     for k, block in enumerate(engine.blocks.blocks):
@@ -66,7 +67,10 @@ def reference_step(engine, u, alpha):
         engine._Z = engine.network.pair.M @ engine._Z + U
         Y = engine._Z
     engine._X = np.clip(-alpha * Y, engine.box.lo[None, :], engine.box.hi[None, :])
-    engine._ratios = Y  # a step keeps the ratios it projects for the diagnostics
+    for name, out in (("_X", X), ("_Z", Z), ("_w", w if pushsum else None)):
+        if out is not None:
+            out[...] = getattr(engine, name)
+            setattr(engine, name, out)
     engine.rounds += 1
 
 
@@ -226,7 +230,7 @@ def test_strided_injection_is_the_fancy_index(n, algorithm):
         fancy.step(u, 0.5 / (t + 1))
         assert strided._Z.tobytes() == fancy._Z.tobytes()
         assert strided._X.tobytes() == fancy._X.tobytes()
-        assert strided._injection(u).tobytes() == fancy._injection(u).tobytes()
+        assert injection(strided, u).tobytes() == injection(fancy, u).tobytes()
 
 
 def test_grouped_map_keeps_the_index():

@@ -115,14 +115,14 @@ def test_environment_layer_times_every_round(monkeypatch):
 
 
 def test_environment_layer_maps_a_ragged_last_block(monkeypatch):
-    """At p = 20 a map block is 819 rounds, so T = 2001 ends in a short
+    """At p = 20 a map block is 1228 rounds, so T = 2001 ends in a short
     block; the blocks still cover every round once."""
     T, p = 2001, 20
     config = RunConfig("oda-c", lazy_cycle_pair(p), ActionBox.uniform(-10, 10, p), T=T, seed=5)
     (calls, self_s), rows = traced_map_blocks(config, monkeypatch)
     k = harness.BLOCK_VALUES // p
-    assert rows == [k, k, T - 2 * k]
-    assert calls == len(rows) == 3
+    assert rows == [k, T - k]
+    assert calls == len(rows) == 2
     assert sum(rows) == T
     assert self_s > 0
 

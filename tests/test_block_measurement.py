@@ -1,6 +1,7 @@
 """simulate measures its rounds in blocks of c = max(1, BLOCK_VALUES // (n p)):
-the actions, the reference and its gaps and the diagnostics of c rounds in one
-vectorised pass over their held states. Every RunHistory array must equal the
+the engine steps into the block's slots of simulate's buffers, and the
+actions, the reference and its gaps and the diagnostics of c rounds are formed
+in one vectorised pass over those slots. Every RunHistory array must equal the
 round-by-round oracle's bit for bit, at any block size and any horizon."""
 
 import tracemalloc
@@ -13,6 +14,7 @@ from conftest import random_digraph_schedule, simulate_per_round
 from netdual import (
     ActionBox,
     BlockMap,
+    DigraphSchedule,
     DualAveragingEngine,
     RunConfig,
     harness,
@@ -26,7 +28,9 @@ from netdual.harness import fixed_environment_factory
 GROUPED = BlockMap(blocks=((0, 5), (1, 2), (3,), (4, 6, 7)))
 
 
-def config(algorithm, n, T, seed=5, blocks=None, **kw):
+def config(algorithm, n, T, seed=5, blocks=None, explicit=False, **kw):
+    """A run on the lazy n-cycle (oda-c) or the 5-phase split n-ring (oda-ps);
+    ``explicit`` spells the ring out as one graph per round (period 0)."""
     if blocks is not None:
         topology = (
             lazy_cycle_pair(blocks.n)
@@ -35,6 +39,9 @@ def config(algorithm, n, T, seed=5, blocks=None, **kw):
         )
     else:
         topology = lazy_cycle_pair(n) if algorithm == "oda-c" else split_ring_schedule(n, 5)
+        if explicit:
+            ring = topology.graphs
+            topology = DigraphSchedule(n, tuple(ring[t % 5] for t in range(T)), period=0)
         blocks = BlockMap.scalar(n)
     box = ActionBox.uniform(-10.0, 10.0, blocks.p)
     return RunConfig(algorithm, topology, box, T=T, seed=seed, blocks=blocks, **kw)
@@ -57,31 +64,37 @@ def set_block(monkeypatch, block, cfg):
         monkeypatch.setattr(harness, "BLOCK_VALUES", block * cfg.n * cfg.p)
 
 
-# T = 334 is a multiple of none of the block sizes: 1 aside, 7, and the
-# defaults 655 (n = p = 5), 40 (n = p = 20), 6 (n = p = 50) and 512 (GROUPED),
-# the first and last longer than the run
+# T = 335 is a multiple of none of the block sizes: 1 aside, it leaves a
+# trailing block of one at c = 2, a trailing partial block at c = 3 and 7 and
+# at the defaults 983 (n = p = 5), 61 (n = p = 20), 9 (n = p = 50) and 768
+# (GROUPED), and c = 400 and the n = 5 and GROUPED defaults run the horizon
+# as one block shorter than c
 CASES = [
-    ("oda-c", 5, None),
-    ("oda-ps", 5, None),
-    ("oda-c", 20, None),
-    ("oda-ps", 20, None),
-    ("oda-c", 50, None),
-    ("oda-ps", 50, None),
-    ("oda-c", None, GROUPED),
-    ("oda-ps", None, GROUPED),
+    ("oda-c", 5, None, False),
+    ("oda-ps", 5, None, False),
+    ("oda-c", 20, None, False),
+    ("oda-ps", 20, None, False),
+    ("oda-c", 50, None, False),
+    ("oda-ps", 50, None, False),
+    ("oda-c", None, GROUPED, False),
+    ("oda-ps", None, GROUPED, False),
+    ("oda-ps", 50, None, True),
 ]
 
 
-@pytest.mark.parametrize("block", [1, 7, "default"])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, "default", 400])
 @pytest.mark.parametrize(
-    "algorithm, n, blocks", CASES,
-    ids=[f"{a}-{'grouped' if b else n}" for a, n, b in CASES],
+    "algorithm, n, blocks, explicit", CASES,
+    ids=[f"{a}-{'grouped' if b else n}{'-explicit' if e else ''}" for a, n, b, e in CASES],
 )
-def test_blocks_match_the_round_by_round_oracle(algorithm, n, blocks, block, monkeypatch):
-    cfg = config(algorithm, n, T=334, blocks=blocks)
+def test_blocks_match_the_round_by_round_oracle(
+    algorithm, n, blocks, explicit, block, monkeypatch
+):
+    cfg = config(algorithm, n, T=335, blocks=blocks, explicit=explicit)
     set_block(monkeypatch, block, cfg)
     c = max(1, harness.BLOCK_VALUES // (cfg.n * cfg.p))
-    assert c == (block if block != "default" else {25: 655, 400: 40, 2500: 6, 32: 512}[cfg.n * cfg.p])
+    default = {25: 983, 400: 61, 2500: 9, 32: 768}[cfg.n * cfg.p]
+    assert c == (block if block != "default" else default)
     assert cfg.T % c or c == 1
     assert_same_history(simulate(cfg), simulate_per_round(cfg))
 
@@ -175,7 +188,7 @@ def test_block_diagnostics_writes_nothing_it_does_not_own(algorithm):
     for t in range(cfg.T):
         engine.step(oracle.updates[t], float(oracle.steps[t]))
     r = None if engine._w is not None else engine._r
-    state = (engine._Z, engine._ratios, engine._w, engine._u_total)
+    state = (engine._Z, engine.ratios(), engine._w, engine._u_total)
     before = snapshot(*state)
     Z, R, W, U = (read_only(None if a is None else a[None]) for a in state)
     got = block_diagnostics(Z, R, W, U, r)
@@ -198,7 +211,7 @@ def held_block(algorithm) -> tuple:
     held = []
     for t in range(1, cfg.T + 1):
         engine.step(rng.normal(size=cfg.p), 1.0 / t)
-        held.append((engine._Z, engine._ratios, engine._w))
+        held.append((engine._Z, engine.ratios(), engine._w))
     Z, R, W = (None if held[0][k] is None else np.array([h[k] for h in held]) for k in range(3))
     U = np.cumsum(rng.normal(size=(cfg.T, cfg.p)), axis=0)
     r = None if W is not None else engine._r
@@ -222,9 +235,9 @@ def test_deviation_in_the_stacked_ratios_gives_the_same_bits(algorithm):
 
 @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
 def test_deviation_in_a_separate_buffer_gives_the_same_bits(algorithm):
-    """With out= a buffer of its own (simulate's dead points, for a block of
-    one) the diagnostics keep their bits, and Z, the ratios and the weights
-    keep theirs: read-only views of them must not be written."""
+    """With out= a buffer of its own (simulate's spent points, for oda-c)
+    the diagnostics keep their bits, and Z, the ratios and the weights keep
+    theirs: read-only views of them must not be written."""
     Z, R, W, U, r = held_block(algorithm)
     want = block_diagnostics(Z, R, W, U, r)
     before = snapshot(Z, R, W)
@@ -235,36 +248,53 @@ def test_deviation_in_a_separate_buffer_gives_the_same_bits(algorithm):
         assert a.tobytes() == b.tobytes()
 
 
-def guard_live_state(monkeypatch):
-    """Wrap ``DualAveragingEngine.step``: after each step the engine's
-    current _X, _Z, _ratios and _w are read-only, and the arrays the step
-    replaced are writable again, so a write into a live array raises."""
-    step = DualAveragingEngine.step
+def guard_carried_state(monkeypatch):
+    """Wrap ``DualAveragingEngine.local_updates`` and ``step``: each call
+    first checks that the points, duals and weights the last step left, the
+    slots the next round reads, still hold the bytes that step wrote. A
+    write into them through any view of simulate's buffers fails at the next
+    call; the returned check covers the last block's measurement."""
+    local_updates, step = DualAveragingEngine.local_updates, DualAveragingEngine.step
+    left = []  # the engine the last step moved and the bytes of its state
 
-    def live(engine):
-        return [a for a in (engine._X, engine._Z, engine._ratios, engine._w) if a is not None]
+    def carried(engine):
+        state = {"points": engine._X, "duals": engine._Z, "weights": engine._w}
+        return {name: a.tobytes() for name, a in state.items() if a is not None}
 
-    def guarded(engine, *args):
-        before = live(engine)
+    def check():
+        if left:
+            engine, want = left
+            written = [name for name, a in carried(engine).items() if a != want[name]]
+            assert not written, f"the carried {written} were written after their step"
+
+    def guarded_local_updates(engine, *args):
+        check()
+        return local_updates(engine, *args)
+
+    def guarded_step(engine, *args):
+        check()
         step(engine, *args)
-        after = live(engine)
-        for a in before:
-            if not any(a is b for b in after):
-                a.flags.writeable = True
-        for a in after:
-            a.flags.writeable = False
+        left[:] = engine, carried(engine)
 
-    monkeypatch.setattr(DualAveragingEngine, "step", guarded)
+    monkeypatch.setattr(DualAveragingEngine, "local_updates", guarded_local_updates)
+    monkeypatch.setattr(DualAveragingEngine, "step", guarded_step)
+    return check
 
 
-# n = 5 runs one block of 655 rounds then a block of one at the default size
-@pytest.mark.parametrize("block", [1, "default"])
+# at the default block size n = 5 runs one block of c rounds then a block of
+# one, and n = 200 runs blocks of one (n p > BLOCK_VALUES)
+C5 = harness.BLOCK_VALUES // 25
+
+
+@pytest.mark.parametrize("block", [1, 2, "default"])
 @pytest.mark.parametrize("algorithm, n, T", [
-    ("oda-c", 5, 656), ("oda-ps", 5, 656), ("oda-c", 200, 12), ("oda-ps", 200, 12),
+    ("oda-c", 5, C5 + 1), ("oda-ps", 5, C5 + 1), ("oda-c", 200, 12), ("oda-ps", 200, 12),
 ])
 def test_simulate_writes_only_into_replaced_arrays(algorithm, n, T, block, monkeypatch):
     cfg = config(algorithm, n, T=T)
     want = simulate_per_round(cfg)
     set_block(monkeypatch, block, cfg)
-    guard_live_state(monkeypatch)
-    assert_same_history(simulate(cfg), want)
+    check = guard_carried_state(monkeypatch)
+    got = simulate(cfg)
+    check()
+    assert_same_history(got, want)

@@ -420,6 +420,29 @@ class TestBoundsCommand:
         assert [row["T"] for row in payload["rows"]] == [0, 3]
 
 
+    def test_zero_horizon_bound_is_strict_json(self, tmp_path, capsys):
+        # the 5-phase split 50-ring's sqrt(T) coefficient overflows to inf:
+        # over T = 0 rounds the bound is still C, not inf * 0 = NaN
+        ring = split_ring_schedule(50, 5)
+        graph = {
+            "n": 50, "mode": "schedule", "period": 5,
+            "graphs": [sorted(map(list, E)) for E in ring.graphs],
+        }
+        cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-ps", "T": 1, "graph": graph})
+        assert main(["bounds", "--config", cfg, "--horizons", "0,10"]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+
+        def no_nan(constant):
+            if constant == "NaN":
+                raise ValueError("NaN in the bounds output")
+            return float(constant)  # the vacuous bounds print as Infinity
+
+        payload = json.loads(line, parse_constant=no_nan)
+        assert [row["T"] for row in payload["rows"]] == [0, 10]
+        assert payload["rows"][0]["bound"] == payload["C"]
+        assert payload["rows"][1]["bound"] == math.inf
+
+
 class TestCheckInvariantsCommand:
     def test_passes_on_stock_configs(self, tmp_path, capsys):
         for algorithm in ("oda-c", "oda-ps"):

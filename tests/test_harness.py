@@ -323,9 +323,9 @@ class TestSimulate:
         received = []
         step = DualAveragingEngine.step
 
-        def recording(self, u, alpha):
+        def recording(self, u, alpha, *out):
             received.append(alpha)
-            return step(self, u, alpha)
+            return step(self, u, alpha, *out)
 
         monkeypatch.setattr(DualAveragingEngine, "step", recording)
         hist = simulate(base_config(algorithm, T=2000, seed=4))
@@ -383,14 +383,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
     def test_one_division_per_round(self, algorithm, monkeypatch):
-        # the step keeps the ratios z_i / w_i it projects, and the round's
-        # diagnostics read them instead of dividing again
+        # the step forms the ratios z_i / w_i it projects by one ratios()
+        # call; the measurement forms a block's ratios without the engine
         calls = []
         ratios = DualAveragingEngine.ratios
 
-        def counted(self):
+        def counted(self, *out):
             calls.append(self.rounds)
-            return ratios(self)
+            return ratios(self, *out)
 
         monkeypatch.setattr(DualAveragingEngine, "ratios", counted)
         simulate(base_config(algorithm, T=9))

@@ -151,9 +151,9 @@ GATHER_RUNS = pytest.mark.parametrize(
 @GATHER_RUNS
 def test_full_run_through_gather_matches_dense(config, monkeypatch):
     products = []
-    gather = PaddedRows.__matmul__
+    gather = PaddedRows.matmul
     monkeypatch.setattr(
-        PaddedRows, "__matmul__", lambda P, X: products.append(X.ndim) or gather(P, X)
+        PaddedRows, "matmul", lambda P, X, out=None: products.append(X.ndim) or gather(P, X, out)
     )
     history = simulate(config)
     # the duals, and under push-sum the weights, went through the gather every round

@@ -324,10 +324,17 @@ class TestClosedFormBounds:
 
 
 def same_bound(got: float, want: float) -> bool:
-    """Within 1e-12 relative, and inf (or NaN) exactly where want is."""
+    """Within 1e-12 relative, and inf exactly where want is."""
     if not math.isfinite(want):
-        return got == want or (math.isnan(got) and math.isnan(want))
+        return got == want
     return abs(got - want) <= 1e-12 * abs(want)
+
+
+def oracle_regret_bound(closed_form, T, *args) -> float:
+    """A replaced closed form's regret bound; over T = 0 rounds the bound is
+    C = 3.0, where the closed forms read inf * sqrt(0) = NaN whenever the
+    sqrt(T) coefficient is infinite."""
+    return 3.0 if T == 0 else closed_form(T, *args)
 
 
 ORACLE_N = (1, 2, 3, 5, 20, 50)
@@ -350,7 +357,9 @@ class TestOneFactorOracle:
             ), (n, L)
             assert same_bound(
                 regret_bound(T, n, L, G, D, 3.0, log_kappa),
-                conftest.circulation_regret_bound(T, n, L, G, D, 3.0, r_min, lam),
+                oracle_regret_bound(
+                    conftest.circulation_regret_bound, T, n, L, G, D, 3.0, r_min, lam
+                ),
             ), (T, n, L, G, D)
 
     @pytest.mark.parametrize("B", [1, 2, 5, 10])
@@ -367,7 +376,7 @@ class TestOneFactorOracle:
             ), (n, L)
             assert same_bound(
                 regret_bound(T, n, L, G, D, 3.0, log_kappa),
-                conftest.pushsum_regret_bound(T, n, L, G, D, 3.0, c),
+                oracle_regret_bound(conftest.pushsum_regret_bound, T, n, L, G, D, 3.0, c),
             ), (T, n, L, G, D)
 
     def test_grid_reaches_the_overflow_region(self):

@@ -7,7 +7,9 @@ import pytest
 from conftest import (
     backward_product,
     check_geometric_decay,
+    metropolis_topology,
     random_digraph_schedule,
+    svd_spectral_gap,
     validate_b_strong_search,
 )
 
@@ -126,6 +128,18 @@ class TestValidateReversiblePair:
             ReversiblePair(r=np.full(3, 1 / 3), M=np.eye(2))
 
 
+# the library's lazy cycles at the sizes runs use, the hand-built and the
+# random Metropolis pairs, and the two extremes of mixing
+STOCK_PAIRS = {
+    **{f"cycle{n}": lazy_cycle_pair(n).pair for n in (3, 4, 5, 10, 20, 50, 128, 200)},
+    "path3": reversible_path_pair()[1],
+    **{f"metropolis{n}": metropolis_topology(n, np.random.default_rng(n)).pair for n in (6, 30)},
+    "single": ReversiblePair(r=np.array([1.0]), M=np.array([[1.0]])),
+    "identity3": ReversiblePair(r=np.full(3, 1 / 3), M=np.eye(3)),
+    "rank-one4": ReversiblePair(r=np.full(4, 1 / 4), M=np.full((4, 4), 1 / 4)),
+}
+
+
 class TestSpectralGap:
     def test_matches_eigendecomposition_oracle_on_cycle(self):
         pair = lazy_cycle_pair(5).pair
@@ -157,6 +171,11 @@ class TestSpectralGap:
         sigma = np.linalg.svd(S, compute_uv=False)
         assert spectral_gap(pair) == pytest.approx(1.0 - sigma[1] ** 2, abs=1e-12)
         assert 0.0 < spectral_gap(pair) <= 1.0
+
+    @pytest.mark.parametrize("name", sorted(STOCK_PAIRS))
+    def test_eigenvalues_give_the_svd_gap_on_every_stock_pair(self, name):
+        pair = STOCK_PAIRS[name]
+        assert abs(spectral_gap(pair) - svd_spectral_gap(pair)) <= 1e-14
 
     # spectral_gap trusts its pair; these pairs are stopped by the validation
     # every caller runs first
