@@ -642,9 +642,10 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
             theory_bound=theory_bound(config, history.network, 0, 0.0, 0.0, D, C),
         )
 
-    # O(T) per prefix from here on: the prefix-free columns are formed once
+    # O(T) per prefix from here on: the prefix-free columns are formed once,
+    # and the prefix's losses share the run's statistics
     cols = history.columns
-    losses = QuadraticLoss(history.losses.A, history.losses.q[:T])
+    losses = history.losses.prefix(T)
     L, G = lipschitz_constants(losses.A, box, q_radius=float(cols.q_radius[T - 1]), G=cols.G)
     comp = offline_comparator(losses, box, tol=config.comparator_tol)
     costs = cols.costs[:T].copy()
@@ -697,8 +698,9 @@ def sweep(config: RunConfig, horizons, cumulative: bool = False) -> list:
     Fresh mode restarts each horizon as its own run (identical to calling
     run() with that T), on network constants certified once. Cumulative
     mode simulates the longest horizon once and measures each shorter
-    horizon as a prefix: the prefix-free columns are formed once, and each
-    prefix re-solves the comparator.
+    horizon as a prefix: the prefix-free columns and the losses' run-level
+    statistics (``QuadraticLoss.gram`` and ``spread``) are formed once, and
+    each prefix re-solves the comparator from them.
     """
     horizons = [int(T) for T in horizons]
     if not horizons:

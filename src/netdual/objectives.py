@@ -5,6 +5,8 @@ norm over the feasible box (so each loss is L-Lipschitz there) and G
 bounds the gradient's own Lipschitz modulus (largest eigenvalue of A^T A).
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .core import ActionBox
@@ -19,6 +21,11 @@ class QuadraticLoss:
     axis: a point (p,) or a stack (k, p) against one q, or a stack against
     the stack of q row by row, so the measurement reads all T rounds in one
     call. The round loop calls neither: it reads A^T A and A^T q_t.
+
+    A stack's run-level statistics are formed once, on first use, and a
+    ``prefix`` of its rounds shares them: ``gram`` = A^T A, and ``spread``,
+    0.5 ||q_t - q_1||^2 per round, the centred part of each round's cost
+    (``offline_comparator`` prices its point from these).
     """
 
     def __init__(self, A: np.ndarray, q: np.ndarray):
@@ -28,6 +35,25 @@ class QuadraticLoss:
             raise ConfigError(f"shape mismatch: A is {A.shape}, q is {q.shape}")
         self.A = A
         self.q = q
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.A.T @ self.A
+
+    @cached_property
+    def spread(self) -> np.ndarray:
+        # one (T, m) temporary and a row-by-row dot, the same for a row
+        # whatever rows follow it; q_1 is the centre every prefix shares,
+        # so a prefix's column is the head of the run's
+        d = np.subtract(self.q, self.q[0])
+        col = np.einsum("ij,ij->i", d, d)
+        return np.multiply(col, 0.5, out=col)
+
+    def prefix(self, T: int) -> "QuadraticLoss":
+        """The losses of the first T rounds of a stack, sharing its statistics."""
+        head = QuadraticLoss(self.A, self.q[:T])
+        head.gram, head.spread = self.gram, self.spread[:T]
+        return head
 
     def _residual(self, x: np.ndarray) -> np.ndarray:
         # A x - q, in place on the product when that has the result's shape;

@@ -51,14 +51,25 @@ def offline_comparator(
     bounds hold is at most tol. ``iterations`` counts Newton passes, the
     start's included; more than max_iter after the start, or an arc with no
     decrease, raises.
+
+    The solve reads run-level statistics that every prefix of a run shares
+    (``QuadraticLoss.prefix``): H scales the stack's Gram ``losses.gram``,
+    b is A^T times one gemv 1^T Q, and the per-round costs at y come from
+    the expansion centred on the first round,
+    f_t(y) = 0.5 ||q_t - q_1||^2 + 0.5 ||e||^2 - (q_t - q_1) . e with
+    e = A y - q_1: the stack's ``spread`` column and one gemv Q e, with no
+    (T, m) residual. Each cost rounds at about eps ||q_t|| ||e||, where the
+    uncentred 0.5 ||q_t||^2 - q_t . A y + 0.5 ||A y||^2 rounds at
+    eps ||q_t||^2.
     """
     Q = losses.q
     if Q.ndim != 2 or Q.shape[0] == 0:
         raise ConfigError("need a stack of at least one measurement")
     if losses.A.shape[1] != box.p:
         raise ConfigError("objective dimension disagrees with the box")
-    H = Q.shape[0] * (losses.A.T @ losses.A)
-    b = losses.A.T @ Q.sum(axis=0)
+    T = Q.shape[0]
+    H = T * losses.gram
+    b = losses.A.T @ (np.ones(T) @ Q)
     diag = np.where(np.diag(H) > 0, np.diag(H), 1.0)  # a zero column of A never moves g
     # keeps a singular H_FF factorable; the start's gradient is off by ~mu ||y||,
     # which at 1e-12 missed tol=1e-8 on 12 of sweep20-prefix's 16 prefixes
@@ -67,7 +78,14 @@ def offline_comparator(
     def newton(F, g_F):
         # the part of g_F a singular H_FF cannot reach takes a diagonal step
         H_FF = H[np.ix_(F, F)]
-        x = np.linalg.solve(H_FF + mu * np.eye(len(F)), g_F)
+        # mu goes on H_FF's diagonal in place and comes off after the solve,
+        # so no p x p eye, scaled eye or sum is formed beside the Gram the
+        # losses keep
+        ridge = H_FF.reshape(-1)[:: len(F) + 1]
+        d_FF = ridge.copy()
+        ridge += mu
+        x = np.linalg.solve(H_FF, g_F)
+        ridge[:] = d_FF
         return x + (g_F - H_FF @ x) / diag[F]
 
     def held(y, g, eps):  # within eps of a bound that -g pushes against
@@ -91,9 +109,16 @@ def offline_comparator(
                 break
             d *= 0.5
         else:
-            break  # no decrease left at roundoff scale
+            break  # no decrease left: a point that is not finite, or roundoff
         y = z
-    costs = losses.value(y)
+    e = losses.A @ y - Q[0]
+    costs = Q @ e  # q_t . e
+    # (q_t - q_1) . e; the rows of one gemv can round apart, so a cost that
+    # is 0.5 ||e||^2 alone, at a point that fits every q_t, can read below 0
+    costs -= costs[0]
+    np.subtract(losses.spread, costs, out=costs)
+    costs += 0.5 * float(e @ e)
+    np.maximum(costs, 0.0, out=costs)
     value = float(np.sum(costs))
     if not residual <= tol:  # a NaN residual never converges
         raise ComparatorError(

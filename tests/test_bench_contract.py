@@ -6,8 +6,10 @@ run report ``missing_layers`` and ``correct: false`` with no metrics, so a
 rename or removal in ``src/`` fails here, in the unit tests, first.
 """
 
+import functools
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +183,59 @@ def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
     assert curvature_calls == [(5, 5)]
     assert not hasattr(netdual, "power_iteration")
     assert not hasattr(objectives, "power_iteration")
+
+
+# sweep20-prefix's run and horizons: n = p = m = 20, 16 prefixes of 4000 rounds
+SWEEP_HORIZONS = tuple(range(250, 4001, 250))
+
+
+def sweep_config(T: int) -> RunConfig:
+    return RunConfig("oda-c", lazy_cycle_pair(20), ActionBox.uniform(-10, 10, 20), T=T, seed=5)
+
+
+def test_cumulative_sweep_prices_the_run_once(monkeypatch):
+    """A cumulative sweep evaluates the losses once, at the run's actions
+    (``round_columns``), and its comparators share one Gram A^T A
+    (``QuadraticLoss.gram``). A comparator that priced its point with
+    ``QuadraticLoss.value`` or formed its Gram per prefix would add a
+    (T, m) pass to each of ``finalize_s``'s prefixes without failing a
+    check."""
+    value_calls, gram_calls = [], []
+    value, gram = objectives.QuadraticLoss.value, objectives.QuadraticLoss.gram.func
+
+    def counting_value(self, x):
+        value_calls.append(np.shape(x))
+        return value(self, x)
+
+    def counting_gram(self):
+        gram_calls.append(self.A.shape)
+        return gram(self)
+
+    counted = functools.cached_property(counting_gram)
+    counted.__set_name__(objectives.QuadraticLoss, "gram")
+    monkeypatch.setattr(objectives.QuadraticLoss, "value", counting_value)
+    monkeypatch.setattr(objectives.QuadraticLoss, "gram", counted)
+    rows = harness.sweep(sweep_config(1), SWEEP_HORIZONS, cumulative=True)
+    assert [row.T for row in rows] == list(SWEEP_HORIZONS)
+    assert value_calls == [(4000, 20)]
+    assert gram_calls == [(20, 20)]
+
+
+def test_a_measured_prefix_allocates_no_round_by_measurement_array():
+    """Once the run's columns exist, a prefix of T rounds allocates O(T + p^2):
+    its trace's columns and the comparator's solve, under the T m floats
+    that one (T, m) residual would take."""
+    history = harness.simulate(sweep_config(SWEEP_HORIZONS[-1]))
+    harness.finalize(history, SWEEP_HORIZONS[0])  # forms the run's columns
+    m = history.losses.q.shape[1]
+    for T in SWEEP_HORIZONS:
+        tracemalloc.start()
+        try:
+            harness.finalize(history, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < T * m * 8, (T, peak)
 
 
 def test_test_helpers_stay_out_of_the_library():

@@ -236,6 +236,16 @@ class TestRunCommand:
         assert code == 2
         assert payload["error"] == "experiment config must be a JSON object"
 
+    def test_graph_file_that_is_not_an_object_is_parse_error(self, tmp_path, capsys):
+        graph = write_json(tmp_path, "g.json", [PATH_PAIR])
+        cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-c", "T": 5, "graph": graph})
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 2
+        assert [json.loads(line) for line in lines] == [
+            {"error": "graph spec must be a JSON object", "command": "run"}
+        ]
+
     def test_negative_seed_flag_is_parse_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-c", "T": 5})
         code, payload = invoke(

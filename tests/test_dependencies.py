@@ -43,3 +43,10 @@ def test_a_foreign_import_is_reported(tmp_path):
     path = tmp_path / "module.py"
     path.write_text("import math\nfrom . import core\n\ndef f():\n    import scipy.linalg\n")
     assert foreign_imports(path) == [(5, "scipy.linalg")]
+
+
+def test_numpy_floor_has_vecdot():
+    """The engine's per-row dot is ``np.vecdot``, new in numpy 2.0, so the
+    declared floor is 2.0."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert '"numpy>=2.0"' in pyproject

@@ -12,12 +12,16 @@ from netdual import (
     ConfigError,
     QuadraticLoss,
     RegretTrace,
+    RunConfig,
     contraction_constants,
     decomposition_terms,
     disagreement_bound,
+    harness,
+    lazy_cycle_pair,
     network_regret,
     offline_comparator,
     regret_bound,
+    split_ring_schedule,
 )
 from netdual import objectives, regret
 from netdual.regret import (
@@ -132,6 +136,16 @@ class TestOfflineComparator:
         assert err.grad_norm > 1e-12
         assert offline_comparator(losses, box, tol=1e-12).iterations > 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_measurement_that_is_not_finite_stops_at_the_first_pass(self, bad):
+        # no arc from a point that is not finite passes the Armijo test, so
+        # the search gives up in its first pass rather than after max_iter
+        q = np.ones((4, 2))
+        q[2, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ComparatorError, match=r"Newton passes 1,"):
+                offline_comparator(QuadraticLoss(A=np.eye(2), q=q), ActionBox.uniform(-1, 1, 2))
+
     def test_makes_no_power_iteration(self, monkeypatch):
         calls = []
         curvature = objectives.curvature
@@ -189,6 +203,92 @@ def test_comparator_meets_kkt_on_random_box_qps():
                 checked += 1
                 assert res.value <= oracle[1] + 1e-12 * abs(oracle[1]) + 1e-20, case
     assert checked >= 25  # the oracle converges on most of the subset
+
+
+def assert_priced(costs, losses, y):
+    """Each comparator cost is 0.5 ||A y - q_t||^2 from the residual itself,
+    to 1e-12 of max(1, cost), and never below 0. A y is one product, as in
+    the comparator: far from the origin its own rounding is on the cost's
+    scale, and is no part of the pricing."""
+    r = losses.A @ y - losses.q
+    want = 0.5 * np.sum(r * r, axis=1)
+    assert costs.shape == want.shape
+    assert np.all(costs >= 0.0)
+    gap = np.abs(costs - want)
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, want)), float(np.max(gap))
+
+
+class TestComparatorPricing:
+    """The comparator prices its point from run-level statistics centred on
+    q_1, not from a (T, m) residual. Its gemv q_t . e rounds at about
+    eps ||q_t|| ||e||; an uncentred expansion in ||q_t||^2 rounds at eps
+    ||q_t||^2, which loses the cost where the measurements sit far from the
+    origin (1e-11 of it at an offset of 100, against 4e-14 centred), and
+    reads below 0 where the point fits every measurement."""
+
+    @pytest.mark.parametrize(
+        "algorithm, topology",
+        [("oda-c", lazy_cycle_pair(5)), ("oda-ps", split_ring_schedule(5, 3))],
+        ids=["oda-c", "oda-ps"],
+    )
+    def test_sensing_prefixes(self, algorithm, topology):
+        config = RunConfig(algorithm, topology, ActionBox.uniform(-10, 10, 5), T=600, seed=5)
+        history = harness.simulate(config)
+        for T in (1, 2, 37, 250, 600):
+            trace = harness.finalize(history, T)
+            assert_priced(trace.comparator_costs, history.losses.prefix(T), trace.y_star)
+
+    def test_large_offset_sensing(self):
+        # ||q_t||^2 near 5e4 against costs near 0.6
+        target = np.full(5, 100.0)
+        config = RunConfig(
+            "oda-c", lazy_cycle_pair(5), ActionBox.uniform(-200, 200, 5), T=300, seed=2,
+            environment=harness.sensing_environment_factory(target=target),
+        )
+        history = harness.simulate(config)
+        trace, losses = harness.finalize(history), history.losses
+        assert np.min(np.sum(losses.q * losses.q, axis=1)) > 1e4 * np.max(trace.comparator_costs)
+        assert_priced(trace.comparator_costs, losses, trace.y_star)
+
+    def test_large_offset_stack(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(7, 4))
+        q = 100.0 + rng.normal(size=(50, 7))
+        for box in (ActionBox.uniform(-1e3, 1e3, 4), ActionBox.uniform(-1.0, 1.0, 4)):
+            losses = QuadraticLoss(A=A, q=q)
+            res = offline_comparator(losses, box, tol=1e-6)
+            assert_priced(res.costs, losses, res.y)
+
+    def test_noiseless_fit(self):
+        # one measurement, fitted exactly by a point inside the box: every
+        # cost is 0.5 ||A y - q||^2 at the roundoff of the solve
+        rng = np.random.default_rng(9)
+        A = np.eye(20) + 0.1 * rng.uniform(-1, 1, (20, 20))
+        q = A @ rng.uniform(-5, 5, 20)
+        config = RunConfig(
+            "oda-c", lazy_cycle_pair(20), ActionBox.uniform(-10, 10, 20), T=300, seed=1,
+            environment=harness.fixed_environment_factory([q], A=A),
+        )
+        trace = harness.run(config)
+        assert np.max(trace.comparator_costs) < 1e-20
+        assert_priced(trace.comparator_costs, QuadraticLoss(A, np.tile(q, (300, 1))), trace.y_star)
+
+    def test_noiseless_fit_rounds_to_no_negative_cost(self):
+        # A = I fits q to within an ulp, where 0.5 ||e||^2 is as small as the
+        # rounding of a gemv row; rows of one gemv round apart, and one of
+        # these draws reads -1e-28 before the costs are clamped at 0
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            losses = QuadraticLoss(np.eye(20), np.tile(rng.uniform(-5, 5, 20), (7, 1)))
+            res = offline_comparator(losses, ActionBox.uniform(-10, 10, 20))
+            assert_priced(res.costs, losses, res.y)
+
+    def test_random_box_qps(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            losses, box = random_box_qp(rng)
+            res = offline_comparator(losses, box)
+            assert_priced(res.costs, losses, res.y)
 
 
 class TestNetworkRegret:
