@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ActionBox, BlockMap, load_json, parse_numbers, prox_sup
-from .engine import DualAveragingEngine, block_diagnostics
+from .engine import DualAveragingEngine, _row_dots, block_diagnostics
 from .errors import ConfigError, TopologyError
 from .objectives import QuadraticLoss, lipschitz_constants
 from .regret import (
@@ -547,6 +547,10 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     flat = config.blocks.owner * p + np.arange(p)  # (owner[k], k) in a raveled (n, p)
     r = None if network.weighted else config.topology.pair.r
     actions, updates, refs = (np.empty((T, p)) for _ in range(3))
+    # every b_t = A^T q_t before round 1, into the updates that replace them:
+    # one gemv per row, bit for bit the per-round Q[t] @ A, where a 2-D
+    # Q @ A (one gemm) is not
+    np.matmul(Q[:, None, :], A, out=updates[:, None, :])
     ref_gaps, diag = np.empty(T), np.empty((4, T))  # diag: the four per-round diagnostics
     # the single-agent run on the same updates: the reference of round t
     # projects the sum through round t-1 with step alpha(t-2)
@@ -579,11 +583,9 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
                 Xb[0] = slots[x]
             xs, zs = range(1, k + 1), range(c + 1, c + k + 1)
             X, Z = Xb[:k], Zb[:k]
-        # the block's b_t = A^T q_t, one gemv per row: bit for bit the
-        # per-round Q[t] @ A, where a 2-D Q @ A (one gemm) is not
-        Bs = np.matmul(Q[t0:t1, None, :], A)[:, 0, :]
-        for b, u, alpha, i, j in zip(Bs, updates[t0:t1], steps[t0:t1].tolist(), xs, zs):
-            step(local_updates(H, b, u), alpha, slots[i], slots[j], wslots[j])
+        # round t overwrites its own b_t with its update, elementwise
+        for u, alpha, i, j in zip(updates[t0:t1], steps[t0:t1].tolist(), xs, zs):
+            step(local_updates(H, u, u), alpha, slots[i], slots[j], wslots[j])
         x, z = xs[-1], zs[-1]
         # the block's rounds in one pass, which writes only into its spent points
         actions[t0:t1] = X.reshape(k, -1)[:, flat]
@@ -595,7 +597,7 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         refs[t0], refs[t0 + 1 : t1] = ref, nxt[:-1]
         total, ref = sums[-1], nxt[-1]
         np.subtract(X, refs[t0:t1, None, :], out=X)
-        ref_gaps[t0:t1] = np.sqrt(np.add.reduce(np.square(X, out=X), axis=2)).sum(axis=1)
+        ref_gaps[t0:t1] = np.sqrt(_row_dots(X, X)).sum(axis=1)
         # the spent points take push-sum's ratios (Z / w, the step's division),
         # then the deviation from the mean field
         W = None if Wb is None else Wb[zs[0] : z + 1]

@@ -203,8 +203,10 @@ def run_bytes(config: RunConfig, path) -> tuple:
 def simulate_per_round(config: RunConfig) -> harness.RunHistory:
     """``simulate`` measured round by round: each round's reference gap,
     reference and diagnostics formed right after its step, by the formulas
-    the engine used before the diagnostics became one block function. The
-    oracle every blocked ``RunHistory`` is checked against, bit for bit."""
+    the engine used before the diagnostics became one block function, with
+    each squared norm one row's ``np.vecdot``, as the blocked measurement
+    takes it. The oracle every blocked ``RunHistory`` is checked against,
+    bit for bit."""
     rng = harness.run_generator(config)
     network = harness.network_constants(config)
     engine = DualAveragingEngine(config.topology, config.blocks, config.box)
@@ -229,12 +231,12 @@ def simulate_per_round(config: RunConfig) -> harness.RunHistory:
         updates[t - 1] = u
         refs[t - 1] = ref
         d = X - ref
-        ref_gaps[t - 1] = np.sqrt(np.add.reduce(np.square(d, out=d), axis=1)).sum()
+        ref_gaps[t - 1] = np.sqrt(np.vecdot(d, d)).sum()
         total += u
         ref = project(total, step, config.box)
         mf = mean_field(engine)
         d = engine.ratios() - mf[None, :]
-        row_sq = np.add.reduce(np.square(d, out=d), axis=1)
+        row_sq = np.vecdot(d, d)
         dis[t - 1] = dis_t = float(np.sqrt(row_sq).sum())
         dis_sq[t - 1] = float(row_sq.sum())
         mf_res[t - 1] = mf_t = float(np.abs(mf - total).max())

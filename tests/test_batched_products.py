@@ -1,13 +1,13 @@
-"""The two state-free products of a run are formed a block of rounds at a
-time: each round's measurement ``center + cov_sqrt @ z`` and its
-``b_t = A^T q_t``. A batched matmul of a matrix with a stack of vectors runs
-one gemv per row, the call the per-row product makes, so every row must be
-the per-row product's bytes; a 2-D gemm would round some rows differently.
-The sparse mix rests on the same identity: each row of ``PaddedRows @ Z`` is
-one gemv over the row's K neighbours, read through a strided window of Z or
-a gathered copy, and must be the gathered per-row product's bytes. The
-identity is a property of the numpy and BLAS build, so a mismatch names the
-build."""
+"""The two state-free products of a run are formed a stack of rounds at a
+time: each round's measurement ``center + cov_sqrt @ z``, a block of rounds
+a call, and its ``b_t = A^T q_t``, the whole run in one call. A batched
+matmul of a matrix with a stack of vectors runs one gemv per row, the call
+the per-row product makes, so every row must be the per-row product's
+bytes; a 2-D gemm would round some rows differently. The sparse mix rests
+on the same identity: each row of ``PaddedRows @ Z`` is one gemv over the
+row's K neighbours, read through a strided window of Z or a gathered copy,
+and must be the gathered per-row product's bytes. The identity is a
+property of the numpy and BLAS build, so a mismatch names the build."""
 
 import numpy as np
 import pytest
@@ -50,6 +50,23 @@ def test_batched_matrix_times_rows_is_the_per_row_product(T, m, p, offset):
     got = np.matmul(C, Ns[:, :, None])[:, :, 0]
     assert got.shape == (T - offset, m)
     assert_rows_bytes(got, [C @ z for z in Ns], f"C @ N[{offset}:], C {m}x{p}")
+
+
+# simulate forms every b_t before round 1, in one call into a (T, 1, p) view
+# of its (T, p) updates: the workloads' stacks, and one non-square A
+WHOLE_RUN_SHAPES = [(4000, 20, 20), (2000, 50, 50), (500, 200, 200), (300, 30, 20)]
+
+
+@pytest.mark.parametrize("T, m, p", WHOLE_RUN_SHAPES)
+def test_whole_run_product_into_a_row_view_is_the_per_row_product(T, m, p):
+    rng = np.random.default_rng([T, m, p])
+    Q = rng.normal(size=(T, m)) * 10.0
+    A = rng.uniform(-1.0, 1.0, (m, p))
+    out = np.full((T, p), np.nan)
+    view = out[:, None, :]
+    got = np.matmul(Q[:, None, :], A, out=view)
+    assert got is view and np.shares_memory(got, out)
+    assert_rows_bytes(out, [q @ A for q in Q], f"Q @ A into a (T, 1, p) view, A {m}x{p}")
 
 
 def random_covariance(p, rng):

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import random_digraph_schedule, simulate_per_round
+from conftest import random_digraph_schedule, record_primals, simulate_per_round
 
 from netdual import (
     ActionBox,
@@ -22,6 +22,7 @@ from netdual import (
     simulate,
     split_ring_schedule,
 )
+from netdual import engine as engine_module
 from netdual.engine import block_diagnostics
 from netdual.harness import fixed_environment_factory
 
@@ -202,10 +203,10 @@ def test_block_diagnostics_writes_nothing_it_does_not_own(algorithm):
     assert snapshot(*state) == before
 
 
-def held_block(algorithm) -> tuple:
-    """Nine rounds' stacked Z, ratios and weights (None for oda-c), running
+def held_block(algorithm, n=20, c=9, blocks=None) -> tuple:
+    """c rounds' stacked Z, ratios and weights (None for oda-c), running
     sums U and the stationary r (None for oda-ps)."""
-    cfg = config(algorithm, 20, T=9)
+    cfg = config(algorithm, n, T=c, blocks=blocks)
     engine = DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box)
     rng = np.random.default_rng(3)
     held = []
@@ -298,3 +299,62 @@ def test_simulate_writes_only_into_replaced_arrays(algorithm, n, T, block, monke
     got = simulate(cfg)
     check()
     assert_same_history(got, want)
+
+
+# The measured norms are one dot a row, np.vecdot, where the former formula
+# squared the row and reduced it pairwise; for p <= 1000 both err by a few
+# ulps (Higham 2002, sections 3.1 and 4.2), so they agree within 8 eps
+EPS = np.finfo(float).eps
+NORM_CASES = [(a, n, None) for n in (5, 50, 200) for a in ("oda-c", "oda-ps")] + [
+    ("oda-c", None, GROUPED), ("oda-ps", None, GROUPED),
+]
+NORM_IDS = [f"{a}-{'grouped' if b else n}" for a, n, b in NORM_CASES]
+
+
+def within_eight_ulps(got, want):
+    return bool(np.all(np.abs(got - want) <= 8 * EPS * want))
+
+
+@pytest.mark.parametrize("c", [1, 9])
+@pytest.mark.parametrize("algorithm, n, blocks", NORM_CASES, ids=NORM_IDS)
+def test_block_row_norms_are_square_then_reduce_within_eight_ulps(
+    algorithm, n, blocks, c, monkeypatch
+):
+    """Each row's squared norm of the deviation, as ``block_diagnostics``
+    forms it, against the square-then-reduce of the same row; the two
+    returned norms are that row's root summed and its sum, bit for bit."""
+    Z, R, W, U, r = held_block(algorithm, n, c, blocks)
+    seen = []
+
+    def recording(a, b):
+        seen.append(np.vecdot(a, b))
+        return seen[-1]
+
+    monkeypatch.setattr(engine_module, "_row_dots", recording)
+    out = np.full_like(R, np.nan)
+    dis, dis_sq, _, _ = block_diagnostics(Z, R, W, U, r, out=out)
+    # the dot only reads the deviation, which is left in out
+    mf = Z.mean(axis=1) if r is None else np.matmul(r, Z)
+    assert out.tobytes() == (R - mf[:, None, :]).tobytes()
+    (rows,) = seen
+    assert rows.shape == R.shape[:2]
+    assert within_eight_ulps(rows, np.add.reduce(np.square(out), axis=-1))
+    assert dis.tobytes() == np.sqrt(rows).sum(axis=1).tobytes()
+    assert dis_sq.tobytes() == rows.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 9])
+@pytest.mark.parametrize("algorithm, n, blocks", NORM_CASES, ids=NORM_IDS)
+def test_reference_gaps_are_the_primal_norms_within_eight_ulps(
+    algorithm, n, blocks, block, monkeypatch
+):
+    """simulate's ref_gaps against np.linalg.norm of the recorded points'
+    distances to the round's reference, summed over agents."""
+    cfg = config(algorithm, n, T=20 if n == 200 else 60, blocks=blocks)
+    set_block(monkeypatch, block, cfg)
+    seen = record_primals(monkeypatch)
+    history = simulate(cfg)
+    d = np.array(seen) - history.refs[:, None, :]
+    want = np.linalg.norm(d, axis=2).sum(axis=1)
+    assert want[0] == 0 and np.all(want[1:] > 0)  # round 1 starts at the reference
+    assert within_eight_ulps(history.ref_gaps, want)

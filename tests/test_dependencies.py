@@ -46,7 +46,8 @@ def test_a_foreign_import_is_reported(tmp_path):
 
 
 def test_numpy_floor_has_vecdot():
-    """The engine's per-row dot is ``np.vecdot``, new in numpy 2.0, so the
-    declared floor is 2.0."""
+    """The engine's per-row dot, which also forms the measured norms of
+    every round, is ``np.vecdot``, new in numpy 2.0, so the declared floor
+    is 2.0."""
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert '"numpy>=2.0"' in pyproject

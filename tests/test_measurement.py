@@ -40,7 +40,8 @@ def replay_terms(updates, primals, losses, box, L, C, alpha):
         u = updates[t - 1]
         ref = refs[t - 1]
         c1 += 0.5 * alpha(t - 1) * float(u @ u)
-        c2 += L * float(np.sum(np.linalg.norm(primals[t - 1] - ref[None, :], axis=1)))
+        d = primals[t - 1] - ref[None, :]
+        c2 += L * float(np.sum(np.sqrt(np.vecdot(d, d))))
         c3 += math.sqrt(n) * D * float(np.linalg.norm(losses[t - 1].gradient(ref) - u))
         e1[t - 1], e2[t - 1], e3[t - 1] = c1, c2, c3
         bound[t - 1] = c1 + c2 + c3 + C / alpha(t)
