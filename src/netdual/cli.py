@@ -32,7 +32,7 @@ from .harness import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .objectives import lipschitz_constants
+from .objectives import QuadraticLoss, lipschitz_constants
 from .topology import StaticTopology, validate_reversible_pair
 
 EXIT_OK = 0
@@ -185,7 +185,7 @@ def _apriori_constants(config: RunConfig) -> tuple:
     a-priori measurement ball of the environment the run would build."""
     env = (config.environment or sensing_environment_factory())(config.p, run_generator(config))
     center, radius = env.measurement_ball()
-    return lipschitz_constants(env.A, config.box, q_radius=radius, q_center=center)
+    return lipschitz_constants(QuadraticLoss(env.A, center), config.box, radius, center)
 
 
 def cmd_bounds(args) -> int:

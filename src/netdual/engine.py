@@ -214,8 +214,8 @@ class DualAveragingEngine:
         Writes the new points, duals and weights into X, Z and w when given,
         else allocates them: C-contiguous arrays apart from the state the
         step reads, except that X may be the duals it mixes (no w for oda-c)."""
-        if alpha <= 0:
-            raise ValueError(f"step size must be positive, got {alpha}")
+        if not 0 < alpha < np.inf:  # NaN fails it too
+            raise ValueError(f"step size must be positive and finite, got {alpha}")
         if u.shape != self._u_shape:
             raise ConfigError(f"update has shape {u.shape}, expected {self._u_shape}")
         ops, t = self._operators, self.rounds

@@ -533,16 +533,19 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     # nothing else draws from rng: the stack holds the noise in round order
     losses = QuadraticLoss(env.A, env.measurements(T, rng))
     del env  # its covariance and root, 2 p^2 floats the loop never reads
-    # built once those are freed, so its (n, p) bounds can take their place
-    # on the heap: ring200-wide measured 10.0-10.4 MB of resident peak
-    # built before the environment, 9.3 MB after
-    engine = DualAveragingEngine(config.topology, config.blocks, config.box)
     A, Q = losses.A, losses.q
     if A.shape[1] != p or Q.shape != (T, A.shape[0]):
         raise ConfigError(
             f"environment dimension: A is {A.shape}, measurements {Q.shape}, p={p}, T={T}"
         )
-    H = A.T @ A
+    # the losses' Gram, held past the loop for the measurement, goes under the
+    # engine on the heap: formed after the engine, it split the space the
+    # engine frees, and ring200-wide's resident peak rose 9.6 -> 10.8 MB
+    H = losses.gram
+    # built once the environment is freed, so its (n, p) bounds can take its
+    # place on the heap: ring200-wide measured 10.0-10.4 MB of resident peak
+    # built before the environment, 9.3 MB after
+    engine = DualAveragingEngine(config.topology, config.blocks, config.box)
 
     flat = config.blocks.owner * p + np.arange(p)  # (owner[k], k) in a raveled (n, p)
     r = None if network.weighted else config.topology.pair.r
@@ -624,8 +627,8 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     config = history.config
     if T is None:
         T = config.T
-    if T > config.T:
-        raise ConfigError(f"prefix {T} exceeds simulated horizon {config.T}")
+    if not 0 <= T <= config.T:
+        raise ConfigError(f"prefix {T} is not within the simulated horizon {config.T}")
     n, p = config.n, config.p
     box = config.box
     C = prox_sup(box)
@@ -645,10 +648,10 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
         )
 
     # O(T) per prefix from here on: the prefix-free columns are formed once,
-    # and the prefix's losses share the run's statistics
+    # and the prefix's losses share the run's statistics, G among them
     cols = history.columns
     losses = history.losses.prefix(T)
-    L, G = lipschitz_constants(losses.A, box, q_radius=float(cols.q_radius[T - 1]), G=cols.G)
+    L, G = lipschitz_constants(losses, box, q_radius=float(cols.q_radius[T - 1]))
     comp = offline_comparator(losses, box, tol=config.comparator_tol)
     costs = cols.costs[:T].copy()
     regret_partial = network_regret(costs, comp.costs)
@@ -701,8 +704,8 @@ def sweep(config: RunConfig, horizons, cumulative: bool = False) -> list:
     run() with that T), on network constants certified once. Cumulative
     mode simulates the longest horizon once and measures each shorter
     horizon as a prefix: the prefix-free columns and the losses' run-level
-    statistics (``QuadraticLoss.gram`` and ``spread``) are formed once, and
-    each prefix re-solves the comparator from them.
+    statistics (``QuadraticLoss.gram``, ``curvature`` and ``spread``) are
+    formed once, and each prefix re-solves the comparator from them.
     """
     horizons = [int(T) for T in horizons]
     if not horizons:

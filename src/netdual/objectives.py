@@ -23,9 +23,9 @@ class QuadraticLoss:
     call. The round loop calls neither: it reads A^T A and A^T q_t.
 
     A stack's run-level statistics are formed once, on first use, and a
-    ``prefix`` of its rounds shares them: ``gram`` = A^T A, and ``spread``,
-    0.5 ||q_t - q_1||^2 per round, the centred part of each round's cost
-    (``offline_comparator`` prices its point from these).
+    ``prefix`` of its rounds shares them: ``gram`` = A^T A, ``curvature`` =
+    G, and ``spread``, 0.5 ||q_t - q_1||^2 per round, the centred part of
+    each round's cost (``offline_comparator`` prices its point from these).
     """
 
     def __init__(self, A: np.ndarray, q: np.ndarray):
@@ -41,6 +41,14 @@ class QuadraticLoss:
         return self.A.T @ self.A
 
     @cached_property
+    def curvature(self) -> float:
+        """G, the largest eigenvalue of A^T A: the Lipschitz modulus of every
+        gradient A^T (A x - q), whatever q is. One symmetric eigensolve: exact
+        to roundoff, where an iteration stopped on a small change in its
+        estimate reads low."""
+        return max(float(np.linalg.eigvalsh(self.gram)[-1]), 0.0)
+
+    @cached_property
     def spread(self) -> np.ndarray:
         # one (T, m) temporary and a row-by-row dot, the same for a row
         # whatever rows follow it; q_1 is the centre every prefix shares,
@@ -52,7 +60,7 @@ class QuadraticLoss:
     def prefix(self, T: int) -> "QuadraticLoss":
         """The losses of the first T rounds of a stack, sharing its statistics."""
         head = QuadraticLoss(self.A, self.q[:T])
-        head.gram, head.spread = self.gram, self.spread[:T]
+        head.gram, head.curvature, head.spread = self.gram, self.curvature, self.spread[:T]
         return head
 
     def _residual(self, x: np.ndarray) -> np.ndarray:
@@ -70,36 +78,23 @@ class QuadraticLoss:
         return self._residual(x) @ self.A
 
 
-def curvature(A: np.ndarray) -> float:
-    """G, the largest eigenvalue of A^T A: the Lipschitz modulus of every
-    gradient A^T (A x - q), whatever q is. One symmetric eigensolve: exact
-    to roundoff, where an iteration stopped on a small change in its
-    estimate reads low."""
-    return max(float(np.linalg.eigvalsh(A.T @ A)[-1]), 0.0)
-
-
 def lipschitz_constants(
-    A: np.ndarray,
+    losses: QuadraticLoss,
     box: ActionBox,
     q_radius: float = 0.0,
     q_center: np.ndarray | None = None,
-    G: float | None = None,
 ) -> tuple[float, float]:
     """Certified (L, G) for the family {0.5||Ax - q||^2 : ||q - q_center|| <= q_radius}.
 
-    G is the largest eigenvalue of A^T A (``curvature(A)`` unless the caller
-    has it already). L is the upper bound
-    ||A|| * (||A|| * rho(box) + rho(Q)) with radii measured from the origin:
-    rho(box) is the norm of the farthest box corner and rho(Q) =
+    A is ``losses.A``; G = ``losses.curvature`` = lambda_max(A^T A). L is the
+    upper bound ||A|| * (||A|| * rho(box) + rho(Q)) with radii measured from
+    the origin: rho(box) is the norm of the farthest box corner and rho(Q) =
     ||q_center|| + q_radius. Valid (not tight) for every member of the family.
     """
-    A = np.asarray(A, dtype=float)
     if not np.isfinite(q_radius) or q_radius < 0:
         raise ConfigError("the measurement set must be bounded (finite radius)")
-    if G is None:
-        G = curvature(A)
+    G = losses.curvature
     opnorm = float(np.sqrt(G))
     rho_q = q_radius if q_center is None else float(np.linalg.norm(q_center)) + q_radius
     L = opnorm * (opnorm * box.radius + rho_q)
     return L, G
-

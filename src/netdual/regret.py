@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ActionBox
 from .errors import ComparatorError, ConfigError
-from .objectives import QuadraticLoss, curvature
+from .objectives import QuadraticLoss
 from .topology import ContractionConstants
 
 
@@ -25,6 +25,9 @@ def step_sizes(T: int, alpha=None) -> np.ndarray:
     if alpha is None:
         return 1.0 / np.sqrt(np.arange(1, T + 2))
     return np.array(alpha[: T + 1], dtype=float)
+
+
+MAX_NEWTON_PASSES = 500  # after the start; a solve usually takes 1-4 in all
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ def offline_comparator(
     losses: QuadraticLoss,
     box: ActionBox,
     tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> ComparatorResult:
     """Best fixed feasible point in hindsight for the summed losses.
 
@@ -49,8 +51,8 @@ def offline_comparator(
     minimised over the box by projected Newton (Bertsekas 1982) from a
     clamped Newton solve, until the norm of the gradient less what the
     bounds hold is at most tol. ``iterations`` counts Newton passes, the
-    start's included; more than max_iter after the start, or an arc with no
-    decrease, raises.
+    start's included; more than MAX_NEWTON_PASSES after the start, or an arc
+    with no decrease, raises.
 
     The solve reads run-level statistics that every prefix of a run shares
     (``QuadraticLoss.prefix``): H scales the stack's Gram ``losses.gram``,
@@ -92,10 +94,10 @@ def offline_comparator(
         return ((y <= box.lo + eps) & (g > 0)) | ((y >= box.hi - eps) & (g < 0))
 
     y = box.clamp(newton(np.arange(box.p), b))
-    for passes in range(1, max_iter + 2):
+    for passes in range(1, MAX_NEWTON_PASSES + 2):
         g = H @ y - b
         residual = float(np.linalg.norm(np.where(held(y, g, 0.0), 0.0, g)))
-        if residual <= tol or passes > max_iter:
+        if residual <= tol or passes > MAX_NEWTON_PASSES:
             break
         d = -g / diag
         # a scaled gradient step on the held coordinates, Newton on the rest
@@ -155,7 +157,6 @@ class RoundColumns:
     rounds reads the first T' entries (alpha(0..T')).
     """
 
-    G: float  # lambda_max(A^T A), shared by every round's loss
     q_radius: np.ndarray
     costs: np.ndarray
     alphas: np.ndarray
@@ -200,7 +201,6 @@ def round_columns(
     e1 = np.cumsum(0.5 * alphas[:T] * np.add.reduce(U * U, axis=1))
     mismatch = np.linalg.norm(losses.gradient(R) - U, axis=1)
     return RoundColumns(
-        G=curvature(losses.A),
         q_radius=np.maximum.accumulate(np.linalg.norm(losses.q, axis=1)),
         costs=losses.value(X),
         alphas=alphas,

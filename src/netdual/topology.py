@@ -96,9 +96,10 @@ class GraphReport:
         return [c for c in self.checks if not c.ok]
 
 
-def validate_reversible_pair(
-    g: UndirectedGraph, pair: ReversiblePair, tol: float = 1e-9
-) -> GraphReport:
+PAIR_TOL = 1e-9  # a numeric violation validate_reversible_pair passes as roundoff
+
+
+def validate_reversible_pair(g: UndirectedGraph, pair: ReversiblePair) -> GraphReport:
     """Check the (r, M) conditions against the graph; violations are reported, not raised.
 
     Conditions: graph connectivity, r positive and summing to one, M
@@ -135,16 +136,16 @@ def validate_reversible_pair(
     checks = (
         check("connected", 0.0 if connected else 1.0, connected),
         check("r_positive", r_pos, bool(np.all(r > 0)), f"r[{int(np.argmin(r))}]"),
-        check("r_sums_to_one", r_sum, r_sum <= tol),
+        check("r_sums_to_one", r_sum, r_sum <= PAIR_TOL),
         check(
             "m_nonnegative",
             nonneg,
-            nonneg <= tol,
+            nonneg <= PAIR_TOL,
             "entry (%d, %d)" % np.unravel_index(int(np.argmin(M)), M.shape),
         ),
-        check("row_stochastic", row_sums, row_sums <= tol, f"row {worst_row}"),
-        check("support", support, support <= tol, "entry (%d, %d)" % support_at),
-        check("symmetry", symmetry, symmetry <= tol, "pair (%d, %d)" % sym_at),
+        check("row_stochastic", row_sums, row_sums <= PAIR_TOL, f"row {worst_row}"),
+        check("support", support, support <= PAIR_TOL, "entry (%d, %d)" % support_at),
+        check("symmetry", symmetry, symmetry <= PAIR_TOL, "pair (%d, %d)" % sym_at),
     )
     return GraphReport(checks)
 

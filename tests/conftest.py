@@ -1,9 +1,11 @@
 import contextlib
+import functools
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import pytest
 
 from netdual import (
     ActionBox,
@@ -77,7 +79,7 @@ def power_iteration(S: np.ndarray, tol: float = 1e-9, max_iter: int = 100_000) -
     Deterministic start vector; stops when successive Rayleigh quotients agree
     to ``tol`` relative, so the estimate can sit below the true value by
     about ``tol``. The old solver's step and a lower check on
-    ``objectives.curvature`` read it.
+    ``QuadraticLoss.curvature`` read it.
     """
     p = S.shape[0]
     v = np.ones(p) + np.linspace(0.0, 0.5, p)  # breaks symmetry against ones
@@ -480,3 +482,66 @@ def pushsum_regret_bound(
         except OverflowError:
             disagree = math.inf
     return (n * L * L + disagree) * math.sqrt(T) + C * math.sqrt(T + 1)
+
+
+def count_evaluations(monkeypatch, cls, name: str) -> list:
+    """Count the evaluations of the cached property ``name`` of ``cls``: each
+    one, not each read, appends its owner's ``A.shape`` to the returned list."""
+    func = getattr(cls, name).func
+    calls = []
+
+    def counting(self):
+        calls.append(self.A.shape)
+        return func(self)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+# the five conditions ``check-invariants`` gates on, by the flag each sets
+# in its "checks"
+INVARIANT_FLAGS = (
+    "regret_within_partial_bound",
+    "disagreement_within_bound",
+    "regret_within_theory_bound",
+    "mean_field_ok",
+    "weights_ok",
+)
+
+
+@pytest.fixture(scope="session")
+def pushsum_trace():
+    """A finished 40-round push-sum run that meets all five conditions with
+    finite bounds."""
+    return harness.run(harness.config_from_dict({"algorithm": "oda-ps", "T": 40, "seed": 6}))
+
+
+def pushed_past(trace, flag: str):
+    """A copy of ``trace`` with the one condition behind ``flag`` pushed to
+    the next float past its tolerance: a middle round's partial regret or
+    squared disagreement just above its bound, the theory bound just below
+    the regret, a mean-field residual just above 1e-8, or the weight
+    residual just above 1e-9."""
+    def up(x):
+        return float(np.nextafter(x, math.inf))
+
+    k = trace.T // 2
+    if flag == "regret_within_partial_bound":
+        column = trace.regret_partial.copy()
+        column[k] = up(trace.bound_partial[k] + 1e-9)
+        return replace(trace, regret_partial=column)
+    if flag == "disagreement_within_bound":
+        column = trace.disagreement_squared.copy()
+        column[k] = up(trace.constants["disagreement_bound"] * (1 + 1e-12) + 1e-12)
+        return replace(trace, disagreement_squared=column)
+    if flag == "regret_within_theory_bound":
+        return replace(trace, theory_bound=float(np.nextafter(trace.regret, -math.inf)))
+    if flag == "mean_field_ok":
+        column = trace.mean_field_residual.copy()
+        column[k] = up(1e-8)
+        return replace(trace, mean_field_residual=column)
+    if flag == "weights_ok":
+        return replace(trace, constants={**trace.constants, "max_weight_residual": up(1e-9)})
+    raise ValueError(flag)

@@ -6,20 +6,25 @@ run report ``missing_layers`` and ``correct: false`` with no metrics, so a
 rename or removal in ``src/`` fails here, in the unit tests, first.
 """
 
-import functools
+import dataclasses
 import importlib
 import importlib.util
+import inspect
+import json
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import INVARIANT_FLAGS, count_evaluations, pushed_past
 
 import netdual
 from netdual import (
     ActionBox,
     DualAveragingEngine,
     RunConfig,
+    cli,
     engine,
     harness,
     lazy_cycle_pair,
@@ -29,14 +34,29 @@ from netdual import (
     topology,
 )
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER_PATH = BENCH / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_module("bench_tracer", TRACER_PATH)
+
+
+def load_bench_run(monkeypatch):
+    """``bench/run.py`` loaded as the tracer is. Its import sets
+    OPENBLAS_NUM_THREADS and runs ``from tracer import``; both act inside
+    ``monkeypatch``, so the variable and ``sys.modules`` are as they were
+    after the test."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setitem(sys.modules, "tracer", load_tracer())
+    return load_module("bench_run", BENCH / "run.py")
 
 
 @pytest.mark.parametrize("layers", ["LAYERS", "PROBE_LAYERS"])
@@ -149,11 +169,12 @@ def test_engine_layers_time_every_round(config):
 
 def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
     """``finalize_s`` measures the first pass over a history: it reads the
-    step sizes ``simulate`` formed as one vector and forms G by one
-    eigensolve. A finalize that formed the step sizes again, or formed
-    the curvature per prefix or by an iteration, would slow every
+    step sizes ``simulate`` formed as one vector, and the Gram A^T A
+    ``simulate`` formed for the round loop, and forms G by one eigensolve
+    of it. A finalize that formed the step sizes or the Gram again, or
+    formed the curvature per prefix or by an iteration, would slow every
     benchmark operation without failing a check."""
-    step_calls, curvature_calls = [], []
+    step_calls = []
     step_sizes = regret.step_sizes
 
     def counting_steps(T, alpha=None):
@@ -162,14 +183,8 @@ def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
 
     monkeypatch.setattr(regret, "step_sizes", counting_steps)
     monkeypatch.setattr(harness, "step_sizes", counting_steps)
-    curvature = objectives.curvature
-
-    def counting(A):
-        curvature_calls.append(A.shape)
-        return curvature(A)
-
-    monkeypatch.setattr(objectives, "curvature", counting)
-    monkeypatch.setattr(regret, "curvature", counting)
+    gram_calls = count_evaluations(monkeypatch, objectives.QuadraticLoss, "gram")
+    curvature_calls = count_evaluations(monkeypatch, objectives.QuadraticLoss, "curvature")
     alpha = tuple(1.0 / (s + 1) ** 0.5 for s in range(2001))
     config = RunConfig(
         "oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10, 10, 5), T=2000, seed=5, alpha=alpha
@@ -180,6 +195,7 @@ def test_finalize_forms_no_step_and_one_curvature(monkeypatch):
     for T in (500, 2000):
         harness.finalize(history, T)
     assert step_calls == []
+    assert gram_calls == [(5, 5)]
     assert curvature_calls == [(5, 5)]
     assert not hasattr(netdual, "power_iteration")
     assert not hasattr(objectives, "power_iteration")
@@ -195,30 +211,27 @@ def sweep_config(T: int) -> RunConfig:
 
 def test_cumulative_sweep_prices_the_run_once(monkeypatch):
     """A cumulative sweep evaluates the losses once, at the run's actions
-    (``round_columns``), and its comparators share one Gram A^T A
-    (``QuadraticLoss.gram``). A comparator that priced its point with
-    ``QuadraticLoss.value`` or formed its Gram per prefix would add a
-    (T, m) pass to each of ``finalize_s``'s prefixes without failing a
-    check."""
-    value_calls, gram_calls = [], []
-    value, gram = objectives.QuadraticLoss.value, objectives.QuadraticLoss.gram.func
+    (``round_columns``), and its round loop, comparators and bounds share
+    one Gram A^T A (``QuadraticLoss.gram``) and one eigensolve of it
+    (``QuadraticLoss.curvature``). A comparator that priced its point with
+    ``QuadraticLoss.value``, or a prefix that formed its Gram or G again,
+    would add a (T, m) pass or an O(p^3) solve to each of ``finalize_s``'s
+    prefixes without failing a check."""
+    value_calls = []
+    value = objectives.QuadraticLoss.value
 
     def counting_value(self, x):
         value_calls.append(np.shape(x))
         return value(self, x)
 
-    def counting_gram(self):
-        gram_calls.append(self.A.shape)
-        return gram(self)
-
-    counted = functools.cached_property(counting_gram)
-    counted.__set_name__(objectives.QuadraticLoss, "gram")
     monkeypatch.setattr(objectives.QuadraticLoss, "value", counting_value)
-    monkeypatch.setattr(objectives.QuadraticLoss, "gram", counted)
+    gram_calls = count_evaluations(monkeypatch, objectives.QuadraticLoss, "gram")
+    curvature_calls = count_evaluations(monkeypatch, objectives.QuadraticLoss, "curvature")
     rows = harness.sweep(sweep_config(1), SWEEP_HORIZONS, cumulative=True)
     assert [row.T for row in rows] == list(SWEEP_HORIZONS)
     assert value_calls == [(4000, 20)]
     assert gram_calls == [(20, 20)]
+    assert curvature_calls == [(20, 20)]
 
 
 def test_a_measured_prefix_allocates_no_round_by_measurement_array():
@@ -238,19 +251,56 @@ def test_a_measured_prefix_allocates_no_round_by_measurement_array():
         assert peak < T * m * 8, (T, peak)
 
 
+# the bench's problem line for each check-invariants condition
+BENCH_PROBLEMS = {
+    "regret_within_partial_bound": "regret exceeds the partial bound",
+    "disagreement_within_bound": "disagreement exceeds its bound",
+    "regret_within_theory_bound": "exceeds theory bound",
+    "mean_field_ok": "mean-field residual",
+    "weights_ok": "weight residual",
+}
+
+
+@pytest.mark.parametrize("flag", [None, *INVARIANT_FLAGS])
+def test_bench_checks_agree_with_check_invariants(
+    flag, pushsum_trace, monkeypatch, tmp_path, capsys
+):
+    """``bench/run.py::trace_problems`` copies the five ``check-invariants``
+    conditions and their tolerances. On a passing trace and on each one
+    pushed just past one tolerance, both must fail the same condition or
+    none, or the benchmark would count an operation as failed that the
+    CLI passes, or pass one that it fails."""
+    trace = pushsum_trace if flag is None else pushed_past(pushsum_trace, flag)
+    problems = load_bench_run(monkeypatch).trace_problems(trace)
+    monkeypatch.setattr(cli, "run", lambda config: trace)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"algorithm": "oda-ps", "T": 1}))
+    code = cli.main(["check-invariants", "--config", str(config)])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [name for name in INVARIANT_FLAGS if checks[name] is False]
+    assert failed == ([] if flag is None else [flag])
+    assert code == (0 if flag is None else 3)
+    assert len(problems) == len(failed)
+    for name, problem in zip(failed, problems):
+        assert BENCH_PROBLEMS[name] in problem
+
+
 def test_test_helpers_stay_out_of_the_library():
     """What only tests call lives in ``tests/conftest.py``: the prox step,
     the step rule, the box check, the decay certificate, the engine's mean
     field and the engine aliases; so do the four per-engine closed forms,
     which both bounds now derive from one contraction factor. The harness
     keeps one alias, the name ``bench/tracer.py`` finds the engine's
-    methods under."""
+    methods under. The losses own their algebra: G is
+    ``QuadraticLoss.curvature``, so no module function, run column or
+    pass-through option carries it."""
     closed_forms = ("circulation_disagreement_bound", "circulation_regret_bound",
                     "pushsum_disagreement_bound", "pushsum_regret_bound")
     retired = {
         netdual: ("project", "inv_sqrt_step", "check_geometric_decay", "DecayReport",
                   "CirculationEngine", "PushSumEngine", "prox", *closed_forms),
         regret: ("inv_sqrt_step", *closed_forms),
+        objectives: ("curvature",),
         topology: ("check_geometric_decay", "DecayReport"),
         engine: ("CirculationEngine", "PushSumEngine"),
         ActionBox: ("contains",),
@@ -261,6 +311,8 @@ def test_test_helpers_stay_out_of_the_library():
             assert not hasattr(owner, name), name
     with pytest.raises(ImportError):
         importlib.import_module("netdual.prox")
+    assert "G" not in {f.name for f in dataclasses.fields(regret.RoundColumns)}
+    assert "G" not in inspect.signature(objectives.lipschitz_constants).parameters
     assert harness.CirculationEngine is DualAveragingEngine
     assert not hasattr(harness, "PushSumEngine")
     assert len(netdual.__all__) == 42

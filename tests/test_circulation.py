@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -136,10 +138,11 @@ class TestStepDynamics:
         with pytest.raises(ConfigError):
             eng.step(np.ones((3, 2)), alpha=1.0)
 
-    def test_rejects_nonpositive_alpha(self):
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_alpha(self, alpha):
         eng = cycle_engine()
         with pytest.raises(ValueError):
-            eng.step(np.ones(3), alpha=0.0)
+            eng.step(np.ones(3), alpha=alpha)
 
     def test_local_updates_read_own_primal_rows(self):
         eng = cycle_engine()

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import INVARIANT_FLAGS, pushed_past
 
-from netdual import ActionBox, RunConfig, harness, lazy_cycle_pair, run, split_ring_schedule
+from netdual import ActionBox, RunConfig, cli, harness, lazy_cycle_pair, run, split_ring_schedule
 from netdual.cli import _trace_checks, main
 
 BAD_PAIR_GRAPH = {
@@ -464,6 +465,22 @@ class TestCheckInvariantsCommand:
             assert payload["passed"] is True
             assert payload["checks"]["mean_field_ok"] is True
             assert payload["checks"]["weights_ok"] is True
+
+    @pytest.mark.parametrize("flag", INVARIANT_FLAGS)
+    def test_fails_each_condition_just_past_its_tolerance(
+        self, flag, pushsum_trace, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run", lambda config: pushed_past(pushsum_trace, flag))
+        cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-ps", "T": 40, "seed": 6})
+        code = main(["check-invariants", "--config", cfg])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 3
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["passed"] is False
+        assert {name: payload["checks"][name] for name in INVARIANT_FLAGS} == {
+            name: name != flag for name in INVARIANT_FLAGS
+        }
 
 
 class TestConfigBoundary:

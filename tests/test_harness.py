@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import inv_sqrt_step, record_primals
+from conftest import count_evaluations, inv_sqrt_step, record_primals
 
 from netdual import (
     ActionBox,
@@ -21,9 +21,7 @@ from netdual import (
     finalize,
     harness,
     lazy_cycle_pair,
-    objectives,
     prox_sup,
-    regret,
     run,
     simulate,
     spectral_gap,
@@ -422,9 +420,10 @@ class TestFinalize:
             assert math.isfinite(default.theory_bound)
             assert listed.constants == default.constants
 
-    def test_prefix_cannot_exceed_horizon(self):
+    @pytest.mark.parametrize("T", [5, -1])
+    def test_prefix_cannot_exceed_horizon(self, T):
         with pytest.raises(ConfigError):
-            finalize(simulate(base_config(T=4)), T=5)
+            finalize(simulate(base_config(T=4)), T=T)
 
     def test_trace_shapes_and_constants(self):
         trace = run(base_config(T=12, seed=7))
@@ -523,19 +522,11 @@ class TestSweep:
         assert len(calls) == 1
 
     def test_cumulative_sweep_forms_the_loss_curvature_once(self, monkeypatch):
-        calls = []
-
-        curvature = objectives.curvature
-
-        def counting(A, *args, **kwargs):
-            calls.append(A.shape)
-            return curvature(A, *args, **kwargs)
-
-        # the first pass (regret) and any default G (objectives)
-        monkeypatch.setattr(objectives, "curvature", counting)
-        monkeypatch.setattr(regret, "curvature", counting)
+        gram_calls = count_evaluations(monkeypatch, QuadraticLoss, "gram")
+        calls = count_evaluations(monkeypatch, QuadraticLoss, "curvature")
         rows = sweep(base_config(T=1, seed=5), [5, 10, 20, 40], cumulative=True)
         assert [row.T for row in rows] == [5, 10, 20, 40]
+        assert gram_calls == [(5, 5)]
         assert calls == [(5, 5)]
 
     @pytest.mark.parametrize("cumulative", [False, True])

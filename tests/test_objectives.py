@@ -3,7 +3,6 @@ import pytest
 from conftest import power_iteration
 
 from netdual import ActionBox, ConfigError, QuadraticLoss, lipschitz_constants
-from netdual.objectives import curvature
 
 EPS = np.finfo(float).eps
 
@@ -88,10 +87,12 @@ class TestCurvature:
             p = int(rng.integers(1, 30))
             d = rng.uniform(0.1, 10.0, p) * 10.0 ** rng.integers(-3, 4)
             top = float(np.sqrt(d).max() ** 2)  # the top eigenvalue of A^T A
-            assert curvature(np.diag(np.sqrt(d))) == pytest.approx(top, rel=1e-12)
+            assert QuadraticLoss(np.diag(np.sqrt(d)), np.zeros(p)).curvature == pytest.approx(
+                top, rel=1e-12
+            )
             V, _ = np.linalg.qr(rng.normal(size=(p, p)))
             A = np.sqrt(d)[:, None] * V.T  # A^T A = V diag(d) V^T
-            assert curvature(A) == pytest.approx(top, rel=1e-12)
+            assert QuadraticLoss(A, np.zeros(p)).curvature == pytest.approx(top, rel=1e-12)
 
     def test_never_below_the_power_iteration(self):
         rng = np.random.default_rng(31)
@@ -107,34 +108,37 @@ class TestCurvature:
                 A = np.zeros((m, p))
             # a Rayleigh quotient never exceeds the top eigenvalue in exact
             # arithmetic; its rounding may put it an ulp above the eigensolve
-            assert curvature(A) >= power_iteration(A.T @ A) * (1 - 4 * EPS)
-        assert curvature(np.zeros((3, 4))) == 0.0
+            assert QuadraticLoss(A, np.zeros(len(A))).curvature >= power_iteration(A.T @ A) * (
+                1 - 4 * EPS
+            )
+        assert QuadraticLoss(np.zeros((3, 4)), np.zeros(3)).curvature == 0.0
 
 
 class TestLipschitzConstants:
     def test_identity_measurement(self):
         box = ActionBox.uniform(-20.0, 20.0, 2)
-        L, G = lipschitz_constants(np.eye(2), box)
+        L, G = lipschitz_constants(QuadraticLoss(np.eye(2), np.zeros(2)), box)
         assert G == pytest.approx(1.0)
         assert L == pytest.approx(20.0 * np.sqrt(2.0))
 
     def test_offset_measurement_set(self):
         box = ActionBox.uniform(-20.0, 20.0, 2)
         L, G = lipschitz_constants(
-            np.eye(2), box, q_radius=2.0, q_center=np.array([3.0, 4.0])
+            QuadraticLoss(np.eye(2), np.zeros(2)), box, q_radius=2.0,
+            q_center=np.array([3.0, 4.0]),
         )
         assert L == pytest.approx(20.0 * np.sqrt(2.0) + 7.0)
         assert G == pytest.approx(1.0)
 
     def test_curvature_is_top_eigenvalue(self):
         box = ActionBox.uniform(-1, 1, 2)
-        L, G = lipschitz_constants(np.diag([2.0, 3.0]), box)
+        L, G = lipschitz_constants(QuadraticLoss(np.diag([2.0, 3.0]), np.zeros(2)), box)
         assert G == pytest.approx(9.0)
 
     def test_rejects_unbounded_measurement_set(self):
         box = ActionBox.uniform(-1, 1, 2)
         with pytest.raises(ConfigError):
-            lipschitz_constants(np.eye(2), box, q_radius=np.inf)
+            lipschitz_constants(QuadraticLoss(np.eye(2), np.zeros(2)), box, q_radius=np.inf)
 
     def test_certifies_every_gradient_in_family(self):
         rng = np.random.default_rng(23)
@@ -144,7 +148,9 @@ class TestLipschitzConstants:
             box = ActionBox(lo=rng.uniform(-3, 0, p), hi=rng.uniform(0, 3, p))
             center = rng.normal(size=p)
             radius = float(rng.uniform(0, 2))
-            L, G = lipschitz_constants(A, box, q_radius=radius, q_center=center)
+            L, G = lipschitz_constants(
+                QuadraticLoss(A, np.zeros(p)), box, q_radius=radius, q_center=center
+            )
             for _ in range(40):
                 x = rng.uniform(box.lo, box.hi)
                 d = rng.normal(size=p)

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 import conftest
-from conftest import centralized_reference, in_box, inv_sqrt_step, projected_gradient_comparator
+from conftest import (
+    centralized_reference,
+    count_evaluations,
+    in_box,
+    inv_sqrt_step,
+    projected_gradient_comparator,
+)
 
 from netdual import (
     ActionBox,
@@ -23,7 +29,7 @@ from netdual import (
     regret_bound,
     split_ring_schedule,
 )
-from netdual import objectives, regret
+from netdual import regret
 from netdual.regret import (
     circulation_log_kappa,
     pushsum_log_kappa,
@@ -122,13 +128,15 @@ class TestOfflineComparator:
                 QuadraticLoss(A=np.eye(2), q=np.zeros((3, 2))), ActionBox.uniform(-1, 1, 3)
             )
 
-    def test_iteration_cap_attaches_best(self):
+    def test_iteration_cap_attaches_best(self, monkeypatch):
         # correlated coordinates and an optimum on a face of the box: the
         # clamped Newton start is off, and one more pass is needed
         losses = QuadraticLoss(A=np.array([[1.0, 0.99], [0.99, 1.0]]), q=np.array([[3.0, -1.0]]))
         box = ActionBox.uniform(-1, 1, 2)
-        with pytest.raises(ComparatorError) as exc:
-            offline_comparator(losses, box, tol=1e-12, max_iter=0)
+        with monkeypatch.context() as capped:
+            capped.setattr(regret, "MAX_NEWTON_PASSES", 0)
+            with pytest.raises(ComparatorError) as exc:
+                offline_comparator(losses, box, tol=1e-12)
         err = exc.value
         assert err.best.shape == (2,)
         assert in_box(box, err.best)
@@ -139,7 +147,7 @@ class TestOfflineComparator:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_measurement_that_is_not_finite_stops_at_the_first_pass(self, bad):
         # no arc from a point that is not finite passes the Armijo test, so
-        # the search gives up in its first pass rather than after max_iter
+        # the search gives up in its first pass rather than after MAX_NEWTON_PASSES
         q = np.ones((4, 2))
         q[2, 1] = bad
         with np.errstate(invalid="ignore", over="ignore"):
@@ -147,15 +155,7 @@ class TestOfflineComparator:
                 offline_comparator(QuadraticLoss(A=np.eye(2), q=q), ActionBox.uniform(-1, 1, 2))
 
     def test_makes_no_power_iteration(self, monkeypatch):
-        calls = []
-        curvature = objectives.curvature
-
-        def counting(A, *args, **kwargs):
-            calls.append(A.shape)
-            return curvature(A, *args, **kwargs)
-
-        monkeypatch.setattr(objectives, "curvature", counting)
-        monkeypatch.setattr(regret, "curvature", counting)
+        calls = count_evaluations(monkeypatch, QuadraticLoss, "curvature")
         rng = np.random.default_rng(3)
         A = np.eye(4) + 0.3 * rng.uniform(-1, 1, (4, 4))
         losses = QuadraticLoss(A=A, q=rng.normal(scale=4.0, size=(30, 4)))
