@@ -121,7 +121,11 @@ def block_diagnostics(Z, ratios, w, u_total, r=None, out=None) -> tuple:
     the deviation from the mean field (a fresh array without it), which the
     norms only read. It may be ratios, or Z itself, which is read before it
     is written."""
-    mf = Z.mean(axis=1) if r is None else np.matmul(r, Z)
+    if r is None:  # Z.mean(axis=1)'s reduction and division, without its wrapper
+        mf = np.add.reduce(Z, axis=1)
+        np.divide(mf, Z.shape[1], out=mf)
+    else:
+        mf = np.matmul(r, Z)
     d = np.subtract(ratios, mf[:, None, :], out=out)
     row_sq = _row_dots(d, d)
     dis = np.sqrt(row_sq).sum(axis=1)
@@ -134,6 +138,11 @@ def mixing_operator(A: np.ndarray) -> np.ndarray | PaddedRows:
     rows when the densest row has K nonzeros with GATHER_DENSITY * K <= n."""
     K = int((A != 0).sum(axis=1).max())
     return PaddedRows.of(A) if GATHER_DENSITY * K <= A.shape[0] else A
+
+
+def _mix(A: np.ndarray | PaddedRows):
+    """``mix(X, out=None)``, the product A @ X by the operator's own matmul."""
+    return A.matmul if type(A) is PaddedRows else partial(np.matmul, A)
 
 
 @dataclass
@@ -187,6 +196,8 @@ class DualAveragingEngine:
         else:  # one per slot; none for an explicit schedule (period 0)
             matrices = [self.network.matrix_at(k) for k in range(self.network.period)]
         self._operators = [mixing_operator(A) for A in matrices]
+        # bound once: a round picks its mix, it does not build one
+        self._mixes = [_mix(A) for A in self._operators]
 
     @property
     def n(self) -> int:
@@ -208,19 +219,21 @@ class DualAveragingEngine:
         X = self._X[self._owner] if self._gather else self._X
         return np.subtract(_row_dots(X, H), b, out)
 
-    def step(self, u: np.ndarray, alpha: float, X=None, Z=None, w=None) -> None:
+    def step(self, u: np.ndarray, alpha: float, X=None, Z=None, w=None, R=None) -> None:
         """Mix the duals (and weights) with the round's matrix, inject the owned
         gradient entries (a float (p,) array), then project the debiased duals.
         Writes the new points, duals and weights into X, Z and w when given,
         else allocates them: C-contiguous arrays apart from the state the
-        step reads, except that X may be the duals it mixes (no w for oda-c)."""
+        step reads, except that X may be the duals it mixes (no w for oda-c).
+        Push-sum forms its ratios z_i / w_i in R when given, apart from X, Z
+        and w, and leaves them there; without R it forms them in X. oda-c's
+        ratios are Z, and R is not written."""
         if not 0 < alpha < np.inf:  # NaN fails it too
             raise ValueError(f"step size must be positive and finite, got {alpha}")
         if u.shape != self._u_shape:
             raise ConfigError(f"update has shape {u.shape}, expected {self._u_shape}")
-        ops, t = self._operators, self.rounds
-        A = ops[t % len(ops)] if ops else mixing_operator(self.network.matrix_at(t))
-        mix = A.matmul if type(A) is PaddedRows else partial(np.matmul, A)
+        mixes, t = self._mixes, self.rounds
+        mix = mixes[t % len(mixes)] if mixes else _mix(mixing_operator(self.network.matrix_at(t)))
         self._u_total += u
         Z = mix(self._Z, out=Z)
         # in place, with no (n, p) increment formed, to keep a round's peak
@@ -232,9 +245,11 @@ class DualAveragingEngine:
             Z.reshape(-1)[self._inject] += self._n * u
             self._w = mix(self._w, out=w)
         self._Z = Z
-        # the ratios (Z for oda-c) are formed in X and projected there: R * -alpha
-        R = self.ratios(X)
-        X = np.multiply(R, -alpha, out=X if R is Z else R)
+        # the ratios (Z for oda-c) are formed in R, or without R in X, and
+        # projected into X: R * -alpha
+        slot = R is not None
+        R = self.ratios(R if slot else X)
+        X = np.multiply(R, -alpha, out=X if slot or R is Z else R)
         # np.clip's values without its dispatch cost; at a signed-zero tie
         # (-0.0 against a bound of +0.0) the bound's zero is kept, where
         # np.clip may keep X's

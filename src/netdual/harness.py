@@ -10,6 +10,7 @@ sweep row and a standalone run at the same horizon are bit-identical.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -63,7 +64,8 @@ SWEEP_ROW = "%d," + ",".join(["%.12g"] * 3) + "\r\n"
 # randomness
 
 # simulate measures its rounds in blocks of c = max(1, BLOCK_VALUES // (n p)),
-# each in 2c + 1 (n, p) slots; a block's ~30 numpy calls carry a fixed cost
+# each in 2c + 1 (n, p) slots, and push-sum's in 3c + 1 (c of them its
+# ratios); a block's ~30 numpy calls carry a fixed cost
 # that larger blocks spread over more rounds. In-process at n = p = 50 a run
 # took 57.9 us a round at 1 << 14 (c = 6), 51.9 at 3 << 13 (c = 9) and 50.5
 # at 1 << 15 (c = 13), which failed the memory guard of n = p = 20 (T = 4000)
@@ -276,9 +278,15 @@ class RunConfig:
 
 
 def _integer(value, name: str, minimum: int) -> int:
-    """A JSON integer (not a bool, not a float) no smaller than ``minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """A Python or numpy integer (not a bool, not a float) no smaller than
+    ``minimum``, as an int."""
+    error = ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool):
+        raise error
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error from None
     if value < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {value}")
     return value
@@ -566,11 +574,16 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     # Xb[:k] (the first point copied in) and Zb[:k]. A block of one reads its
     # point in place and steps into a free slot and the slot of the duals it
     # mixed, so at c = 1 three slots take turns. Two buffers: at ring200-wide
-    # one took 10.03 MB of resident peak, these take 9.68
+    # one took 10.03 MB of resident peak, these take 9.68. Push-sum's step
+    # also leaves its ratios z_i / w_i in Rb[j] for round j of a block (slot
+    # 0 for a block of one), which the measurement reads with no second
+    # division; oda-c's ratios are its duals
     Xb, Zb = np.empty((c + 1, n, p)), np.empty((c, n, p))
     slots = [*Xb, *Zb]
     Wb = None if r is not None else np.empty((2 * c + 1, n))
     wslots = [None] * len(slots) if Wb is None else list(Wb)
+    Rb = None if Wb is None else np.empty((c, n, p))
+    rslots = [None] * c if Rb is None else list(Rb)
     Xb[0] = ref  # round 1's points: every agent starts where the reference does
     x, z = 0, c  # the slots of the next round's point and of the duals it mixes
     # bound once; each still runs once a round, where a tracer can time it
@@ -587,8 +600,8 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
             xs, zs = range(1, k + 1), range(c + 1, c + k + 1)
             X, Z = Xb[:k], Zb[:k]
         # round t overwrites its own b_t with its update, elementwise
-        for u, alpha, i, j in zip(updates[t0:t1], steps[t0:t1].tolist(), xs, zs):
-            step(local_updates(H, u, u), alpha, slots[i], slots[j], wslots[j])
+        for u, alpha, i, j, R in zip(updates[t0:t1], steps[t0:t1].tolist(), xs, zs, rslots):
+            step(local_updates(H, u, u), alpha, slots[i], slots[j], wslots[j], R)
         x, z = xs[-1], zs[-1]
         # the block's rounds in one pass, which writes only into its spent points
         actions[t0:t1] = X.reshape(k, -1)[:, flat]
@@ -601,11 +614,13 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         total, ref = sums[-1], nxt[-1]
         np.subtract(X, refs[t0:t1, None, :], out=X)
         ref_gaps[t0:t1] = np.sqrt(_row_dots(X, X)).sum(axis=1)
-        # the spent points take push-sum's ratios (Z / w, the step's division),
-        # then the deviation from the mean field
-        W = None if Wb is None else Wb[zs[0] : z + 1]
-        R = Z if W is None else np.divide(Z, W[..., None], out=X)
-        diag[:, t0:t1] = block_diagnostics(Z, R, W, sums, r, X)
+        # the deviation from the mean field goes over push-sum's ratios, and
+        # over oda-c's spent points (its ratios are the duals the next round mixes)
+        if Wb is None:
+            diag[:, t0:t1] = block_diagnostics(Z, Z, None, sums, r, X)
+        else:
+            R = Rb[:k]
+            diag[:, t0:t1] = block_diagnostics(Z, R, Wb[zs[0] : z + 1], sums, r, R)
         ok = np.isfinite(diag[0:3:2, t0:t1])  # the disagreement and mean-field residual
         if not ok.all():
             t = t0 + int(ok.all(axis=0).argmin())
@@ -625,9 +640,8 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
 def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     """Measure regret and attach certified bounds over the first T rounds."""
     config = history.config
-    if T is None:
-        T = config.T
-    if not 0 <= T <= config.T:
+    T = config.T if T is None else _integer(T, "prefix", 0)
+    if T > config.T:
         raise ConfigError(f"prefix {T} is not within the simulated horizon {config.T}")
     n, p = config.n, config.p
     box = config.box
@@ -707,11 +721,9 @@ def sweep(config: RunConfig, horizons, cumulative: bool = False) -> list:
     statistics (``QuadraticLoss.gram``, ``curvature`` and ``spread``) are
     formed once, and each prefix re-solves the comparator from them.
     """
-    horizons = [int(T) for T in horizons]
+    horizons = [_integer(T, "sweep horizon", 1) for T in horizons]
     if not horizons:
         raise ConfigError("sweep needs at least one horizon")
-    if any(T <= 0 for T in horizons):
-        raise ConfigError("sweep horizons must be positive")
     if sorted(horizons) != horizons:
         raise ConfigError("sweep horizons must be increasing")
     if cumulative:

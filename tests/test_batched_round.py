@@ -50,8 +50,9 @@ def reference_normal_form_updates(engine, H, b, out=None):
     return u
 
 
-def reference_step(engine, u, alpha, X=None, Z=None, w=None):
-    """The per-agent step, its results copied into X, Z and w when given."""
+def reference_step(engine, u, alpha, X=None, Z=None, w=None, R=None):
+    """The per-agent step, its results copied into X, Z and w when given,
+    and push-sum's ratios into R when given."""
     pushsum = isinstance(engine.network, DigraphSchedule)
     U = np.zeros((engine.n, engine.p))
     for k, block in enumerate(engine.blocks.blocks):
@@ -63,6 +64,8 @@ def reference_step(engine, u, alpha, X=None, Z=None, w=None):
         engine._Z = A @ engine._Z + U
         engine._w = A @ engine._w
         Y = engine._Z / engine._w[:, None]
+        if R is not None:
+            R[...] = Y
     else:
         engine._Z = engine.network.pair.M @ engine._Z + U
         Y = engine._Z

@@ -234,6 +234,23 @@ def test_deviation_in_the_stacked_ratios_gives_the_same_bits(algorithm):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("c", [9, 1])
+def test_pushsum_deviation_over_its_ratios_writes_only_them(c):
+    """simulate measures a push-sum block with out= the ratios its steps
+    left in the ratio slots: the diagnostics must keep their bits, the
+    ratios must take the deviation, and Z, the weights and the running sums
+    must keep theirs, read-only as they are passed."""
+    Z, R, W, U, _ = held_block("oda-ps", c=c)
+    want = block_diagnostics(Z, R, W, U, None)
+    deviation = R - Z.mean(axis=1)[:, None, :]
+    before = snapshot(Z, W, U)
+    got = block_diagnostics(read_only(Z), R, read_only(W), read_only(U), None, out=R)
+    assert snapshot(Z, W, U) == before
+    assert R.tobytes() == deviation.tobytes()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
 def test_deviation_in_a_separate_buffer_gives_the_same_bits(algorithm):
     """With out= a buffer of its own (simulate's spent points, for oda-c)

@@ -394,6 +394,31 @@ class TestSimulate:
         simulate(base_config(algorithm, T=9))
         assert calls == list(range(9))
 
+    @pytest.mark.parametrize("algorithm, n, T", [
+        ("oda-ps", 50, 40), ("oda-ps", 200, 12), ("oda-c", 50, 40), ("oda-c", 200, 12),
+    ])
+    def test_pushsum_divides_its_duals_once_a_round(self, algorithm, n, T, monkeypatch):
+        # at n = p = 50 the rounds are measured in blocks of 9 (the last of
+        # 4), at n = 200 one at a time: either way the measurement reads the
+        # ratios the step formed, and oda-c's ratios are its duals
+        cfg = RunConfig(
+            algorithm,
+            lazy_cycle_pair(n) if algorithm == "oda-c" else split_ring_schedule(n, 5),
+            ActionBox.uniform(-10.0, 10.0, n),
+            T=T,
+        )
+        calls = []
+        divide = np.divide
+
+        def counted(a, *args, **kw):
+            if np.shape(a)[-2:] == (n, n):
+                calls.append(np.shape(a))
+            return divide(a, *args, **kw)
+
+        monkeypatch.setattr(np, "divide", counted)
+        simulate(cfg)
+        assert len(calls) == (T if algorithm == "oda-ps" else 0)
+
     def test_run_generator_keyed_by_seed_and_horizon(self):
         a = run_generator(base_config(T=10, seed=3)).random(4)
         b = run_generator(base_config(T=10, seed=3)).random(4)
@@ -420,7 +445,7 @@ class TestFinalize:
             assert math.isfinite(default.theory_bound)
             assert listed.constants == default.constants
 
-    @pytest.mark.parametrize("T", [5, -1])
+    @pytest.mark.parametrize("T", [5, -1, 2.5, True])
     def test_prefix_cannot_exceed_horizon(self, T):
         with pytest.raises(ConfigError):
             finalize(simulate(base_config(T=4)), T=T)
@@ -548,6 +573,23 @@ class TestSweep:
             sweep(cfg, [5, 3])
         with pytest.raises(ConfigError):
             sweep(cfg, [0, 3])
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    @pytest.mark.parametrize("horizons", [[2.7, 4], [True, 3]])
+    def test_rejects_horizons_that_are_not_integers(self, horizons, cumulative, monkeypatch):
+        # int() would run 2.7 as T = 2 and True as T = 1
+        def no_simulation(*args):
+            raise AssertionError("simulated a horizon that is not an integer")
+
+        monkeypatch.setattr(harness, "simulate", no_simulation)
+        with pytest.raises(ConfigError, match="sweep horizon must be an integer"):
+            sweep(base_config(T=1), horizons, cumulative=cumulative)
+
+    def test_numpy_integers_are_horizons(self):
+        cfg = base_config(T=1, seed=2)
+        assert sweep(cfg, np.array([3, 6]), cumulative=True) == sweep(cfg, [3, 6], cumulative=True)
+        trace = finalize(simulate(base_config(T=4)), np.int64(3))
+        assert type(trace.T) is int and trace.T == 3
 
 
 TRACE_COLUMNS = (
