@@ -43,6 +43,12 @@ from .topology import DigraphSchedule, StaticTopology
 # mixing).
 GATHER_DENSITY = 32
 
+# the engine steps its rounds in blocks of c = max(1, BLOCK_VALUES // (n p)),
+# which spread a block's fixed cost of ~30 numpy calls: at n = p = 50 a round
+# took 57.9 us at 1 << 14 (c = 6), 51.9 at 3 << 13 (c = 9) and 50.5 at 1 << 15
+# (c = 13), which failed the memory guard of n = p = 20 (T = 4000) by 5 kB
+BLOCK_VALUES = 3 << 13
+
 
 @dataclass(frozen=True)
 class PaddedRows:
@@ -153,11 +159,8 @@ class DualAveragingEngine:
     rounds: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if isinstance(self.network, StaticTopology):
-            self._w = None  # no weights: agents act on Z
-        elif isinstance(self.network, DigraphSchedule):
-            self._w = np.ones(self.network.n)
-        else:
+        pushsum = isinstance(self.network, DigraphSchedule)  # else agents act on Z
+        if not pushsum and not isinstance(self.network, StaticTopology):
             raise ConfigError(
                 "network must be a StaticTopology or a DigraphSchedule, "
                 f"got {type(self.network).__name__}"
@@ -180,17 +183,26 @@ class DualAveragingEngine:
         # adds in place without the fancy index's gather and scatter
         diagonal = slice(None, None, p + 1)
         self._inject = self._owner * p + np.arange(p) if self._gather else diagonal
-        self._r = None if self._w is not None else self.network.pair.r
+        self._r = None if pushsum else self.network.pair.r
         self._r_owner = None if self._r is None else self._r[self._owner]
-        self._n, self._u_shape = n, (p,)
-        self._Z = np.zeros((n, p))
+        self.n, self.p, self._u_shape = n, p, (p,)
         self._u_total = np.zeros(p)
-        # a read-only view of one row: no step writes into the points it replaces
-        self._X = np.broadcast_to(self.box.clamp(np.zeros(p)), (n, p))
         # the bounds at full size: np.maximum against a (p,) bound runs n
         # loops of length p, against an (n, p) one a single contiguous loop
         self._lo = np.tile(self.box.lo, (n, 1))
         self._hi = np.tile(self.box.hi, (n, 1))
+        # 2c + 1 (n, p) slots, c + 1 of points and c of duals, each beside an
+        # (n,) weight slot, and push-sum's c ratio slots; in two buffers, which
+        # took 9.68 MB of ring200-wide's resident peak where one took 10.03.
+        # Round 1 acts at the projection of zero and mixes slot 2c's zeros
+        c = self.block_rounds = max(1, BLOCK_VALUES // (n * p))
+        self._Xb, self._Zb = np.empty((c + 1, n, p)), np.zeros((c, n, p))
+        self._Xb[0] = self.box.clamp(np.zeros(p))
+        self._Wb = np.ones((2 * c + 1, n)) if pushsum else None
+        self._Rb = np.empty((c, n, p)) if pushsum else None
+        self._x, self._z = 0, 2 * c  # the slots of the next round's point and of its duals
+        self._X, self._Z = self._Xb[0], self._Zb[-1]
+        self._w = None if self._Wb is None else self._Wb[-1]
         if self._w is None:
             matrices = [self.network.pair.M]
         else:  # one per slot; none for an explicit schedule (period 0)
@@ -198,14 +210,6 @@ class DualAveragingEngine:
         self._operators = [mixing_operator(A) for A in matrices]
         # bound once: a round picks its mix, it does not build one
         self._mixes = [_mix(A) for A in self._operators]
-
-    @property
-    def n(self) -> int:
-        return self.blocks.n
-
-    @property
-    def p(self) -> int:
-        return self.blocks.p
 
     def local_updates(self, H: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         """The owned gradient entries of f(x) = 0.5||Ax - q||^2 from its normal
@@ -219,19 +223,60 @@ class DualAveragingEngine:
         X = self._X[self._owner] if self._gather else self._X
         return np.subtract(_row_dots(X, H), b, out)
 
+    def _span(self, i: int) -> np.ndarray:
+        """Slot i as a (1, n, p) view: points 0..c, then duals."""
+        c = self.block_rounds
+        return self._Xb[i : i + 1] if i <= c else self._Zb[i - c - 1 : i - c]
+
+    def _slots(self, k: int) -> tuple:
+        """Moves on to a block of k rounds: (k, n, p) views of the points
+        they read, of their new points and of their new duals, and the slot
+        of their first weights. A block of k > 1 reads point slots 0..k-1,
+        its first point copied in, and steps into point slots 1..k and dual
+        slots c+1..c+k. A block of one steps into the slot of the duals it
+        mixes and a free one of slots c - 1, c and 2c, which no longer block
+        writes first."""
+        x, z, c = self._x, self._z, self.block_rounds
+        if k == 1:
+            self._x, self._z = z, min({c - 1, c, 2 * c} - {x, z})
+            return self._span(x), self._span(z), self._span(self._z), self._z
+        if x:
+            self._Xb[0] = self._X
+        self._x, self._z = k, c + k
+        return self._Xb[:k], self._Xb[1 : k + 1], self._Zb[:k], c + 1
+
+    def run_block(self, H: np.ndarray, updates: np.ndarray, steps) -> tuple:
+        """Step k = len(updates) <= c rounds: round j overwrites updates[j]
+        with ``self.local_updates(H, b, b)`` and hands it and steps[j] to
+        ``self.step`` with its slots as X, Z, w and R. Returns (k, ...) views
+        of the points the rounds acted on, their duals, ratios (the duals for
+        oda-c) and weights (None for oda-c); the caller may write into the
+        points and push-sum's ratios, which the next round does not read."""
+        k = len(updates)
+        X, Xs, Z, j = self._slots(k)
+        W = None if self._Wb is None else self._Wb[j : j + k]
+        R = None if self._Rb is None else self._Rb[:k]
+        local_updates, step = self.local_updates, self.step
+        for t, (u, alpha, x, z) in enumerate(zip(updates, steps, Xs, Z)):
+            w, r = (None, None) if W is None else (W[t], R[t])
+            step(local_updates(H, u, u), alpha, x, z, w, r)
+        return X, Z, Z if R is None else R, W
+
     def step(self, u: np.ndarray, alpha: float, X=None, Z=None, w=None, R=None) -> None:
         """Mix the duals (and weights) with the round's matrix, inject the owned
         gradient entries (a float (p,) array), then project the debiased duals.
-        Writes the new points, duals and weights into X, Z and w when given,
-        else allocates them: C-contiguous arrays apart from the state the
-        step reads, except that X may be the duals it mixes (no w for oda-c).
-        Push-sum forms its ratios z_i / w_i in R when given, apart from X, Z
-        and w, and leaves them there; without R it forms them in X. oda-c's
-        ratios are Z, and R is not written."""
+        Writes the new points, duals and weights into X, Z and w and push-sum's
+        ratios z_i / w_i into R (oda-c's are Z): slots apart from the state the
+        step reads, except that X may be the duals it mixes; without them, the
+        engine's next slots, as a block of one."""
         if not 0 < alpha < np.inf:  # NaN fails it too
             raise ValueError(f"step size must be positive and finite, got {alpha}")
         if u.shape != self._u_shape:
             raise ConfigError(f"update has shape {u.shape}, expected {self._u_shape}")
+        if X is None:
+            _, (X,), (Z,), j = self._slots(1)
+            if self._Wb is not None:
+                w, R = self._Wb[j], self._Rb[0]
         mixes, t = self._mixes, self.rounds
         mix = mixes[t % len(mixes)] if mixes else _mix(mixing_operator(self.network.matrix_at(t)))
         self._u_total += u
@@ -242,14 +287,11 @@ class DualAveragingEngine:
         if self._w is None:
             Z.reshape(-1)[self._inject] += u / self._r_owner
         else:
-            Z.reshape(-1)[self._inject] += self._n * u
+            Z.reshape(-1)[self._inject] += self.n * u
             self._w = mix(self._w, out=w)
         self._Z = Z
-        # the ratios (Z for oda-c) are formed in R, or without R in X, and
-        # projected into X: R * -alpha
-        slot = R is not None
-        R = self.ratios(R if slot else X)
-        X = np.multiply(R, -alpha, out=X if slot or R is Z else R)
+        # the ratios (Z for oda-c), projected into X: R * -alpha
+        X = np.multiply(self.ratios(R), -alpha, out=X)
         # np.clip's values without its dispatch cost; at a signed-zero tie
         # (-0.0 against a bound of +0.0) the bound's zero is kept, where
         # np.clip may keep X's

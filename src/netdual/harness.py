@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ActionBox, BlockMap, load_json, parse_numbers, prox_sup
-from .engine import DualAveragingEngine, _row_dots, block_diagnostics
+from .engine import BLOCK_VALUES, DualAveragingEngine, _row_dots, block_diagnostics
 from .errors import ConfigError, TopologyError
 from .objectives import QuadraticLoss, lipschitz_constants
 from .regret import (
@@ -62,16 +62,6 @@ SWEEP_ROW = "%d," + ",".join(["%.12g"] * 3) + "\r\n"
 
 # ---------------------------------------------------------------------------
 # randomness
-
-# simulate measures its rounds in blocks of c = max(1, BLOCK_VALUES // (n p)),
-# each in 2c + 1 (n, p) slots, and push-sum's in 3c + 1 (c of them its
-# ratios); a block's ~30 numpy calls carry a fixed cost
-# that larger blocks spread over more rounds. In-process at n = p = 50 a run
-# took 57.9 us a round at 1 << 14 (c = 6), 51.9 at 3 << 13 (c = 9) and 50.5
-# at 1 << 15 (c = 13), which failed the memory guard of n = p = 20 (T = 4000)
-# by 5 kB; 3 << 13 passes it by 135 kB
-BLOCK_VALUES = 3 << 13
-
 
 def covariance_sqrt(P: np.ndarray) -> np.ndarray:
     """Symmetric square root of a PSD covariance via eigendecomposition."""
@@ -550,9 +540,9 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     # engine on the heap: formed after the engine, it split the space the
     # engine frees, and ring200-wide's resident peak rose 9.6 -> 10.8 MB
     H = losses.gram
-    # built once the environment is freed, so its (n, p) bounds can take its
-    # place on the heap: ring200-wide measured 10.0-10.4 MB of resident peak
-    # built before the environment, 9.3 MB after
+    # built once the environment is freed, so its (n, p) bounds and slots can
+    # take its place on the heap (ring200-wide: 10.0-10.4 MB of resident peak
+    # built before, 9.3 MB after)
     engine = DualAveragingEngine(config.topology, config.blocks, config.box)
 
     flat = config.blocks.owner * p + np.arange(p)  # (owner[k], k) in a raveled (n, p)
@@ -568,46 +558,15 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     total = np.zeros(p)  # the sum through the last measured round
     ref = config.box.clamp(np.zeros(p))  # the reference of the next round to measure
 
-    n, c = config.n, max(1, BLOCK_VALUES // (config.n * p))
-    # the engine steps into 2c + 1 (n, p) slots, c + 1 of points and c of
-    # duals, each beside an (n,) weight slot. A block of k > 1 rounds reads
-    # Xb[:k] (the first point copied in) and Zb[:k]. A block of one reads its
-    # point in place and steps into a free slot and the slot of the duals it
-    # mixed, so at c = 1 three slots take turns. Two buffers: at ring200-wide
-    # one took 10.03 MB of resident peak, these take 9.68. Push-sum's step
-    # also leaves its ratios z_i / w_i in Rb[j] for round j of a block (slot
-    # 0 for a block of one), which the measurement reads with no second
-    # division; oda-c's ratios are its duals
-    Xb, Zb = np.empty((c + 1, n, p)), np.empty((c, n, p))
-    slots = [*Xb, *Zb]
-    Wb = None if r is not None else np.empty((2 * c + 1, n))
-    wslots = [None] * len(slots) if Wb is None else list(Wb)
-    Rb = None if Wb is None else np.empty((c, n, p))
-    rslots = [None] * c if Rb is None else list(Rb)
-    Xb[0] = ref  # round 1's points: every agent starts where the reference does
-    x, z = 0, c  # the slots of the next round's point and of the duals it mixes
-    # bound once; each still runs once a round, where a tracer can time it
-    local_updates, step = engine.local_updates, engine.step
-    for t0 in range(0, T, c):
-        t1 = min(t0 + c, T)
-        k = t1 - t0
-        if k == 1:
-            xs, zs = [z], [min({0, 1, 2} - {x, z})]
-            X, Z = slots[x][None], slots[zs[0]][None]
-        else:
-            if x:
-                Xb[0] = slots[x]
-            xs, zs = range(1, k + 1), range(c + 1, c + k + 1)
-            X, Z = Xb[:k], Zb[:k]
-        # round t overwrites its own b_t with its update, elementwise
-        for u, alpha, i, j, R in zip(updates[t0:t1], steps[t0:t1].tolist(), xs, zs, rslots):
-            step(local_updates(H, u, u), alpha, slots[i], slots[j], wslots[j], R)
-        x, z = xs[-1], zs[-1]
+    for t0 in range(0, T, engine.block_rounds):
+        t1 = min(t0 + engine.block_rounds, T)
+        # the rounds overwrite their own b_t with their updates, elementwise
+        X, Z, R, W = engine.run_block(H, updates[t0:t1], steps[t0:t1].tolist())
         # the block's rounds in one pass, which writes only into its spent points
-        actions[t0:t1] = X.reshape(k, -1)[:, flat]
+        actions[t0:t1] = X.reshape(len(X), -1)[:, flat]
         # the running sums: cumsum adds in the order of total += u, bit for bit
         U = updates[t0:t1]
-        sums = total + U if k == 1 else np.cumsum(np.concatenate([total[None], U]), 0)[1:]
+        sums = total + U if len(U) == 1 else np.cumsum(np.concatenate([total[None], U]), 0)[1:]
         # nxt[j] = project(sums[j], alpha(t0+j)), the reference of round t0+j+2
         nxt = config.box.clamp(-steps[t0:t1, None] * sums)
         refs[t0], refs[t0 + 1 : t1] = ref, nxt[:-1]
@@ -616,11 +575,7 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         ref_gaps[t0:t1] = np.sqrt(_row_dots(X, X)).sum(axis=1)
         # the deviation from the mean field goes over push-sum's ratios, and
         # over oda-c's spent points (its ratios are the duals the next round mixes)
-        if Wb is None:
-            diag[:, t0:t1] = block_diagnostics(Z, Z, None, sums, r, X)
-        else:
-            R = Rb[:k]
-            diag[:, t0:t1] = block_diagnostics(Z, R, Wb[zs[0] : z + 1], sums, r, R)
+        diag[:, t0:t1] = block_diagnostics(Z, R, W, sums, r, X if W is None else R)
         ok = np.isfinite(diag[0:3:2, t0:t1])  # the disagreement and mean-field residual
         if not ok.all():
             t = t0 + int(ok.all(axis=0).argmin())

@@ -1,5 +1,5 @@
 """simulate measures its rounds in blocks of c = max(1, BLOCK_VALUES // (n p)):
-the engine steps into the block's slots of simulate's buffers, and the
+the engine steps each block into its own slots (``run_block``), and the
 actions, the reference and its gaps and the diagnostics of c rounds are formed
 in one vectorised pass over those slots. Every RunHistory array must equal the
 round-by-round oracle's bit for bit, at any block size and any horizon."""
@@ -62,7 +62,7 @@ def assert_same_history(got, want):
 def set_block(monkeypatch, block, cfg):
     """Make simulate measure `block` rounds at a time on cfg's network."""
     if block != "default":
-        monkeypatch.setattr(harness, "BLOCK_VALUES", block * cfg.n * cfg.p)
+        monkeypatch.setattr(engine_module, "BLOCK_VALUES", block * cfg.n * cfg.p)
 
 
 # T = 335 is a multiple of none of the block sizes: 1 aside, it leaves a
@@ -93,7 +93,7 @@ def test_blocks_match_the_round_by_round_oracle(
 ):
     cfg = config(algorithm, n, T=335, blocks=blocks, explicit=explicit)
     set_block(monkeypatch, block, cfg)
-    c = max(1, harness.BLOCK_VALUES // (cfg.n * cfg.p))
+    c = max(1, engine_module.BLOCK_VALUES // (cfg.n * cfg.p))
     default = {25: 983, 400: 61, 2500: 9, 32: 768}[cfg.n * cfg.p]
     assert c == (block if block != "default" else default)
     assert cfg.T % c or c == 1

@@ -31,6 +31,7 @@ from netdual import (
     write_sweep_csv,
     write_trace_csv,
 )
+from netdual import engine as engine_module
 from netdual.harness import (
     SWEEP_HEADER,
     TRACE_HEADER,
@@ -374,7 +375,7 @@ class TestSimulate:
             return block_diagnostics(Z, *args)
 
         monkeypatch.setattr(harness, "block_diagnostics", counted_block)
-        monkeypatch.setattr(harness, "BLOCK_VALUES", 4 * 5 * 5)
+        monkeypatch.setattr(engine_module, "BLOCK_VALUES", 4 * 5 * 5)
         simulate(base_config(algorithm, T=9))
         assert blocks == [4, 4, 1]
         assert not hasattr(DualAveragingEngine, "mean_field")
