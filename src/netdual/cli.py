@@ -161,21 +161,14 @@ def cmd_validate_graph(args) -> int:
             **verdict,
         }
     else:
+        payload = {
+            "command": "validate-graph", "mode": "schedule", "n": net.n, "period": net.period,
+        }
         try:
             constants = network_constants(config).fields
-        except TopologyError:  # no window within the cap
-            constants = {"B": None}
-        B = constants.pop("B")
-        payload = {
-            "command": "validate-graph",
-            "mode": "schedule",
-            "n": net.n,
-            "period": net.period,
-            "B": B,
-            "passed": B is not None,
-        }
-        if B is not None:
-            payload["constants"] = constants
+            payload.update(B=constants.pop("B"), passed=True, constants=constants)
+        except TopologyError as e:  # no window within the cap, or a misstated "regular"
+            payload.update(B=None, passed=False, error=str(e))
     _emit(payload)
     return EXIT_OK if payload["passed"] else EXIT_VALIDATION
 

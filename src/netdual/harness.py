@@ -35,6 +35,7 @@ from .regret import (
     step_sizes,
 )
 from .topology import (
+    PAIR_TOL,
     DigraphSchedule,
     StaticTopology,
     contraction_constants,
@@ -257,6 +258,14 @@ class RunConfig:
             bad = [v for v in self.alpha if not 0 < v < math.inf]
             if bad:
                 raise ConfigError(f"alpha values must be positive and finite, got {bad[0]}")
+            # bound_partial's dual-averaging bound holds for steps that do not rise
+            a = self.alpha
+            s = next((i for i in range(self.T) if a[i + 1] > a[i]), None)
+            if s is not None:
+                raise ConfigError(
+                    f"alpha values must not increase, got alpha({s + 1}) = {a[s + 1]} "
+                    f"> alpha({s}) = {a[s]}"
+                )
 
     @property
     def n(self) -> int:
@@ -433,8 +442,9 @@ def network_constants(config: RunConfig) -> NetworkConstants:
     network and certify its constants. This is the one network check every
     command makes before round 1: a weight pair that fails
     validate_reversible_pair or whose spectral gap is not above
-    SPECTRAL_GAP_TOL, or a schedule with no strongly connected window within
-    the cap, raises TopologyError."""
+    SPECTRAL_GAP_TOL, a schedule with no strongly connected window within
+    the cap, or a ``regular`` one that fails ``_certify_regular``, raises
+    TopologyError."""
     n = config.n
     if isinstance(config.topology, StaticTopology):
         pair = config.topology.pair
@@ -459,6 +469,8 @@ def network_constants(config: RunConfig) -> NetworkConstants:
     if B is None:
         raise TopologyError("schedule is not strongly connected over any window within the cap")
     cc = contraction_constants(n, B, regular=config.regular, sigma2_sup=config.sigma2_sup)
+    if config.regular:
+        _certify_regular(config.topology, config.sigma2_sup)
     return NetworkConstants(
         {
             "B": B, "beta": cc.beta, "theta": cc.theta, "gamma": cc.gamma,
@@ -467,6 +479,37 @@ def network_constants(config: RunConfig) -> NetworkConstants:
         pushsum_log_kappa(n, cc),
         weighted=True,
     )
+
+
+def _certify_regular(schedule: DigraphSchedule, sigma2_sup: float | None) -> None:
+    """Refuse a schedule that lists a graph which is not regular (one in- and
+    out-degree at every node, self-loops counted: what makes its A(t)
+    doubly stochastic), and a ``sigma2_sup`` below the largest second
+    singular value of the distinct graphs' matrices, less PAIR_TOL of
+    roundoff (J/5 reads 5.3e-17)."""
+    firsts = {}  # each distinct graph, at its first index
+    for k, E in enumerate(schedule.graphs):
+        firsts.setdefault(E, k)
+    for E, k in firsts.items():
+        # out-degrees then in-degrees: the counts of each node as sender, as receiver
+        degrees = [np.bincount(end, minlength=schedule.n) for end in np.array(sorted(E)).T]
+        lo, hi = min(d.min() for d in degrees), max(d.max() for d in degrees)
+        if lo != hi:
+            raise TopologyError(
+                f'"regular" needs every schedule graph regular, but graph {k} has '
+                f"in- and out-degrees from {lo} to {hi}"
+            )
+    if sigma2_sup is not None:
+        # the second singular value; 0 for one agent
+        sigma2 = max(
+            [*np.linalg.svd(schedule.matrix_at(k), compute_uv=False), 0.0][1]
+            for k in firsts.values()
+        )
+        if sigma2_sup < sigma2 - PAIR_TOL:
+            raise TopologyError(
+                f'"sigma2_sup" {sigma2_sup} is below the schedule\'s largest second '
+                f"singular value {sigma2:.6g}"
+            )
 
 
 def theory_bound(

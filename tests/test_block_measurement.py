@@ -133,6 +133,31 @@ def test_a_nonfinite_round_in_mid_block_is_named(algorithm, block, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+@pytest.mark.parametrize("alone", [1, 2, 3, 4])
+def test_a_block_after_rounds_of_one_steps_as_they_do(algorithm, alone):
+    """Rounds stepped one at a time rotate three slots; a longer block after
+    any of their rotations must step as rounds of one do, bit for bit."""
+    cfg = config(algorithm, 5, T=12)
+    rng = np.random.default_rng(alone)
+    A = np.eye(5) + 0.1 * rng.uniform(-1, 1, (5, 5))
+    H, b = A.T @ A, rng.normal(size=(cfg.T, 5)) * 3.0
+    alphas = 1.0 / np.sqrt(np.arange(1.0, cfg.T + 1))
+    single, blocked = (DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box) for _ in range(2))
+    points, duals = [], []
+    for t in range(cfg.T):
+        points.append(single._X.copy())
+        single.step(single.local_updates(H, b[t].copy()), alphas[t])
+        duals.append(single._Z.copy())
+    for t in range(alone):
+        blocked.step(blocked.local_updates(H, b[t].copy()), alphas[t])
+    X, Z, R, W = blocked.run_block(H, b[alone:].copy(), alphas[alone:].tolist())
+    assert X.tobytes() == np.array(points[alone:]).tobytes()
+    assert Z.tobytes() == np.array(duals[alone:]).tobytes()
+    for name in ("_X", "_Z", "_w"):
+        assert np.array_equal(getattr(blocked, name), getattr(single, name)), name
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
 def test_engine_diagnostics_are_the_oracle_formulas(algorithm):
     """The engine's per-round methods read ``block_diagnostics`` as a block
     of one; they must give the oracle's numbers exactly, round after round."""
@@ -157,7 +182,9 @@ def traced_peak(fn, cfg) -> int:
 
 
 @pytest.mark.parametrize(
-    "algorithm, n, T", [("oda-c", 20, 4000), ("oda-ps", 50, 2000)], ids=["sweep20", "pushsum50"]
+    "algorithm, n, T",
+    [("oda-c", 20, 4000), ("oda-ps", 50, 2000), ("oda-c", 200, 500)],
+    ids=["sweep20", "pushsum50", "ring200"],
 )
 def test_blocks_add_at_most_half_a_megabyte(algorithm, n, T):
     cfg = config(algorithm, n, T=T)

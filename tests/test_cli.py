@@ -336,7 +336,9 @@ class TestValidateGraphCommand:
         assert payload["constants"]["beta"] == 4.0
 
     def test_zero_singular_value_sup_mixes_in_one_round(self, tmp_path, capsys):
-        d = {"algorithm": "oda-ps", "T": 1, "regular": True, "sigma2_sup": 0.0}
+        complete = [[i, j] for i in range(5) for j in range(5)]  # A = J/5: sigma2 = 0
+        graph = {"n": 5, "mode": "schedule", "graphs": [complete], "period": 1}
+        d = {"algorithm": "oda-ps", "T": 1, "graph": graph, "regular": True, "sigma2_sup": 0.0}
         cfg = write_json(tmp_path, "c.json", d)
         code, payload = invoke(["validate-graph", "--config", cfg], capsys)
         assert code == 0
@@ -574,6 +576,81 @@ CERTIFICATION_CELLS = [
         ("sweep", 20), ("bounds", 20),
     )
 ]
+
+
+# Configs that load as JSON and that no command may step: steps that rise
+# break bound_partial's proof, and a "regular" that the schedule does not
+# meet would certify constants nothing proves. (config, exit code, error)
+REFUSED_CONFIGS = {
+    "rising steps": (
+        {"algorithm": "oda-c", "T": 3, "seed": 1, "alpha": {"values": [1.0, 100.0, 100.0, 100.0]}},
+        2,
+        "alpha values must not increase, got alpha(1) = 100.0 > alpha(0) = 1.0",
+    ),
+    "irregular schedule": (
+        {"algorithm": "oda-ps", "T": 200, "seed": 1, "regular": True},
+        3,
+        '"regular" needs every schedule graph regular, but graph 0 has in- and out-degrees '
+        "from 1 to 2",
+    ),
+    "irregular schedule with a zero sup": (
+        {"algorithm": "oda-ps", "T": 200, "seed": 1, "regular": True, "sigma2_sup": 0.0},
+        3,
+        '"regular" needs every schedule graph regular, but graph 0 has in- and out-degrees '
+        "from 1 to 2",
+    ),
+}
+
+
+class TestRefusedBeforeRoundOne:
+    @pytest.mark.parametrize("name", REFUSED_CONFIGS)
+    @pytest.mark.parametrize(
+        "command", ["run", "sweep", "bounds", "check-invariants", "validate-graph"]
+    )
+    def test_every_command_refuses_with_zero_engine_steps(
+        self, name, command, tmp_path, capsys, monkeypatch
+    ):
+        steps = []
+        monkeypatch.setattr(
+            harness.DualAveragingEngine, "step", lambda self, *args: steps.append(args)
+        )
+        config, code, error = REFUSED_CONFIGS[name]
+        cfg = write_json(tmp_path, "c.json", config)
+        extra = {
+            "run": ["--out", str(tmp_path / "o")],
+            "sweep": ["--horizons", "2,3", "--out", str(tmp_path / "o")],
+            "bounds": ["--horizons", "2,3"],
+            "check-invariants": [],
+            "validate-graph": [],
+        }[command]
+        assert main([command, "--config", cfg, *extra]) == code
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == error
+        if command == "validate-graph" and code == 3:
+            assert payload["passed"] is False and payload["B"] is None
+        else:
+            assert payload == {"error": error, "command": command}
+        assert steps == []
+
+    def test_flat_steps_are_accepted(self, tmp_path, capsys):
+        config = {"algorithm": "oda-c", "T": 3, "seed": 1, "alpha": {"values": [1.0] * 4}}
+        cfg = write_json(tmp_path, "c.json", config)
+        code, payload = invoke(["check-invariants", "--config", cfg], capsys)
+        assert code == 0
+        assert payload["checks"]["regret_within_partial_bound"] is True
+
+    def test_regular_ring_certifies_its_singular_value_sup(self, tmp_path, capsys):
+        ring = [[i, i] for i in range(5)] + [[i, (i + 1) % 5] for i in range(5)]
+        graph = {"n": 5, "mode": "schedule", "graphs": [ring], "period": 1}
+        for sup, code in ((0.81, 0), (0.80, 3)):
+            d = {"algorithm": "oda-ps", "T": 4, "graph": graph, "regular": True, "sigma2_sup": sup}
+            cfg = write_json(tmp_path, "c.json", d)
+            got, payload = invoke(["validate-graph", "--config", cfg], capsys)
+            assert got == code
+            assert payload["passed"] is (code == 0)
+            assert ("error" in payload) is (code == 3)
 
 
 class TestNetworkCertification:

@@ -17,6 +17,7 @@ from netdual import (
     RunConfig,
     SensingEnvironment,
     SweepRow,
+    TopologyError,
     config_from_dict,
     finalize,
     harness,
@@ -181,6 +182,16 @@ class TestRunConfig:
             base_config(T=3, alpha=alpha)
         assert base_config(T=3, alpha=(1.0, 0.5, 0.25, 0.125)).alpha[-1] == 0.125
 
+    def test_rising_step_values_fail_before_round_one(self):
+        """bound_partial is the dual-averaging bound, which holds for steps
+        that do not rise; only alpha(0..T) are read, so values past T are free."""
+        with pytest.raises(ConfigError, match=r"must not increase, got alpha\(2\) = 0.6"):
+            base_config(T=3, alpha=(1.0, 0.5, 0.6, 0.5))
+        assert base_config(T=3, alpha=(1.0, 1.0, 1.0, 1.0)).alpha == (1.0,) * 4
+        assert base_config(T=2, alpha=(1.0, 0.5, 0.5, 9.0)).T == 2
+        with pytest.raises(ConfigError, match="must not increase"):
+            replace(base_config(T=2, alpha=(1.0, 0.5, 0.5, 9.0)), T=3)
+
     def test_default_blocks_scalar(self):
         cfg = base_config()
         assert cfg.n == 5
@@ -313,7 +324,7 @@ class TestSimulate:
         T = 200_000
         rule = np.array([inv_sqrt_step(s) for s in range(T + 1)])
         assert np.array_equal(step_sizes(T), rule)
-        values = [0.5, 0.25, 0.125, 0.3, 0.2]
+        values = [0.5, 0.25, 0.125, 0.125, 0.1]
         alpha = config_from_dict({"algorithm": "oda-c", "T": 4, "alpha": {"values": values}}).alpha
         assert step_sizes(4, alpha).tolist() == values
 
@@ -420,6 +431,27 @@ class TestSimulate:
         simulate(cfg)
         assert len(calls) == (T if algorithm == "oda-ps" else 0)
 
+    @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+    def test_one_round_a_block_steps_every_round_once(self, algorithm, monkeypatch):
+        # n p > BLOCK_VALUES: every block is one round, and each round still
+        # calls the methods the benchmark traces as engine.local_updates and
+        # engine.step exactly once
+        n, T = 200, 5
+        topology = lazy_cycle_pair(n) if algorithm == "oda-c" else split_ring_schedule(n, 5)
+        cfg = RunConfig(algorithm, topology, ActionBox.uniform(-10.0, 10.0, n), T=T)
+        assert DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box).block_rounds == 1
+        calls = {"local_updates": 0, "step": 0}
+        for name in calls:
+            method = getattr(DualAveragingEngine, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(DualAveragingEngine, name, counted)
+        simulate(cfg)
+        assert calls == {"local_updates": T, "step": T}
+
     def test_run_generator_keyed_by_seed_and_horizon(self):
         a = run_generator(base_config(T=10, seed=3)).random(4)
         b = run_generator(base_config(T=10, seed=3)).random(4)
@@ -428,6 +460,40 @@ class TestSimulate:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+
+class TestRegularCertification:
+    """``"regular"`` and ``sigma2_sup`` sharpen the push-sum constants; each
+    is certified against the schedule before round 1."""
+
+    RING = frozenset({(i, i) for i in range(5)} | {(i, (i + 1) % 5) for i in range(5)})
+
+    def config(self, graphs, **kw):
+        schedule = DigraphSchedule(n=5, graphs=graphs, period=len(graphs))
+        return RunConfig("oda-ps", schedule, ActionBox.uniform(-1.0, 1.0, 5), T=4, **kw)
+
+    def test_directed_ring_is_regular_with_its_second_singular_value(self):
+        cfg = self.config((self.RING,), regular=True)
+        sigma = np.linalg.svd(cfg.topology.matrix_at(0), compute_uv=False)
+        assert sigma[1] == pytest.approx(math.cos(math.pi / 5))  # 0.809
+        assert harness.network_constants(cfg).fields["gamma"] == 1.0
+        fields = harness.network_constants(replace(cfg, sigma2_sup=0.81)).fields
+        assert fields["theta"] == 0.81 and fields["beta"] == math.sqrt(2.0)
+        with pytest.raises(TopologyError, match="below the schedule's largest second"):
+            harness.network_constants(replace(cfg, sigma2_sup=0.80))
+
+    def test_every_listed_graph_must_be_regular(self):
+        # the split ring's chunk graphs give a node out-degree 2 and in-degree 1
+        cfg = self.config(split_ring_schedule(5, 3).graphs, regular=True)
+        with pytest.raises(TopologyError, match="graph 0 has in- and out-degrees from 1 to 2"):
+            harness.network_constants(cfg)
+        # the sup is over every graph: the ring and the complete digraph (sigma2 = 0)
+        complete = frozenset((i, j) for i in range(5) for j in range(5))
+        cfg = self.config((complete, self.RING), regular=True)
+        harness.network_constants(replace(cfg, sigma2_sup=0.81))
+        with pytest.raises(TopologyError, match="below"):
+            harness.network_constants(replace(cfg, sigma2_sup=0.5))
+        assert harness.network_constants(self.config((complete,), regular=True, sigma2_sup=0.0))
 
 
 class TestFinalize:

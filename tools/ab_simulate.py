@@ -13,7 +13,9 @@ round and the number of pairs in which the change was lower.
 
 Timing both trees in one process keeps them on one heap, one BLAS and one
 CPU-speed state: between processes, run times on a small shared box swing
-by 25-40%, which hides a change of a few percent.
+by 25-40%, which hides a change of a few percent. An in-process win is a
+lead, to be confirmed by alternating ``bench/run.py`` pairs: a gain this
+tool shows can be absent from the benchmark's workloads.
 """
 
 import argparse
