@@ -246,13 +246,19 @@ class DualAveragingEngine:
         return self._Xb[:k], self._Xb[1 : k + 1], self._Zb[:k], c + 1
 
     def run_block(self, H: np.ndarray, updates: np.ndarray, steps) -> tuple:
-        """Step k = len(updates) <= c rounds: round j overwrites updates[j]
+        """Step 1 <= k = len(updates) <= c rounds, one step size each (else
+        ConfigError, with nothing stepped): round j overwrites updates[j]
         with ``self.local_updates(H, b, b)`` and hands it and steps[j] to
         ``self.step`` with its slots as X, Z, w and R. Returns (k, ...) views
         of the points the rounds acted on, their duals, ratios (the duals for
         oda-c) and weights (None for oda-c); the caller may write into the
         points and push-sum's ratios, which the next round does not read."""
         k = len(updates)
+        if not 1 <= k <= self.block_rounds or len(steps) != k:
+            raise ConfigError(
+                f"a block steps 1 to {self.block_rounds} rounds, one step size "
+                f"each: got {k} updates and {len(steps)} step sizes"
+            )
         X, Xs, Z, j = self._slots(k)
         W = None if self._Wb is None else self._Wb[j : j + k]
         R = None if self._Rb is None else self._Rb[:k]

@@ -583,10 +583,6 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     # engine on the heap: formed after the engine, it split the space the
     # engine frees, and ring200-wide's resident peak rose 9.6 -> 10.8 MB
     H = losses.gram
-    # built once the environment is freed, so its (n, p) bounds and slots can
-    # take its place on the heap (ring200-wide: 10.0-10.4 MB of resident peak
-    # built before, 9.3 MB after)
-    engine = DualAveragingEngine(config.topology, config.blocks, config.box)
 
     flat = config.blocks.owner * p + np.arange(p)  # (owner[k], k) in a raveled (n, p)
     r = None if network.weighted else config.topology.pair.r
@@ -600,6 +596,11 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     # projects the sum through round t-1 with step alpha(t-2)
     total = np.zeros(p)  # the sum through the last measured round
     ref = config.box.clamp(np.zeros(p))  # the reference of the next round to measure
+    # built once the environment is freed and the history allocated, so its
+    # (n, p) bounds and slots take the environment's place on the heap and
+    # sit above the (T, p) arrays (ring200-wide: 10.0-10.4 MB of resident
+    # peak built before the environment, 9.3 MB after)
+    engine = DualAveragingEngine(config.topology, config.blocks, config.box)
 
     for t0 in range(0, T, engine.block_rounds):
         t1 = min(t0 + engine.block_rounds, T)

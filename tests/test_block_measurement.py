@@ -14,6 +14,7 @@ from conftest import random_digraph_schedule, record_primals, simulate_per_round
 from netdual import (
     ActionBox,
     BlockMap,
+    ConfigError,
     DigraphSchedule,
     DualAveragingEngine,
     RunConfig,
@@ -134,27 +135,58 @@ def test_a_nonfinite_round_in_mid_block_is_named(algorithm, block, monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
 @pytest.mark.parametrize("alone", [1, 2, 3, 4])
-def test_a_block_after_rounds_of_one_steps_as_they_do(algorithm, alone):
-    """Rounds stepped one at a time rotate three slots; a longer block after
-    any of their rotations must step as rounds of one do, bit for bit."""
+@pytest.mark.parametrize("block", [2, 3, "default"])
+def test_a_block_after_rounds_of_one_steps_as_they_do(algorithm, alone, block, monkeypatch):
+    """Rounds stepped one at a time rotate slots c - 1, c and 2c; a block
+    after any of their rotations must step as rounds of one do, bit for bit.
+    At c = 2 and 3 the rounds alternate `alone` rounds of one with a block of
+    c, which writes all three of those slots; at the default c = 983 the
+    rounds of one are followed by one block of the rest."""
     cfg = config(algorithm, 5, T=12)
+    set_block(monkeypatch, block, cfg)
     rng = np.random.default_rng(alone)
     A = np.eye(5) + 0.1 * rng.uniform(-1, 1, (5, 5))
     H, b = A.T @ A, rng.normal(size=(cfg.T, 5)) * 3.0
     alphas = 1.0 / np.sqrt(np.arange(1.0, cfg.T + 1))
     single, blocked = (DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box) for _ in range(2))
+    c = blocked.block_rounds
+    assert c == (983 if block == "default" else block)
     points, duals = [], []
     for t in range(cfg.T):
         points.append(single._X.copy())
         single.step(single.local_updates(H, b[t].copy()), alphas[t])
         duals.append(single._Z.copy())
-    for t in range(alone):
-        blocked.step(blocked.local_updates(H, b[t].copy()), alphas[t])
-    X, Z, R, W = blocked.run_block(H, b[alone:].copy(), alphas[alone:].tolist())
-    assert X.tobytes() == np.array(points[alone:]).tobytes()
-    assert Z.tobytes() == np.array(duals[alone:]).tobytes()
+    t = 0
+    while t < cfg.T:
+        for s in range(t, min(t + alone, cfg.T)):
+            blocked.step(blocked.local_updates(H, b[s].copy()), alphas[s])
+        t = min(t + alone, cfg.T)
+        k = min(c, cfg.T - t)
+        if k:
+            X, Z, R, W = blocked.run_block(H, b[t : t + k].copy(), alphas[t : t + k].tolist())
+            assert X.tobytes() == np.array(points[t : t + k]).tobytes()
+            assert Z.tobytes() == np.array(duals[t : t + k]).tobytes()
+            t += k
+    assert blocked.rounds == cfg.T
     for name in ("_X", "_Z", "_w"):
         assert np.array_equal(getattr(blocked, name), getattr(single, name)), name
+
+
+@pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+def test_a_block_without_slots_is_refused(algorithm, monkeypatch):
+    """run_block steps 1 to c rounds with one step size each; any other
+    block is refused before it moves the engine, which then steps as new."""
+    cfg = config(algorithm, 5, T=2)
+    set_block(monkeypatch, 2, cfg)
+    engine, fresh = (DualAveragingEngine(cfg.topology, cfg.blocks, cfg.box) for _ in range(2))
+    H, b = np.eye(5), np.arange(10.0).reshape(2, 5)
+    for k, steps in [(0, []), (3, [1.0] * 3), (2, [1.0]), (1, [1.0, 0.5])]:
+        with pytest.raises(ConfigError, match="a block steps 1 to 2 rounds"):
+            engine.run_block(H, np.ones((k, 5)), steps)
+    assert engine.rounds == 0 and not engine._u_total.any()
+    got = engine.run_block(H, b.copy(), [1.0, 0.5])
+    want = fresh.run_block(H, b.copy(), [1.0, 0.5])
+    assert snapshot(*got) == snapshot(*want)
 
 
 @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
@@ -186,9 +218,13 @@ def traced_peak(fn, cfg) -> int:
     [("oda-c", 20, 4000), ("oda-ps", 50, 2000), ("oda-c", 200, 500)],
     ids=["sweep20", "pushsum50", "ring200"],
 )
-def test_blocks_add_at_most_half_a_megabyte(algorithm, n, T):
+def test_blocks_add_at_most_half_a_megabyte(algorithm, n, T, monkeypatch):
     cfg = config(algorithm, n, T=T)
-    oracle = traced_peak(simulate_per_round, cfg)
+    # the oracle steps one round at a time: its engine holds the slots of a
+    # block of one, so the blocks' slots count against simulate alone
+    with monkeypatch.context() as m:
+        m.setattr(engine_module, "BLOCK_VALUES", 1)
+        oracle = traced_peak(simulate_per_round, cfg)
     blocked = traced_peak(simulate, cfg)
     assert blocked <= oracle + 0.5e6, (blocked, oracle)
 
