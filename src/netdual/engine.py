@@ -187,6 +187,16 @@ class DualAveragingEngine:
         self._r_owner = None if self._r is None else self._r[self._owner]
         self.n, self.p, self._u_shape = n, p, (p,)
         self._u_total = np.zeros(p)
+        # the operators first, so that the (n, n) temporaries of their padded
+        # rows are freed before the bounds and slots are allocated: built
+        # after them, they raised ring200-wide's tracemalloc peak 5.57 -> 5.89 MB
+        if not pushsum:
+            matrices = [self.network.pair.M]
+        else:  # one per slot; none for an explicit schedule (period 0)
+            matrices = [self.network.matrix_at(k) for k in range(self.network.period)]
+        self._operators = [mixing_operator(A) for A in matrices]
+        # bound once: a round picks its mix, it does not build one
+        self._mixes = [_mix(A) for A in self._operators]
         # the bounds at full size: np.maximum against a (p,) bound runs n
         # loops of length p, against an (n, p) one a single contiguous loop
         self._lo = np.tile(self.box.lo, (n, 1))
@@ -203,13 +213,6 @@ class DualAveragingEngine:
         self._x, self._z = 0, 2 * c  # the slots of the next round's point and of its duals
         self._X, self._Z = self._Xb[0], self._Zb[-1]
         self._w = None if self._Wb is None else self._Wb[-1]
-        if self._w is None:
-            matrices = [self.network.pair.M]
-        else:  # one per slot; none for an explicit schedule (period 0)
-            matrices = [self.network.matrix_at(k) for k in range(self.network.period)]
-        self._operators = [mixing_operator(A) for A in matrices]
-        # bound once: a round picks its mix, it does not build one
-        self._mixes = [_mix(A) for A in self._operators]
 
     def local_updates(self, H: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         """The owned gradient entries of f(x) = 0.5||Ax - q||^2 from its normal
