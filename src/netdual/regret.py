@@ -254,8 +254,8 @@ def circulation_log_kappa(n: int, r_min: float, lam: float) -> float:
 
 def pushsum_log_kappa(n: int, constants: ContractionConstants) -> float:
     """log kappa of a push-sum schedule: kappa = 2 beta sqrt(n) / (gamma
-    theta (1 - theta)). A single agent, or theta = 0, mixes at once: -inf."""
-    if n == 1 or constants.theta == 0.0:
+    theta (1 - theta)). A single agent mixes at once: -inf."""
+    if n == 1:
         return -math.inf
     return (
         math.log(2.0 * constants.beta) + 0.5 * math.log(n)

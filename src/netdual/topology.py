@@ -315,8 +315,11 @@ def contraction_constants(
     General case: beta = 4, theta = (1 - n^(-nB))^(1/B), gamma = n^(-nB).
     Regular schedules sharpen to beta = 2*sqrt(2), theta = (1 - 1/(4n^3))^(1/B),
     gamma = 1; a caller-certified sup of second singular values sharpens
-    further to beta = sqrt(2), theta = sigma2_sup. All arithmetic is done in
-    log space so huge n^(nB) never overflows.
+    further to beta = sqrt(2), theta = max(sigma2_sup, 1/2): a sup certifies
+    every theta at or above it, and kappa ~ 1/(theta (1 - theta)) is least
+    at 1/2 (a sup of 0 still leaves one round's injections between the
+    duals). All arithmetic is done in log space so huge n^(nB) never
+    overflows.
     """
     if n < 1 or B < 1:
         raise ConfigError("need n >= 1 and B >= 1")
@@ -325,9 +328,7 @@ def contraction_constants(
             raise ConfigError("a singular-value sup is only accepted for regular schedules")
         if not (0.0 <= sigma2_sup < 1.0):
             raise ConfigError(f"sigma2_sup must lie in [0, 1), got {sigma2_sup}")
-        theta = float(sigma2_sup)
-        if theta == 0.0:
-            return ContractionConstants(math.sqrt(2), 0.0, 1.0, 0.0, 1.0, 0.0)
+        theta = max(float(sigma2_sup), 0.5)
         return ContractionConstants(
             math.sqrt(2), theta, 1.0, 0.0, 1.0 - theta, math.log(1.0 - theta)
         )

@@ -109,6 +109,15 @@ BAD_NETWORKS = {
 }
 
 
+# the complete 5-digraph: A = J/5 mixes at once (sigma2 = 0), yet each step
+# injects after it mixes, so the duals still disagree by one round's injections
+COMPLETE_DIGRAPH = {
+    "n": 5, "mode": "schedule", "graphs": [[[i, j] for i in range(5) for j in range(5)]],
+    "period": 1,
+}
+COMPLETE_DIGRAPH_KNOBS = {"graph": COMPLETE_DIGRAPH, "regular": True, "sigma2_sup": 0.0}
+
+
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -335,18 +344,16 @@ class TestValidateGraphCommand:
         assert payload["constants"]["gamma"] == pytest.approx(5.0**-15)
         assert payload["constants"]["beta"] == 4.0
 
-    def test_zero_singular_value_sup_mixes_in_one_round(self, tmp_path, capsys):
-        complete = [[i, j] for i in range(5) for j in range(5)]  # A = J/5: sigma2 = 0
-        graph = {"n": 5, "mode": "schedule", "graphs": [complete], "period": 1}
-        d = {"algorithm": "oda-ps", "T": 1, "graph": graph, "regular": True, "sigma2_sup": 0.0}
+    def test_complete_digraph_takes_theta_one_half(self, tmp_path, capsys):
+        d = {"algorithm": "oda-ps", "T": 1, **COMPLETE_DIGRAPH_KNOBS}
         cfg = write_json(tmp_path, "c.json", d)
         code, payload = invoke(["validate-graph", "--config", cfg], capsys)
         assert code == 0
         constants = payload["constants"]
         assert (constants["beta"], constants["theta"], constants["gamma"]) == (
-            math.sqrt(2.0), 0.0, 1.0
+            math.sqrt(2.0), 0.5, 1.0
         )
-        assert constants["log_one_minus_theta"] == 0.0
+        assert constants["log_one_minus_theta"] == math.log(0.5)
 
     def test_disconnected_schedule_fails(self, tmp_path, capsys):
         graph = {
@@ -467,6 +474,13 @@ class TestCheckInvariantsCommand:
             assert payload["passed"] is True
             assert payload["checks"]["mean_field_ok"] is True
             assert payload["checks"]["weights_ok"] is True
+
+    def test_zero_singular_value_sup_bounds_the_disagreement(self, tmp_path, capsys):
+        d = {"algorithm": "oda-ps", "T": 50, "seed": 1, **COMPLETE_DIGRAPH_KNOBS}
+        cfg = write_json(tmp_path, "c.json", d)
+        code, payload = invoke(["check-invariants", "--config", cfg], capsys)
+        assert code == 0
+        assert payload["checks"]["disagreement_within_bound"] is True
 
     @pytest.mark.parametrize("flag", INVARIANT_FLAGS)
     def test_fails_each_condition_just_past_its_tolerance(

@@ -338,14 +338,16 @@ class TestContractionConstants:
         assert math.isfinite(cc.log_one_minus_theta)
 
     def test_caller_certified_singular_value(self):
-        cc = contraction_constants(5, 2, regular=True, sigma2_sup=0.3)
+        cc = contraction_constants(5, 2, regular=True, sigma2_sup=0.7)
         assert cc.beta == pytest.approx(math.sqrt(2.0))
-        assert cc.theta == 0.3
+        assert cc.theta == 0.7
         assert cc.gamma == 1.0
-        # a sup of 0 mixes in one round: theta 0, and log(1 - theta) is 0
-        cc = contraction_constants(5, 2, regular=True, sigma2_sup=0.0)
-        assert (cc.beta, cc.theta, cc.gamma) == (math.sqrt(2.0), 0.0, 1.0)
-        assert (cc.one_minus_theta, cc.log_one_minus_theta) == (1.0, 0.0)
+        # a sup below 1/2 certifies theta = 1/2, where kappa is least; a sup
+        # of 0 does not mix in one round, since each step injects after it mixes
+        for sup in (0.3, 0.0):
+            cc = contraction_constants(5, 2, regular=True, sigma2_sup=sup)
+            assert (cc.beta, cc.theta, cc.gamma) == (math.sqrt(2.0), 0.5, 1.0)
+            assert (cc.one_minus_theta, cc.log_one_minus_theta) == (0.5, math.log(0.5))
 
     def test_singular_value_requires_regular(self):
         with pytest.raises(ConfigError):
