@@ -167,7 +167,7 @@ def cmd_validate_graph(args) -> int:
         try:
             constants = network_constants(config).fields
             payload.update(B=constants.pop("B"), passed=True, constants=constants)
-        except TopologyError as e:  # no window within the cap, or a misstated "regular"
+        except TopologyError as e:  # no window within the cap
             payload.update(B=None, passed=False, error=str(e))
     _emit(payload)
     return EXIT_OK if payload["passed"] else EXIT_VALIDATION

@@ -211,8 +211,6 @@ class RunConfig:
     alpha: tuple | None = None  # the step sizes alpha(0), alpha(1), ...; None: 1/sqrt(s+1)
     # (p, run generator) -> SensingEnvironment or FixedEnvironment
     environment: Callable[[int, np.random.Generator], object] | None = None
-    regular: bool = False
-    sigma2_sup: float | None = None
     b_cap: int | None = None
     comparator_tol: float = 1e-8
 
@@ -244,9 +242,7 @@ class RunConfig:
             raise ConfigError(
                 f"box dimension {self.box.p} disagrees with block map dimension {self.blocks.p}"
             )
-        # finalize needs both of these after round T: fail before round 1
-        if self.sigma2_sup is not None and not self.regular:
-            raise ConfigError("a singular-value sup is only accepted for regular schedules")
+        # finalize needs the step values after round T: fail before round 1
         if self.alpha is not None:
             if len(self.alpha) <= self.T:
                 raise ConfigError(
@@ -389,10 +385,6 @@ def config_from_dict(d: dict) -> RunConfig:
     if "T" not in d:
         raise ConfigError('config needs a horizon "T"')
 
-    regular = d.get("regular", False)
-    if not isinstance(regular, bool):
-        raise ConfigError(f'"regular" must be true or false, got {regular!r}')
-    sigma2_sup = d.get("sigma2_sup")
     b_cap = d.get("b_cap")
     comparator_tol = _real(d.get("comparator_tol", 1e-8), '"comparator_tol"')
     if not (comparator_tol > 0 and math.isfinite(comparator_tol)):
@@ -407,8 +399,6 @@ def config_from_dict(d: dict) -> RunConfig:
         blocks=blocks,
         alpha=_alpha_from_spec(d.get("alpha")),
         environment=_environment_from_spec(d.get("environment"), blocks.p),
-        regular=regular,
-        sigma2_sup=None if sigma2_sup is None else _real(sigma2_sup, '"sigma2_sup"'),
         b_cap=None if b_cap is None else _integer(b_cap, '"b_cap"', 1),
         comparator_tol=comparator_tol,
     )
@@ -442,9 +432,13 @@ def network_constants(config: RunConfig) -> NetworkConstants:
     network and certify its constants. This is the one network check every
     command makes before round 1: a weight pair that fails
     validate_reversible_pair or whose spectral gap is not above
-    SPECTRAL_GAP_TOL, a schedule with no strongly connected window within
-    the cap, or a ``regular`` one that fails ``_certify_regular``, raises
-    TopologyError."""
+    SPECTRAL_GAP_TOL, or a schedule with no strongly connected window within
+    the cap, raises TopologyError.
+
+    A schedule gets every push-sum family whose hypothesis it meets: the
+    general closed form always, the regular one when ``_regular_sigma2``
+    finds every graph regular, and the singular-value one when that sup is
+    below 1. Each is a proof, so the run keeps the least kappa."""
     n = config.n
     if isinstance(config.topology, StaticTopology):
         pair = config.topology.pair
@@ -468,9 +462,14 @@ def network_constants(config: RunConfig) -> NetworkConstants:
     B = validate_b_strong(config.topology, cap=config.b_cap)
     if B is None:
         raise TopologyError("schedule is not strongly connected over any window within the cap")
-    cc = contraction_constants(n, B, regular=config.regular, sigma2_sup=config.sigma2_sup)
-    if config.regular:
-        _certify_regular(config.topology, config.sigma2_sup)
+    families = [contraction_constants(n, B)]
+    sigma2 = _regular_sigma2(config.topology)
+    if sigma2 is not None:
+        families.append(contraction_constants(n, B, regular=True))
+        sup = sigma2 + PAIR_TOL  # roundoff: J/5 reads 5.3e-17
+        if sup < 1.0:
+            families.append(contraction_constants(n, B, regular=True, sigma2_sup=sup))
+    cc = min(families, key=lambda c: pushsum_log_kappa(n, c))
     return NetworkConstants(
         {
             "B": B, "beta": cc.beta, "theta": cc.theta, "gamma": cc.gamma,
@@ -481,35 +480,23 @@ def network_constants(config: RunConfig) -> NetworkConstants:
     )
 
 
-def _certify_regular(schedule: DigraphSchedule, sigma2_sup: float | None) -> None:
-    """Refuse a schedule that lists a graph which is not regular (one in- and
-    out-degree at every node, self-loops counted: what makes its A(t)
-    doubly stochastic), and a ``sigma2_sup`` below the largest second
-    singular value of the distinct graphs' matrices, less PAIR_TOL of
-    roundoff (J/5 reads 5.3e-17)."""
+def _regular_sigma2(schedule: DigraphSchedule) -> float | None:
+    """The largest second singular value of the distinct listed graphs'
+    matrices when every one is regular (one in- and out-degree at every
+    node, self-loops counted: what makes its A(t) doubly stochastic), else
+    None. One agent reads 0."""
     firsts = {}  # each distinct graph, at its first index
     for k, E in enumerate(schedule.graphs):
         firsts.setdefault(E, k)
-    for E, k in firsts.items():
+    for E in firsts:
         # out-degrees then in-degrees: the counts of each node as sender, as receiver
         degrees = [np.bincount(end, minlength=schedule.n) for end in np.array(sorted(E)).T]
-        lo, hi = min(d.min() for d in degrees), max(d.max() for d in degrees)
-        if lo != hi:
-            raise TopologyError(
-                f'"regular" needs every schedule graph regular, but graph {k} has '
-                f"in- and out-degrees from {lo} to {hi}"
-            )
-    if sigma2_sup is not None:
-        # the second singular value; 0 for one agent
-        sigma2 = max(
-            [*np.linalg.svd(schedule.matrix_at(k), compute_uv=False), 0.0][1]
-            for k in firsts.values()
-        )
-        if sigma2_sup < sigma2 - PAIR_TOL:
-            raise TopologyError(
-                f'"sigma2_sup" {sigma2_sup} is below the schedule\'s largest second '
-                f"singular value {sigma2:.6g}"
-            )
+        if min(d.min() for d in degrees) != max(d.max() for d in degrees):
+            return None
+    return max(
+        [*np.linalg.svd(schedule.matrix_at(k), compute_uv=False), 0.0][1]
+        for k in firsts.values()
+    )
 
 
 def theory_bound(

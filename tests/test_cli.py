@@ -1,8 +1,11 @@
+import ast
 import contextlib
+import inspect
 import io
 import json
 import math
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -115,6 +118,7 @@ COMPLETE_DIGRAPH = {
     "n": 5, "mode": "schedule", "graphs": [[[i, j] for i in range(5) for j in range(5)]],
     "period": 1,
 }
+# keys of the two retired push-sum knobs, which the loader now ignores
 COMPLETE_DIGRAPH_KNOBS = {"graph": COMPLETE_DIGRAPH, "regular": True, "sigma2_sup": 0.0}
 
 
@@ -345,7 +349,7 @@ class TestValidateGraphCommand:
         assert payload["constants"]["beta"] == 4.0
 
     def test_complete_digraph_takes_theta_one_half(self, tmp_path, capsys):
-        d = {"algorithm": "oda-ps", "T": 1, **COMPLETE_DIGRAPH_KNOBS}
+        d = {"algorithm": "oda-ps", "T": 1, "graph": COMPLETE_DIGRAPH}
         cfg = write_json(tmp_path, "c.json", d)
         code, payload = invoke(["validate-graph", "--config", cfg], capsys)
         assert code == 0
@@ -510,8 +514,6 @@ class TestConfigBoundary:
             ("comparator_tol", "q"),
             ("blocks", [[0, 1], ["x"], [2, 3, 4]]),
             ("b_cap", "z"),
-            ("regular", "no"),
-            ("sigma2_sup", "s"),
             ("box", ["a", 1.0]),
             ("alpha", {"values": ["x"] * 21}),
             ("graph", {"n": "x", "mode": "schedule", "graphs": [[[0, 0]]]}),
@@ -519,7 +521,6 @@ class TestConfigBoundary:
             ("box", {"lo": ["a"], "hi": [1]}),
             ("environment", {"type": "sensing", "A": "x"}),
             ("environment", {"type": "fixed", "q": [["a"]]}),
-            ("sigma2_sup", 0.5),
             ("alpha", {"values": [1.0] * 20}),
             ("graph", {**PATH_PAIR, "r": ["a", 0.5]}),
             ("graph", {"n": 2, "mode": "schedule", "graphs": [[["a", 0]]]}),
@@ -549,9 +550,9 @@ class TestConfigBoundary:
         ],
         ids=[
             "T-str", "T-float", "seed-str", "seed-negative", "tol-str",
-            "block-str", "b_cap-str", "regular-str", "sigma2-str", "box-str", "alpha-str",
+            "block-str", "b_cap-str", "box-str", "alpha-str",
             "graph-n-str", "period-str", "box-lo-str", "sensing-A-str", "fixed-q-str",
-            "sigma2-not-regular", "alpha-short", "graph-r-str", "arc-str", "edge-triple",
+            "alpha-short", "graph-r-str", "arc-str", "edge-triple",
             "graphs-int", "box-lo-nan", "box-hi-inf", "fixed-q-nan", "fixed-A-inf",
             "sensing-target-inf", "sensing-A-nan", "sensing-P-inf", "graph-r-nan", "graph-M-inf",
             "alpha-values-int", "alpha-values-null", "alpha-values-nan",
@@ -593,25 +594,12 @@ CERTIFICATION_CELLS = [
 
 
 # Configs that load as JSON and that no command may step: steps that rise
-# break bound_partial's proof, and a "regular" that the schedule does not
-# meet would certify constants nothing proves. (config, exit code, error)
+# break bound_partial's proof. (config, exit code, error)
 REFUSED_CONFIGS = {
     "rising steps": (
         {"algorithm": "oda-c", "T": 3, "seed": 1, "alpha": {"values": [1.0, 100.0, 100.0, 100.0]}},
         2,
         "alpha values must not increase, got alpha(1) = 100.0 > alpha(0) = 1.0",
-    ),
-    "irregular schedule": (
-        {"algorithm": "oda-ps", "T": 200, "seed": 1, "regular": True},
-        3,
-        '"regular" needs every schedule graph regular, but graph 0 has in- and out-degrees '
-        "from 1 to 2",
-    ),
-    "irregular schedule with a zero sup": (
-        {"algorithm": "oda-ps", "T": 200, "seed": 1, "regular": True, "sigma2_sup": 0.0},
-        3,
-        '"regular" needs every schedule graph regular, but graph 0 has in- and out-degrees '
-        "from 1 to 2",
     ),
 }
 
@@ -655,16 +643,83 @@ class TestRefusedBeforeRoundOne:
         assert code == 0
         assert payload["checks"]["regret_within_partial_bound"] is True
 
-    def test_regular_ring_certifies_its_singular_value_sup(self, tmp_path, capsys):
-        ring = [[i, i] for i in range(5)] + [[i, (i + 1) % 5] for i in range(5)]
-        graph = {"n": 5, "mode": "schedule", "graphs": [ring], "period": 1}
-        for sup, code in ((0.81, 0), (0.80, 3)):
-            d = {"algorithm": "oda-ps", "T": 4, "graph": graph, "regular": True, "sigma2_sup": sup}
+
+DIRECTED_RING = {
+    "n": 5, "mode": "schedule",
+    "graphs": [[[i, i] for i in range(5)] + [[i, (i + 1) % 5] for i in range(5)]], "period": 1,
+}
+
+COMMAND_ARGS = {
+    "run": lambda tmp_path: ["--out", str(tmp_path / "o")],
+    "sweep": lambda tmp_path: ["--horizons", "20,40", "--out", str(tmp_path / "o")],
+    "bounds": lambda tmp_path: ["--horizons", "20,40"],
+    "check-invariants": lambda tmp_path: [],
+    "validate-graph": lambda tmp_path: [],
+}
+
+
+class TestRetiredKnobs:
+    """The schedule states its own regularity: a config that still carries
+    "regular" or "sigma2_sup" loads, and the loader ignores both."""
+
+    def test_knobs_leave_validate_graph_and_bounds_unchanged(self, tmp_path, capsys):
+        plain = {"algorithm": "oda-ps", "T": 20, "graph": DIRECTED_RING}
+        results = []
+        for d in (plain, {**plain, "regular": True, "sigma2_sup": 0.81}):
             cfg = write_json(tmp_path, "c.json", d)
-            got, payload = invoke(["validate-graph", "--config", cfg], capsys)
-            assert got == code
-            assert payload["passed"] is (code == 0)
-            assert ("error" in payload) is (code == 3)
+            results.append([
+                invoke(["validate-graph", "--config", cfg], capsys),
+                invoke(["bounds", "--config", cfg, "--horizons", "10,20"], capsys),
+            ])
+        assert results[0] == results[1]
+        (code, graph), (bounds_code, _) = results[0]
+        assert code == bounds_code == 0
+        # derived from the ring's own sigma2 = cos(pi/5), not the file's 0.81
+        assert graph["constants"]["theta"] == pytest.approx(math.cos(math.pi / 5) + 1e-9)
+
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_regular_split_ring_runs_with_the_general_constants(self, command, tmp_path, capsys):
+        results = []
+        for d in ({"algorithm": "oda-ps", "T": 40, "seed": 6},
+                  {"algorithm": "oda-ps", "T": 40, "seed": 6, "regular": True}):
+            cfg = write_json(tmp_path, "c.json", d)
+            results.append(invoke([command, "--config", cfg, *COMMAND_ARGS[command](tmp_path)],
+                                  capsys))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+        if command == "validate-graph":
+            assert results[0][1]["constants"]["beta"] == 4.0
+
+
+def _readme_config_section() -> str:
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    start = text.index("## Experiment config schema")
+    return text[start : text.index("\n## ", start + 1)]
+
+
+def _keys_config_from_dict_reads() -> set:
+    """Every literal key of ``d.get("...")`` and ``d["..."]`` in config_from_dict."""
+    keys = set()
+    for node in ast.walk(ast.parse(inspect.getsource(harness.config_from_dict))):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            target, key = node.func.value, node.args[0]
+        elif isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == "d" and isinstance(key, ast.Constant):
+            keys.add(key.value)
+    return keys
+
+
+class TestReadmeConfigSchema:
+    def test_schema_block_and_bullets_name_the_keys_the_loader_reads(self):
+        section = _readme_config_section()
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        keys = _keys_config_from_dict_reads()
+        assert set(json.loads(block)) == keys
+        assert set(re.findall(r"^- `(\w+)`", section, re.M)) == keys
+        assert set(TOP_FIELDS) == keys
 
 
 class TestNetworkCertification:
@@ -725,7 +780,7 @@ class TestNetworkCertification:
 POOL = ["x", True, None, -3, 2.5, math.nan, math.inf, [], [["a"]]]
 TOP_FIELDS = (
     "algorithm", "T", "seed", "graph", "blocks", "box", "alpha", "environment",
-    "regular", "sigma2_sup", "b_cap", "comparator_tol",
+    "b_cap", "comparator_tol",
 )
 VALID_CONFIGS = (
     {

@@ -50,3 +50,6 @@ def test_circulation_and_pushsum_agree_on_the_third_weight_cycle(n):
     log_kappa_ps = harness.network_constants(pushed).log_kappa
     ratio = ps.constants["disagreement_bound"] / c.constants["disagreement_bound"]
     assert ratio == pytest.approx(math.exp(2.0 * (log_kappa_ps - log_kappa_c)), rel=1e-12)
+    # the cycle schedule is regular, so push-sum certifies its singular-value
+    # constants and its bound sits within a factor 20 of the circulation's
+    assert ratio <= 20.0

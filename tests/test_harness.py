@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 from dataclasses import fields, replace
 
@@ -18,7 +19,9 @@ from netdual import (
     SensingEnvironment,
     SweepRow,
     TopologyError,
+    cli,
     config_from_dict,
+    contraction_constants,
     finalize,
     harness,
     lazy_cycle_pair,
@@ -41,7 +44,8 @@ from netdual.harness import (
     run_generator,
     sensing_environment_factory,
 )
-from netdual.regret import step_sizes
+from netdual.regret import pushsum_log_kappa, step_sizes
+from netdual.topology import PAIR_TOL
 
 
 def base_config(algorithm="oda-c", T=20, **kw):
@@ -462,38 +466,81 @@ class TestSimulate:
         assert not np.array_equal(a, d)
 
 
-class TestRegularCertification:
-    """``"regular"`` and ``sigma2_sup`` sharpen the push-sum constants; each
-    is certified against the schedule before round 1."""
+def _cycle_schedule_spec(n: int, both_ways: bool) -> dict:
+    """The period-1 n-cycle with self-loops, one way round or both."""
+    arcs = {(i, i) for i in range(n)} | {(i, (i + 1) % n) for i in range(n)}
+    if both_ways:
+        arcs |= {((i + 1) % n, i) for i in range(n)}
+    return {"n": n, "mode": "schedule", "graphs": [sorted(map(list, arcs))], "period": 1}
 
-    RING = frozenset({(i, i) for i in range(5)} | {(i, (i + 1) % 5) for i in range(5)})
 
-    def config(self, graphs, **kw):
-        schedule = DigraphSchedule(n=5, graphs=graphs, period=len(graphs))
-        return RunConfig("oda-ps", schedule, ActionBox.uniform(-1.0, 1.0, 5), T=4, **kw)
+# schedules whose every graph is regular, with their second singular values
+REGULAR_SCHEDULES = {
+    "directed 5-ring": (_cycle_schedule_spec(5, False), math.cos(math.pi / 5)),
+    "5-cycle": (_cycle_schedule_spec(5, True), (1 + 2 * math.cos(2 * math.pi / 5)) / 3),
+    "10-cycle": (_cycle_schedule_spec(10, True), (1 + 2 * math.cos(2 * math.pi / 10)) / 3),
+    "complete 5-digraph": (
+        {"n": 5, "mode": "schedule", "graphs": [[[i, j] for i in range(5) for j in range(5)]]},
+        0.0,
+    ),
+}
 
-    def test_directed_ring_is_regular_with_its_second_singular_value(self):
-        cfg = self.config((self.RING,), regular=True)
-        sigma = np.linalg.svd(cfg.topology.matrix_at(0), compute_uv=False)
-        assert sigma[1] == pytest.approx(math.cos(math.pi / 5))  # 0.809
-        assert harness.network_constants(cfg).fields["gamma"] == 1.0
-        fields = harness.network_constants(replace(cfg, sigma2_sup=0.81)).fields
-        assert fields["theta"] == 0.81 and fields["beta"] == math.sqrt(2.0)
-        with pytest.raises(TopologyError, match="below the schedule's largest second"):
-            harness.network_constants(replace(cfg, sigma2_sup=0.80))
 
-    def test_every_listed_graph_must_be_regular(self):
+class TestDerivedPushSumConstants:
+    """``network_constants`` reads the push-sum family off the schedule: each
+    family whose hypothesis the graphs meet is a proof, and the run keeps
+    the least kappa, with no config knob."""
+
+    @pytest.mark.parametrize("name", REGULAR_SCHEDULES)
+    def test_regular_schedule_certifies_finite_bounds(self, name, tmp_path, capsys):
+        spec, _ = REGULAR_SCHEDULES[name]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"algorithm": "oda-ps", "T": 2000, "seed": 5, "graph": spec}))
+        assert cli.main(["check-invariants", "--config", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True
+        assert payload["checks"]["vacuous_bounds"] == []
+
+    @pytest.mark.parametrize("name", REGULAR_SCHEDULES)
+    def test_never_looser_than_a_family_the_knobs_could_select(self, name):
+        spec, exact = REGULAR_SCHEDULES[name]
+        config = config_from_dict({"algorithm": "oda-ps", "T": 1, "graph": spec})
+        n = config.n
+        network = harness.network_constants(config)
+        B = network.fields["B"]
+        assert (network.fields["beta"], network.fields["gamma"]) == (math.sqrt(2.0), 1.0)
+        sigma2 = np.linalg.svd(config.topology.matrix_at(0), compute_uv=False)[1]
+        assert sigma2 == pytest.approx(exact, abs=1e-12)
+        for family in (contraction_constants(n, B), contraction_constants(n, B, regular=True)):
+            assert network.log_kappa <= pushsum_log_kappa(n, family)
+        for sup in (sigma2, 0.5, 0.81, 0.95):
+            if sup >= sigma2:
+                family = contraction_constants(n, B, regular=True, sigma2_sup=sup)
+                # the derived sup carries PAIR_TOL of roundoff, which raises
+                # log kappa by at most PAIR_TOL / (1 - theta)
+                slack = PAIR_TOL / family.one_minus_theta
+                assert network.log_kappa <= pushsum_log_kappa(n, family) + slack, sup
+
+    def test_irregular_graph_keeps_the_general_constants(self):
         # the split ring's chunk graphs give a node out-degree 2 and in-degree 1
-        cfg = self.config(split_ring_schedule(5, 3).graphs, regular=True)
-        with pytest.raises(TopologyError, match="graph 0 has in- and out-degrees from 1 to 2"):
-            harness.network_constants(cfg)
-        # the sup is over every graph: the ring and the complete digraph (sigma2 = 0)
+        schedule = split_ring_schedule(5, 3)
+        config = RunConfig("oda-ps", schedule, ActionBox.uniform(-1.0, 1.0, 5), T=4)
+        cc = contraction_constants(5, 3)
+        assert harness._regular_sigma2(schedule) is None
+        assert harness.network_constants(config).fields == {
+            "B": 3, "beta": cc.beta, "theta": cc.theta, "gamma": cc.gamma,
+            "log_gamma": cc.log_gamma, "log_one_minus_theta": cc.log_one_minus_theta,
+        }
+        # one irregular graph among regular ones is enough
+        ring = frozenset({(i, i) for i in range(5)} | {(i, (i + 1) % 5) for i in range(5)})
+        mixed = DigraphSchedule(n=5, graphs=(ring, schedule.graphs[0]), period=2)
+        assert harness._regular_sigma2(mixed) is None
+
+    def test_sup_is_over_every_listed_graph(self):
+        ring = frozenset({(i, i) for i in range(5)} | {(i, (i + 1) % 5) for i in range(5)})
         complete = frozenset((i, j) for i in range(5) for j in range(5))
-        cfg = self.config((complete, self.RING), regular=True)
-        harness.network_constants(replace(cfg, sigma2_sup=0.81))
-        with pytest.raises(TopologyError, match="below"):
-            harness.network_constants(replace(cfg, sigma2_sup=0.5))
-        assert harness.network_constants(self.config((complete,), regular=True, sigma2_sup=0.0))
+        schedule = DigraphSchedule(n=5, graphs=(complete, ring), period=2)
+        assert harness._regular_sigma2(schedule) == pytest.approx(math.cos(math.pi / 5))
 
 
 class TestFinalize:
