@@ -118,8 +118,6 @@ COMPLETE_DIGRAPH = {
     "n": 5, "mode": "schedule", "graphs": [[[i, j] for i in range(5) for j in range(5)]],
     "period": 1,
 }
-# keys of the two retired push-sum knobs, which the loader now ignores
-COMPLETE_DIGRAPH_KNOBS = {"graph": COMPLETE_DIGRAPH, "regular": True, "sigma2_sup": 0.0}
 
 
 def write_json(tmp_path, name, obj):
@@ -479,8 +477,13 @@ class TestCheckInvariantsCommand:
             assert payload["checks"]["mean_field_ok"] is True
             assert payload["checks"]["weights_ok"] is True
 
-    def test_zero_singular_value_sup_bounds_the_disagreement(self, tmp_path, capsys):
-        d = {"algorithm": "oda-ps", "T": 50, "seed": 1, **COMPLETE_DIGRAPH_KNOBS}
+    def test_complete_digraph_bounds_the_disagreement(self, tmp_path, capsys):
+        # sigma2 = 0, stated by the retired knobs (ignored): the bound must still
+        # cover one round's injections
+        d = {
+            "algorithm": "oda-ps", "T": 50, "seed": 1, "graph": COMPLETE_DIGRAPH,
+            "regular": True, "sigma2_sup": 0.0,
+        }
         cfg = write_json(tmp_path, "c.json", d)
         code, payload = invoke(["check-invariants", "--config", cfg], capsys)
         assert code == 0
