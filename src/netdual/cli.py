@@ -4,7 +4,8 @@ Subcommands: run (simulate one config and write its trace), sweep (regret
 growth across horizons), validate-graph (communication-structure checks
 without simulating), bounds (a-priori regret bounds per horizon), and
 check-invariants (run and verify the per-round inequalities). Summaries go
-to standard output as single-line JSON; CSV data goes to files only.
+to standard output as single-line strict JSON, with null for a non-finite
+number; CSV data goes to files only.
 
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 runtime error.
 """
@@ -41,8 +42,22 @@ EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
 
+def _strict(value):
+    """``value`` with every non-finite float, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, separators=(", ", ": ")))
+    """Print the payload as one line of strict (RFC 8259) JSON: a bound or
+    value that is inf or NaN prints as null; vacuous_bounds names the
+    infinite bounds of a run."""
+    print(json.dumps(_strict(payload), separators=(", ", ": "), allow_nan=False))
 
 
 def _fail(code: int, message: str, **extra) -> int:

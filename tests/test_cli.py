@@ -126,10 +126,28 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
+def split_ring_50():
+    """The 5-phase split 50-ring as an inline graph: its push-sum bounds are inf."""
+    ring = split_ring_schedule(50, 5)
+    return {
+        "n": 50, "mode": "schedule", "period": 5,
+        "graphs": [sorted(map(list, E)) for E in ring.graphs],
+    }
+
+
+def strict_json(line):
+    """Parse one line as RFC 8259 JSON: NaN and Infinity raise."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
 def invoke(argv, capsys):
     code = main(argv)
     lines = capsys.readouterr().out.strip().splitlines()
-    return code, json.loads(lines[-1])
+    return code, strict_json(lines[-1])
 
 
 class TestRunCommand:
@@ -445,24 +463,15 @@ class TestBoundsCommand:
     def test_zero_horizon_bound_is_strict_json(self, tmp_path, capsys):
         # the 5-phase split 50-ring's sqrt(T) coefficient overflows to inf:
         # over T = 0 rounds the bound is still C, not inf * 0 = NaN
-        ring = split_ring_schedule(50, 5)
-        graph = {
-            "n": 50, "mode": "schedule", "period": 5,
-            "graphs": [sorted(map(list, E)) for E in ring.graphs],
-        }
-        cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-ps", "T": 1, "graph": graph})
+        cfg = write_json(
+            tmp_path, "c.json", {"algorithm": "oda-ps", "T": 1, "graph": split_ring_50()}
+        )
         assert main(["bounds", "--config", cfg, "--horizons", "0,10"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
-
-        def no_nan(constant):
-            if constant == "NaN":
-                raise ValueError("NaN in the bounds output")
-            return float(constant)  # the vacuous bounds print as Infinity
-
-        payload = json.loads(line, parse_constant=no_nan)
+        payload = strict_json(line)
         assert [row["T"] for row in payload["rows"]] == [0, 10]
         assert payload["rows"][0]["bound"] == payload["C"]
-        assert payload["rows"][1]["bound"] == math.inf
+        assert payload["rows"][1]["bound"] is None  # inf prints as null
 
 
 class TestCheckInvariantsCommand:
@@ -862,7 +871,7 @@ def test_command_ends_in_a_documented_exit_code(
     lines = stdout.getvalue().splitlines()
     assert code in (0, 2, 3, 4)
     assert len(lines) == 1
-    json.loads(lines[0])
+    strict_json(lines[0])
     if place == "array" and not _finite_number(value):
         assert code == 2, lines[0]
     if place == "array" and keys[0] == "blocks":
@@ -871,6 +880,21 @@ def test_command_ends_in_a_documented_exit_code(
 
 
 class TestVacuousBounds:
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    @pytest.mark.parametrize("network", ["oda-c", "split-ring-50"])
+    def test_every_command_prints_strict_json(self, network, command, tmp_path, capsys):
+        d = {"algorithm": "oda-c", "T": 20}
+        if network == "split-ring-50":
+            d = {"algorithm": "oda-ps", "T": 20, "graph": split_ring_50()}
+        cfg = write_json(tmp_path, "c.json", d)
+        # invoke parses the line strictly
+        code, payload = invoke([command, "--config", cfg, *COMMAND_ARGS[command](tmp_path)],
+                               capsys)
+        assert code == 0
+        if network == "split-ring-50" and command in ("run", "check-invariants"):
+            assert payload["theory_bound"] is None
+            assert payload["checks"]["vacuous_bounds"] == ["disagreement_bound", "theory_bound"]
+
     def test_infinite_bounds_are_named(self):
         config = RunConfig(
             "oda-ps", split_ring_schedule(50, 5), ActionBox.uniform(-10, 10, 50), T=20, seed=11
@@ -906,6 +930,7 @@ class TestVacuousBounds:
             )
             assert code == 0
             rows[name] = payload["rows"]
-        assert all(r["bound"] == r["sqrt_coefficient"] == math.inf for r in rows["values"])
+        # inf prints as null
+        assert all(r["bound"] is None and r["sqrt_coefficient"] is None for r in rows["values"])
         assert rows["rule"] == rows["none"]
         assert all(math.isfinite(r["bound"]) for r in rows["none"])
