@@ -10,6 +10,7 @@ sweep row and a standalone run at the same horizon are bit-identical.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -202,6 +203,9 @@ def fixed_environment_factory(
 
 @dataclass
 class RunConfig:
+    """One run's inputs, each converted and checked here for a config file
+    and a Python caller alike: a malformed run fails before round 1."""
+
     algorithm: str
     topology: object
     box: ActionBox
@@ -211,16 +215,12 @@ class RunConfig:
     alpha: tuple | None = None  # the step sizes alpha(0), alpha(1), ...; None: 1/sqrt(s+1)
     # (p, run generator) -> SensingEnvironment or FixedEnvironment
     environment: Callable[[int, np.random.Generator], object] | None = None
-    b_cap: int | None = None
-    comparator_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.algorithm not in ("oda-c", "oda-ps"):
+        if not isinstance(self.algorithm, str) or self.algorithm not in ("oda-c", "oda-ps"):
             raise ConfigError(f'algorithm must be "oda-c" or "oda-ps", got {self.algorithm!r}')
-        if self.T < 0:
-            raise ConfigError(f"horizon must be nonnegative, got {self.T}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        self.T = _integer(self.T, "T", 0)
+        self.seed = _integer(self.seed, "seed", 0)
         if self.algorithm == "oda-c" and not isinstance(self.topology, StaticTopology):
             raise ConfigError("oda-c runs on a static topology (graph + weight pair)")
         if self.algorithm == "oda-ps" and not isinstance(self.topology, DigraphSchedule):
@@ -234,16 +234,25 @@ class RunConfig:
         n = self.topology.n
         if self.blocks is None:
             self.blocks = BlockMap.scalar(n)
+        if not isinstance(self.blocks, BlockMap):
+            raise ConfigError(f"blocks must be a BlockMap, got {self.blocks!r}")
         if self.blocks.n != n:
             raise ConfigError(
                 f"block map has {self.blocks.n} agents, topology has {n}"
             )
+        if not isinstance(self.box, ActionBox):
+            raise ConfigError(f"box must be an ActionBox, got {self.box!r}")
         if self.box.p != self.blocks.p:
             raise ConfigError(
                 f"box dimension {self.box.p} disagrees with block map dimension {self.blocks.p}"
             )
+        if self.environment is not None and not callable(self.environment):
+            raise ConfigError(f"environment must be a factory (p, rng), got {self.environment!r}")
         # finalize needs the step values after round T: fail before round 1
         if self.alpha is not None:
+            if not (isinstance(self.alpha, (list, tuple)) or getattr(self.alpha, "ndim", 0) == 1):
+                raise ConfigError(f"alpha must be a list of step values, got {self.alpha!r}")
+            self.alpha = tuple(_real(v, "alpha value") for v in self.alpha)
             if len(self.alpha) <= self.T:
                 raise ConfigError(
                     f"alpha value list has {len(self.alpha)} entries; need index {self.T} "
@@ -283,27 +292,27 @@ def _integer(value, name: str, minimum: int) -> int:
     except TypeError:
         raise error from None
     if value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+        least = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ConfigError(f"{name} must be {least}, got {value}")
     return value
 
 
 def _real(value, name: str) -> float:
-    """A JSON number (not a bool) as a float."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """A real number (not a bool) as a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
-def _alpha_from_spec(spec) -> tuple | None:
+def _alpha_from_spec(spec) -> list | None:
     if spec is None:
         return None
     if not isinstance(spec, dict):
         raise ConfigError('alpha must be an object like {"rule": "inv-sqrt"}')
     if "values" in spec:
-        if not isinstance(spec["values"], (list, tuple)):
+        if not isinstance(spec["values"], list):
             raise ConfigError(f'alpha "values" must be a list of numbers, got {spec["values"]!r}')
-        # RunConfig checks the values themselves
-        return tuple(_real(v, "alpha value") for v in spec["values"])
+        return spec["values"]  # RunConfig checks the values themselves
     rule = spec.get("rule", "inv-sqrt")
     if rule != "inv-sqrt":
         raise ConfigError(f'unknown alpha rule "{rule}"')
@@ -347,13 +356,12 @@ def _environment_from_spec(spec, p: int):
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """Build a RunConfig from the experiment-file dict schema."""
+    """Build a RunConfig from the experiment-file dict schema: the network,
+    blocks, box and environment factory are built here, and RunConfig
+    converts and checks every field."""
     if not isinstance(d, dict):
         raise ConfigError("experiment config must be a JSON object")
     algorithm = d.get("algorithm")
-    if algorithm not in ("oda-c", "oda-ps"):
-        raise ConfigError('config needs "algorithm": "oda-c" or "oda-ps"')
-
     graph = d.get("graph")
     if graph is None:
         topology = lazy_cycle_pair(5) if algorithm == "oda-c" else split_ring_schedule(5, 3)
@@ -382,25 +390,15 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigError('"blocks" must be the agent count or a list of coordinate lists')
 
     box = _box_from_spec(d.get("box", [-10.0, 10.0]), blocks.p)
-    if "T" not in d:
-        raise ConfigError('config needs a horizon "T"')
-
-    b_cap = d.get("b_cap")
-    comparator_tol = _real(d.get("comparator_tol", 1e-8), '"comparator_tol"')
-    if not (comparator_tol > 0 and math.isfinite(comparator_tol)):
-        raise ConfigError(f'"comparator_tol" must be positive and finite, got {comparator_tol}')
-
     return RunConfig(
         algorithm=algorithm,
         topology=topology,
         box=box,
-        T=_integer(d["T"], '"T"', 0),
-        seed=_integer(d.get("seed", 0), '"seed"', 0),
+        T=d.get("T"),
+        seed=d.get("seed", 0),
         blocks=blocks,
         alpha=_alpha_from_spec(d.get("alpha")),
         environment=_environment_from_spec(d.get("environment"), blocks.p),
-        b_cap=None if b_cap is None else _integer(b_cap, '"b_cap"', 1),
-        comparator_tol=comparator_tol,
     )
 
 
@@ -459,7 +457,7 @@ def network_constants(config: RunConfig) -> NetworkConstants:
             weighted=False,
         )
     # module-level names: bench/tracer.py wraps these two in this module
-    B = validate_b_strong(config.topology, cap=config.b_cap)
+    B = validate_b_strong(config.topology)
     if B is None:
         raise TopologyError("schedule is not strongly connected over any window within the cap")
     families = [contraction_constants(n, B)]
@@ -652,7 +650,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     cols = history.columns
     losses = history.losses.prefix(T)
     L, G = lipschitz_constants(losses, box, q_radius=float(cols.q_radius[T - 1]))
-    comp = offline_comparator(losses, box, tol=config.comparator_tol)
+    comp = offline_comparator(losses, box)
     costs = cols.costs[:T].copy()
     regret_partial = network_regret(costs, comp.costs)
     terms = decomposition_terms(cols, history.ref_gaps[:T], L, C)

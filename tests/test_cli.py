@@ -7,14 +7,18 @@ import math
 import os
 import pathlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import INVARIANT_FLAGS, pushed_past
 
-from netdual import ActionBox, RunConfig, cli, harness, lazy_cycle_pair, run, split_ring_schedule
+from netdual import (
+    ActionBox, BlockMap, ConfigError, RunConfig, TopologyError, cli, harness, lazy_cycle_pair, run,
+    split_ring_schedule,
+)
 from netdual.cli import _trace_checks, main
 
 BAD_PAIR_GRAPH = {
@@ -200,8 +204,12 @@ class TestRunCommand:
         assert payload["comparator_value"] == pytest.approx(817.5, rel=1e-12)
         assert payload["comparator"]["residual"] <= 1e-8
 
-    def test_unreachable_comparator_tol_is_runtime_error(self, tmp_path, capsys):
-        d = {"algorithm": "oda-c", "T": 25, "seed": 3, "comparator_tol": 1e-300}
+    def test_unreachable_comparator_tol_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        comparator = harness.offline_comparator
+        monkeypatch.setattr(
+            harness, "offline_comparator", lambda losses, box: comparator(losses, box, tol=1e-300)
+        )
+        d = {"algorithm": "oda-c", "T": 25, "seed": 3}
         cfg = write_json(tmp_path, "c.json", d)
         code, payload = invoke(["run", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
         assert code == 4
@@ -523,9 +531,7 @@ class TestConfigBoundary:
             ("T", 1.7),
             ("seed", "x"),
             ("seed", -1),
-            ("comparator_tol", "q"),
             ("blocks", [[0, 1], ["x"], [2, 3, 4]]),
-            ("b_cap", "z"),
             ("box", ["a", 1.0]),
             ("alpha", {"values": ["x"] * 21}),
             ("graph", {"n": "x", "mode": "schedule", "graphs": [[[0, 0]]]}),
@@ -561,8 +567,8 @@ class TestConfigBoundary:
             ("graph", {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1], [0, 2]]]}),
         ],
         ids=[
-            "T-str", "T-float", "seed-str", "seed-negative", "tol-str",
-            "block-str", "b_cap-str", "box-str", "alpha-str",
+            "T-str", "T-float", "seed-str", "seed-negative",
+            "block-str", "box-str", "alpha-str",
             "graph-n-str", "period-str", "box-lo-str", "sensing-A-str", "fixed-q-str",
             "alpha-short", "graph-r-str", "arc-str", "edge-triple",
             "graphs-int", "box-lo-nan", "box-hi-inf", "fixed-q-nan", "fixed-A-inf",
@@ -671,8 +677,9 @@ COMMAND_ARGS = {
 
 
 class TestRetiredKnobs:
-    """The schedule states its own regularity: a config that still carries
-    "regular" or "sigma2_sup" loads, and the loader ignores both."""
+    """A config that still carries a retired knob loads, and the loader
+    ignores it: "regular" and "sigma2_sup" (the schedule states its own
+    regularity), "b_cap" and "comparator_tol" (fixed library limits)."""
 
     def test_knobs_leave_validate_graph_and_bounds_unchanged(self, tmp_path, capsys):
         plain = {"algorithm": "oda-ps", "T": 20, "graph": DIRECTED_RING}
@@ -701,6 +708,23 @@ class TestRetiredKnobs:
         assert results[0][0] == 0
         if command == "validate-graph":
             assert results[0][1]["constants"]["beta"] == 4.0
+
+    @pytest.mark.parametrize("knob", [{"b_cap": 1}, {"comparator_tol": 1e-300}],
+                             ids=["b_cap", "comparator_tol"])
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_window_cap_and_comparator_tolerance_are_ignored(
+        self, knob, command, tmp_path, capsys
+    ):
+        # a cap of 1 window refused this 3-phase ring (exit 3), and a
+        # tolerance of 1e-300 was out of the comparator's reach (exit 4)
+        plain = {"algorithm": "oda-ps", "T": 40, "seed": 6}
+        results = []
+        for d in (plain, {**plain, **knob}):
+            cfg = write_json(tmp_path, "c.json", d)
+            results.append(invoke([command, "--config", cfg, *COMMAND_ARGS[command](tmp_path)],
+                                  capsys))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
 
 
 def _readme_config_section() -> str:
@@ -792,7 +816,6 @@ class TestNetworkCertification:
 POOL = ["x", True, None, -3, 2.5, math.nan, math.inf, [], [["a"]]]
 TOP_FIELDS = (
     "algorithm", "T", "seed", "graph", "blocks", "box", "alpha", "environment",
-    "b_cap", "comparator_tol",
 )
 VALID_CONFIGS = (
     {
@@ -805,7 +828,7 @@ VALID_CONFIGS = (
         },
     },
     {
-        "algorithm": "oda-ps", "T": 5, "seed": 2, "blocks": 3, "b_cap": 4,
+        "algorithm": "oda-ps", "T": 5, "seed": 2, "blocks": 3,
         "environment": {"type": "sensing", "target": [1.0, -1.0, 0.5]},
         "graph": {
             "n": 3, "mode": "schedule", "period": 2,
@@ -877,6 +900,77 @@ def test_command_ends_in_a_documented_exit_code(
     if place == "array" and keys[0] == "blocks":
         # no value in the pool keeps the blocks a partition of 0..p-1
         assert code == 2, lines[0]
+
+
+# What a Python caller can put in one RunConfig field beyond the file pool:
+# numpy scalars and arrays, the other bool, a name and ragged lists.
+LIBRARY_POOL = POOL + [
+    False, "oda-c", np.int64(3), np.float64(2.5), np.bool_(True), np.ones(2),
+    [[1.0], [1.0, 2.0]], [-1.0, 1.0],
+]
+LIBRARY_FIELDS = ("algorithm", "topology", "box", "T", "seed", "blocks", "alpha", "environment")
+
+
+def _valid_library_config(which: int) -> dict:
+    box = ActionBox.uniform(-2.0, 2.0, 3)
+    if which == 0:
+        return dict(
+            algorithm="oda-c", topology=lazy_cycle_pair(3), box=box, T=4, seed=1,
+            blocks=BlockMap(blocks=((0,), (2,), (1,))), alpha=(1.0, 0.5, 0.5, 0.25, 0.25),
+            environment=harness.fixed_environment_factory([[1.0, 2.0, 3.0]]),
+        )
+    return dict(algorithm="oda-ps", topology=split_ring_schedule(3, 2), box=box, T=5, seed=2)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    field=st.sampled_from(LIBRARY_FIELDS),
+    value=st.sampled_from(LIBRARY_POOL),
+    listed=st.booleans(),
+)
+@example(which=0, field="T", value=True, listed=False)
+@example(which=0, field="T", value=2.5, listed=False)
+@example(which=0, field="seed", value=1.5, listed=False)
+@example(which=0, field="seed", value=True, listed=False)
+@example(which=0, field="box", value=[-1, 1], listed=False)
+@example(which=0, field="blocks", value=5, listed=False)
+@example(which=0, field="environment", value=5, listed=False)
+@example(which=1, field="alpha", value="a", listed=True)
+@example(which=1, field="alpha", value=True, listed=True)
+@example(which=0, field="algorithm", value=np.ones(2), listed=False)
+def test_run_config_refuses_before_round_one_or_runs(which, field, value, listed):
+    """One hostile value in one field of a valid Python-built config (or,
+    with ``listed``, as every one of its T + 1 step values): the config is
+    refused with a ConfigError or TopologyError before any engine step, or
+    the run completes. Any other exception fails."""
+    kwargs = _valid_library_config(which)
+    if listed and field == "alpha":
+        value = (value,) * (kwargs["T"] + 1)
+    kwargs[field] = value
+    steps = []
+    step = harness.DualAveragingEngine.step
+
+    def counting(self, *args):
+        steps.append(None)
+        return step(self, *args)
+
+    with mock.patch.object(harness.DualAveragingEngine, "step", counting):
+        try:
+            trace = run(RunConfig(**kwargs))
+        except (ConfigError, TopologyError):
+            assert steps == []
+        else:
+            assert trace.T == len(steps)
+
+
+def test_numpy_horizon_and_step_array_still_run():
+    config = RunConfig(
+        "oda-c", lazy_cycle_pair(5), ActionBox.uniform(-1.0, 1.0, 5), T=np.int64(3),
+        alpha=np.ones(4),
+    )
+    assert type(config.T) is int and config.alpha == (1.0,) * 4
+    assert run(config).T == 3
 
 
 class TestVacuousBounds:
