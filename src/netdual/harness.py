@@ -298,10 +298,13 @@ def _integer(value, name: str, minimum: int) -> int:
 
 
 def _real(value, name: str) -> float:
-    """A real number (not a bool) as a float."""
+    """A real number (not a bool) that a float holds, as a float."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past 1.8e308, which JSON allows
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 def _alpha_from_spec(spec) -> list | None:

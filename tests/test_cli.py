@@ -565,6 +565,8 @@ class TestConfigBoundary:
             ("graph", {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1]]], "period": -1}),
             ("graph", {"n": 2, "mode": "schedule", "graphs": []}),
             ("graph", {"n": 2, "mode": "schedule", "graphs": [[[0, 0], [1, 1], [0, 2]]]}),
+            ("box", [-1.0, 10**400]),
+            ("alpha", {"values": [10**400] + [1.0] * 20}),
         ],
         ids=[
             "T-str", "T-float", "seed-str", "seed-negative",
@@ -576,6 +578,7 @@ class TestConfigBoundary:
             "alpha-values-int", "alpha-values-null", "alpha-values-nan",
             "alpha-values-negative-last", "alpha-values-inf", "blocks-agent-count", "box-neither",
             "fixed-no-q", "fixed-q-null", "period-negative", "graphs-empty", "arc-out-of-range",
+            "box-huge-int", "alpha-huge-int",
         ],
     )
     def test_malformed_field_is_parse_error_before_simulating(
