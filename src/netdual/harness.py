@@ -380,7 +380,7 @@ def config_from_dict(d: dict) -> RunConfig:
     if blocks_spec is None:
         blocks = BlockMap.scalar(n)
     elif isinstance(blocks_spec, int):
-        if blocks_spec != n:
+        if _integer(blocks_spec, '"blocks"', 1) != n:  # a bool is not an agent count
             raise ConfigError(f'"blocks": {blocks_spec} disagrees with n={n} agents')
         blocks = BlockMap.scalar(n)
     elif isinstance(blocks_spec, (list, tuple)) and all(

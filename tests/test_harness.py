@@ -240,6 +240,10 @@ class TestConfigFromDict:
     def test_blocks_int_must_equal_agents(self):
         with pytest.raises(ConfigError, match="blocks"):
             config_from_dict({"algorithm": "oda-c", "T": 1, "blocks": 4})
+        # true is not the agent count of a one-agent graph
+        singleton = {"n": 1, "mode": "static", "edges": [], "r": [1.0], "M": [[1.0]]}
+        with pytest.raises(ConfigError, match='"blocks" must be an integer, got True'):
+            config_from_dict({"algorithm": "oda-c", "T": 1, "blocks": True, "graph": singleton})
 
     def test_alpha_rule_and_errors(self):
         assert config_from_dict(
