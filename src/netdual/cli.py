@@ -48,7 +48,7 @@ def _strict(value):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_strict(v) for v in value]
     return value
 
