@@ -1,5 +1,5 @@
 """Shared value types: feasible box, its prox bound and coordinate ownership;
-and the readers of JSON input (files, number arrays).
+and the readers of input values (files, integers, reals, number arrays).
 
 Conventions used throughout the package:
 
@@ -11,6 +11,8 @@ Conventions used throughout the package:
 """
 
 import json
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +28,8 @@ class ActionBox:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ConfigError("box bounds must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-            raise ConfigError("box bounds must be finite")
+        lo = parse_numbers(self.lo, "box lo", (None,))
+        hi = parse_numbers(self.hi, "box hi", lo.shape)
         if np.any(hi < lo):
             raise ConfigError("box has hi < lo in some coordinate")
         object.__setattr__(self, "lo", lo)
@@ -40,7 +38,8 @@ class ActionBox:
     @classmethod
     def uniform(cls, lo: float, hi: float, p: int) -> "ActionBox":
         """Box with the same scalar interval in every one of ``p`` coordinates."""
-        return cls(np.full(p, float(lo)), np.full(p, float(hi)))
+        p = _integer(p, "box dimension", 1)
+        return cls(np.full(p, _real(lo, "box lo")), np.full(p, _real(hi, "box hi")))
 
     @property
     def p(self) -> int:
@@ -84,24 +83,28 @@ class BlockMap:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(k) for k in b) for b in self.blocks)
-        if not blocks or any(len(b) == 0 for b in blocks):
-            raise ConfigError("every agent must own at least one coordinate")
+        blocks = self.blocks
+        if not isinstance(blocks, (list, tuple)) or not set(map(type, blocks)) <= {list, tuple}:
+            raise ConfigError(f"blocks must be a list of coordinate lists, got {blocks!r}")
         flat = [k for b in blocks for k in b]
+        if not all(type(k) is int and k >= 0 for k in flat):  # not a bool
+            blocks = [[_integer(k, "block entry", 0) for k in b] for b in blocks]
+            flat = [k for b in blocks for k in b]
+        blocks = tuple(map(tuple, blocks))
+        if not blocks or not all(blocks):
+            raise ConfigError("every agent must own at least one coordinate")
         p = len(flat)
         if sorted(flat) != list(range(p)):
             raise ConfigError("blocks must partition 0..p-1 without gaps or overlap")
         object.__setattr__(self, "blocks", blocks)
         owner = np.empty(p, dtype=int)
-        for i, b in enumerate(blocks):
-            for k in b:
-                owner[k] = i
+        owner[flat] = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
         object.__setattr__(self, "_owner", owner)
 
     @classmethod
     def scalar(cls, n: int) -> "BlockMap":
         """One coordinate per agent: p = n, block(i) = {i}."""
-        return cls(tuple((i,) for i in range(n)))
+        return cls(tuple(zip(range(_integer(n, "agent count", 1)))))
 
     @property
     def n(self) -> int:
@@ -115,6 +118,32 @@ class BlockMap:
     def owner(self) -> np.ndarray:
         """owner[k] = index of the agent whose block contains coordinate k."""
         return self._owner
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """A Python or numpy integer (not a bool, not a float) no smaller than
+    ``minimum``, as an int."""
+    error = ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool):
+        raise error
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error from None
+    if value < minimum:
+        least = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ConfigError(f"{name} must be {least}, got {value}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """A real number (not a bool) that a float holds, as a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past 1.8e308, which JSON allows
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 def parse_numbers(value, name: str, shape: tuple) -> np.ndarray:

@@ -10,15 +10,13 @@ sweep row and a standalone run at the same horizon are bit-identical.
 """
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .core import ActionBox, BlockMap, load_json, parse_numbers, prox_sup
+from .core import ActionBox, BlockMap, _integer, _real, load_json, parse_numbers, prox_sup
 from .engine import BLOCK_VALUES, DualAveragingEngine, _row_dots, block_diagnostics
 from .errors import ConfigError, TopologyError
 from .objectives import QuadraticLoss, lipschitz_constants
@@ -281,32 +279,6 @@ class RunConfig:
         return self.blocks.p
 
 
-def _integer(value, name: str, minimum: int) -> int:
-    """A Python or numpy integer (not a bool, not a float) no smaller than
-    ``minimum``, as an int."""
-    error = ConfigError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, bool):
-        raise error
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise error from None
-    if value < minimum:
-        least = "nonnegative" if minimum == 0 else f"at least {minimum}"
-        raise ConfigError(f"{name} must be {least}, got {value}")
-    return value
-
-
-def _real(value, name: str) -> float:
-    """A real number (not a bool) that a float holds, as a float."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer past 1.8e308, which JSON allows
-        raise ConfigError(f"{name} is too large for a float") from None
-
-
 def _alpha_from_spec(spec) -> list | None:
     if spec is None:
         return None
@@ -324,12 +296,9 @@ def _alpha_from_spec(spec) -> list | None:
 
 def _box_from_spec(spec, p: int) -> ActionBox:
     if isinstance(spec, (list, tuple)) and len(spec) == 2 and np.isscalar(spec[0]):
-        return ActionBox.uniform(_real(spec[0], "box lo"), _real(spec[1], "box hi"), p)
+        return ActionBox.uniform(spec[0], spec[1], p)
     if isinstance(spec, dict) and "lo" in spec and "hi" in spec:
-        return ActionBox(
-            lo=parse_numbers(spec["lo"], "box lo", (p,)),
-            hi=parse_numbers(spec["hi"], "box hi", (p,)),
-        )
+        return ActionBox(lo=spec["lo"], hi=spec["hi"])
     raise ConfigError('box must be [lo, hi] or {"lo": [...], "hi": [...]}')
 
 
@@ -383,12 +352,8 @@ def config_from_dict(d: dict) -> RunConfig:
         if _integer(blocks_spec, '"blocks"', 1) != n:  # a bool is not an agent count
             raise ConfigError(f'"blocks": {blocks_spec} disagrees with n={n} agents')
         blocks = BlockMap.scalar(n)
-    elif isinstance(blocks_spec, (list, tuple)) and all(
-        isinstance(b, (list, tuple)) for b in blocks_spec
-    ):
-        blocks = BlockMap(
-            blocks=tuple(tuple(_integer(k, "block entry", 0) for k in b) for b in blocks_spec)
-        )
+    elif isinstance(blocks_spec, list):
+        blocks = BlockMap(blocks_spec)
     else:
         raise ConfigError('"blocks" must be the agent count or a list of coordinate lists')
 

@@ -22,20 +22,47 @@ from .errors import ConfigError
 # static graphs
 
 
+def _count(value, name: str) -> int:
+    """A whole number (2, 2.0 and numpy integers alike; not a bool), as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
+        raise ConfigError(f"graph {name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _arcs(value, n: int, name: str) -> frozenset:
+    """The arcs ``value`` lists: [i, j] pairs of whole numbers in 0..n-1, as
+    int pairs, each arc read in one pass."""
+    try:
+        arcs = frozenset(map(tuple, value))
+        if all(type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n for i, j in arcs):
+            return arcs  # ints, not bools, in range
+    except (TypeError, ValueError):  # not a list, not pairs
+        raise ConfigError(
+            f"graph {name} must be a list of [i, j] pairs of whole numbers, got {value!r}"
+        ) from None
+    return frozenset(_arc(i, j, n) for i, j in arcs)
+
+
+def _arc(i, j, n: int) -> tuple:
+    i, j = _count(i, "node index"), _count(j, "node index")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ConfigError(f"edge ({i}, {j}) out of range for n={n}")
+    return i, j
+
+
 @dataclass(frozen=True)
 class UndirectedGraph:
     n: int
     edges: frozenset
 
     def __post_init__(self):
+        n = _count(self.n, "n")
         norm = set()
-        for e in self.edges:
-            i, j = e
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ConfigError(f"edge {e} out of range for n={self.n}")
+        for i, j in _arcs(self.edges, n, "edges"):
             if i == j:
-                raise ConfigError(f"self-loop {e} not allowed in an undirected graph")
-            norm.add((min(i, j), max(i, j)))
+                raise ConfigError(f"self-loop ({i}, {j}) not allowed in an undirected graph")
+            norm.add((i, j) if i < j else (j, i))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
 
     def is_connected(self) -> bool:
@@ -50,9 +77,9 @@ class ReversiblePair:
     M: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        M = np.asarray(self.M, dtype=float)
-        if r.ndim != 1 or M.shape != (r.shape[0], r.shape[0]):
+        r = parse_numbers(self.r, "graph r", (None,))
+        M = parse_numbers(self.M, "graph M", (None, None))
+        if M.shape != (r.shape[0], r.shape[0]):
             raise ConfigError(f"shape mismatch: r is {r.shape}, M is {M.shape}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "M", M)
@@ -70,6 +97,14 @@ class ReversiblePair:
 class StaticTopology:
     graph: UndirectedGraph
     pair: ReversiblePair
+
+    def __post_init__(self):
+        if not (isinstance(self.graph, UndirectedGraph) and isinstance(self.pair, ReversiblePair)):
+            raise ConfigError(
+                f"a static topology is an UndirectedGraph and a ReversiblePair, got {self!r}"
+            )
+        if self.pair.n != self.graph.n:
+            raise ConfigError(f"pair has n={self.pair.n} but graph has n={self.graph.n}")
 
     @property
     def n(self) -> int:
@@ -188,28 +223,24 @@ class DigraphSchedule:
     period: int = 1
 
     def __post_init__(self):
-        if self.period < 0:
+        if not isinstance(self.graphs, (list, tuple)):
+            raise ConfigError('schedule "graphs" must be a list of arc lists')
+        n, period = _count(self.n, "n"), _count(self.period, "period")
+        if period < 0:
             raise ConfigError("period must be >= 0")
-        if self.period >= 1 and len(self.graphs) != self.period:
-            raise ConfigError(
-                f"period {self.period} but {len(self.graphs)} graphs supplied"
-            )
+        if period >= 1 and len(self.graphs) != period:
+            raise ConfigError(f"period {period} but {len(self.graphs)} graphs supplied")
         if not self.graphs:
             raise ConfigError("schedule needs at least one graph")
-        norm = []
-        for E in self.graphs:
-            cur = set()
-            for i, j in E:
-                if not (0 <= i < self.n and 0 <= j < self.n):
-                    raise ConfigError(f"edge ({i},{j}) out of range for n={self.n}")
-                cur.add((int(i), int(j)))
-            norm.append(frozenset(cur))
-        loops = {(i, i) for i in range(self.n)}
-        for k, E in enumerate(norm):
+        graphs = tuple(_arcs(E, n, "arcs") for E in self.graphs)
+        loops = {(i, i) for i in range(n)}
+        for k, E in enumerate(graphs):
             if not loops <= E:
                 node = min(i for i, _ in loops - E)
                 raise ConfigError(f"node {node} is missing its self-loop in graph {k}")
-        object.__setattr__(self, "graphs", tuple(norm))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "graphs", graphs)
 
     def graph_at(self, t: int) -> frozenset:
         if t < 0:
@@ -374,15 +405,13 @@ def contraction_constants(
 
 def lazy_cycle_pair(n: int = 5) -> StaticTopology:
     """n-node undirected cycle with holding weight 1/2, neighbor weights 1/4, uniform r."""
+    n = _count(n, "n")
     if n < 3:
         raise ConfigError("cycle needs n >= 3")
     edges = frozenset((i, (i + 1) % n) for i in range(n))
     g = UndirectedGraph(n=n, edges=edges)
-    M = np.zeros((n, n))
-    for i in range(n):
-        M[i, i] = 0.5
-        M[i, (i + 1) % n] = 0.25
-        M[i, (i - 1) % n] = 0.25
+    eye = np.eye(n)
+    M = 0.5 * eye + 0.25 * (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1))
     return StaticTopology(graph=g, pair=ReversiblePair(r=np.full(n, 1.0 / n), M=M))
 
 
@@ -394,36 +423,14 @@ def split_ring_schedule(n: int = 5, phases: int = 3) -> DigraphSchedule:
     ``phases`` consecutive graphs unions to the full ring, so the smallest
     valid connectivity window is exactly ``phases``.
     """
+    n, phases = _count(n, "n"), _count(phases, "phases")
     if not (1 <= phases <= n):
         raise ConfigError("need 1 <= phases <= n")
     ring = [(i, (i + 1) % n) for i in range(n)]
     loops = {(i, i) for i in range(n)}
     chunk = math.ceil(n / phases)
-    graphs = []
-    for ph in range(phases):
-        part = ring[ph * chunk : (ph + 1) * chunk]
-        graphs.append(frozenset(loops | set(part)))
-    return DigraphSchedule(n=n, graphs=tuple(graphs), period=phases)
-
-
-def _count(value, name: str) -> int:
-    """A whole number from a graph spec (2 and 2.0 alike)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ConfigError(f"graph {name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _arcs(value, name: str) -> frozenset:
-    """A graph spec's list of [i, j] pairs of whole numbers."""
-    try:
-        arcs = frozenset(map(tuple, value))
-        if all(type(i) is int and type(j) is int for i, j in arcs):  # not bool
-            return arcs
-        return frozenset((_count(i, "node index"), _count(j, "node index")) for i, j in arcs)
-    except (TypeError, ValueError):  # not a list, not pairs, not whole numbers
-        raise ConfigError(
-            f"graph {name} must be a list of [i, j] pairs of whole numbers, got {value!r}"
-        ) from None
+    graphs = tuple(loops.union(ring[k * chunk : (k + 1) * chunk]) for k in range(phases))
+    return DigraphSchedule(n=n, graphs=graphs, period=phases)
 
 
 def topology_from_dict(spec: dict):
@@ -431,21 +438,17 @@ def topology_from_dict(spec: dict):
     if not isinstance(spec, dict):
         raise ConfigError("graph spec must be a JSON object")
     try:
-        n = _count(spec["n"], "n")
         if spec["mode"] == "static":
             return StaticTopology(
-                graph=UndirectedGraph(n=n, edges=_arcs(spec["edges"], "edges")),
-                pair=ReversiblePair(
-                    r=parse_numbers(spec["r"], "graph r", (n,)),
-                    M=parse_numbers(spec["M"], "graph M", (n, n)),
-                ),
+                graph=UndirectedGraph(n=spec["n"], edges=spec["edges"]),
+                pair=ReversiblePair(r=spec["r"], M=spec["M"]),
             )
         if spec["mode"] == "schedule":
-            if not isinstance(spec["graphs"], (list, tuple)):
-                raise ConfigError('schedule "graphs" must be a list of arc lists')
-            graphs = tuple(_arcs(E, "arcs") for E in spec["graphs"])
-            period = _count(spec.get("period", len(graphs)), "period")
-            return DigraphSchedule(n=n, graphs=graphs, period=period)
+            graphs = spec["graphs"]
+            # one period runs through the listed graphs by default; a value
+            # that is not a list is the schedule's to refuse
+            period = spec.get("period", len(graphs) if isinstance(graphs, list) else 1)
+            return DigraphSchedule(n=spec["n"], graphs=graphs, period=period)
     except KeyError as e:
         raise ConfigError(f"graph spec missing required key {e}") from None
     raise ConfigError(f'unknown graph mode "{spec["mode"]}"')
