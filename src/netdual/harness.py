@@ -93,14 +93,10 @@ class SensingEnvironment:
     _cov_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.target = np.asarray(self.target, dtype=float)
+        self.target = parse_numbers(self.target, "environment target", (None,))
         p = self.target.shape[0]
-        if self.A.shape != (p, p):
-            raise ConfigError(f"A must be ({p},{p}), got {self.A.shape}")
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov.shape != (p, p):
-            raise ConfigError(f"covariance must be ({p},{p}), got {self.cov.shape}")
+        self.A = parse_numbers(self.A, "environment A", (p, p))
+        self.cov = parse_numbers(self.cov, "covariance", (p, p))
         self._cov_sqrt = covariance_sqrt(self.cov)
         self.center = self.A @ self.target
 
@@ -144,22 +140,15 @@ class FixedEnvironment:
     """Cycles through a fixed list of measurement vectors with no noise."""
 
     A: np.ndarray
-    q_list: tuple
+    q_list: np.ndarray  # (k, m): one measurement vector a row
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        qs = tuple(np.asarray(q, dtype=float) for q in self.q_list)
-        if not qs:
-            raise ConfigError("fixed environment needs at least one q vector")
-        p = self.A.shape[0]
-        for q in qs:
-            if q.shape != (p,):
-                raise ConfigError(f"each q must have shape ({p},), got {q.shape}")
-        self.q_list = qs
+        self.A = parse_numbers(self.A, "environment A", (None, None))
+        self.q_list = parse_numbers(self.q_list, "environment q", (None, self.A.shape[0]))
 
     def measurements(self, T: int, rng: np.random.Generator) -> np.ndarray:
         """The (T, m) stack whose row t-1 is list entry (t-1) mod its length."""
-        return np.array(self.q_list)[np.arange(T) % len(self.q_list)]
+        return self.q_list[np.arange(T) % len(self.q_list)]
 
     def measurement_ball(self) -> tuple:
         """(center, radius) of q_t: the origin and the list's largest norm."""
@@ -170,7 +159,8 @@ def sensing_environment_factory(
     A=None, target=None, cov=None
 ) -> Callable[[int, np.random.Generator], SensingEnvironment]:
     """Factory for the sensing environment; unset pieces are drawn from the
-    run generator (A first, then the target) so runs stay reproducible."""
+    run generator (A first, then the target) so runs stay reproducible. A
+    given target is read against the run's p, so a wrong length names it."""
 
     def make(p: int, rng: np.random.Generator) -> SensingEnvironment:
         if A is None:
@@ -179,7 +169,10 @@ def sensing_environment_factory(
             A_ = np.eye(p) + 0.1 * off
         else:
             A_ = A
-        target_ = rng.uniform(-10.0, 10.0, size=p) if target is None else target
+        if target is None:
+            target_ = rng.uniform(-10.0, 10.0, size=p)
+        else:
+            target_ = parse_numbers(target, "environment target", (p,))
         cov_ = 0.25 * np.eye(p) if cov is None else cov
         return SensingEnvironment(A=A_, target=target_, cov=cov_)
 
@@ -190,7 +183,7 @@ def fixed_environment_factory(
     q_list, A=None
 ) -> Callable[[int, np.random.Generator], FixedEnvironment]:
     def make(p: int, rng: np.random.Generator) -> FixedEnvironment:
-        return FixedEnvironment(A=np.eye(p) if A is None else A, q_list=tuple(q_list))
+        return FixedEnvironment(A=np.eye(p) if A is None else A, q_list=q_list)
 
     return make
 

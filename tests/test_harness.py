@@ -109,8 +109,27 @@ class TestEnvironments:
             FixedEnvironment(A=np.eye(1), q_list=())
 
     def test_fixed_rejects_q_of_the_wrong_length(self):
-        with pytest.raises(ConfigError, match="each q must have shape"):
+        with pytest.raises(ConfigError, match="environment q must be an array of numbers of shape"):
             FixedEnvironment(A=np.eye(2), q_list=(np.zeros(2), np.zeros(3)))
+
+    @pytest.mark.parametrize(
+        "environment, error",
+        [
+            (fixed_environment_factory([["a", "b", "c", "d", "e"]]), "environment q must be"),
+            (sensing_environment_factory(A="x"), "environment A must be"),
+            (
+                sensing_environment_factory(target=[1.0, 2.0]),
+                r"environment target must be an array of numbers of shape \(5,\)",
+            ),
+        ],
+        ids=["fixed-q-str", "sensing-A-str", "sensing-target-short"],
+    )
+    def test_factory_piece_is_refused_before_round_one(self, environment, error, monkeypatch):
+        steps = []
+        monkeypatch.setattr(DualAveragingEngine, "step", lambda self, *args: steps.append(args))
+        with pytest.raises(ConfigError, match=error):
+            simulate(base_config(T=3, environment=environment))
+        assert steps == []
 
     def test_sensing_factory_deterministic(self):
         make = sensing_environment_factory()
