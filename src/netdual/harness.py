@@ -37,6 +37,7 @@ from .topology import (
     PAIR_TOL,
     DigraphSchedule,
     StaticTopology,
+    _arc_ends,
     contraction_constants,
     lazy_cycle_pair,
     load_graph,
@@ -449,7 +450,7 @@ def _regular_sigma2(schedule: DigraphSchedule) -> float | None:
         firsts.setdefault(E, k)
     for E in firsts:
         # out-degrees then in-degrees: the counts of each node as sender, as receiver
-        degrees = [np.bincount(end, minlength=schedule.n) for end in np.array(sorted(E)).T]
+        degrees = [np.bincount(end, minlength=schedule.n) for end in _arc_ends(E)]
         if min(d.min() for d in degrees) != max(d.max() for d in degrees):
             return None
     return max(

@@ -11,6 +11,7 @@ describing how backward products A(t:s) approach a rank-one limit.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -259,15 +260,17 @@ class DigraphSchedule:
         self-loops. Built per call: the engine forms a periodic schedule's
         ``period`` matrices once, and an explicit schedule's one per round.
         """
-        E = self.graph_at(t)
-        n = self.n
-        out_deg = np.zeros(n)
-        for a, _ in E:
-            out_deg[a] += 1
-        A = np.zeros((n, n))
-        for a, b in E:
-            A[b, a] = 1.0 / out_deg[a]
+        src, dst = _arc_ends(self.graph_at(t))
+        A = np.zeros((self.n, self.n))
+        A[dst, src] = 1.0 / np.bincount(src, minlength=self.n)[src]
         return A
+
+
+def _arc_ends(E: frozenset) -> tuple:
+    """The senders and the receivers of a graph's arcs, as two index arrays
+    in one arc order."""
+    ends = np.fromiter(chain.from_iterable(E), dtype=np.intp, count=2 * len(E))
+    return ends[0::2], ends[1::2]
 
 
 def _strongly_connected(edges: set, n: int) -> bool:

@@ -296,6 +296,21 @@ def random_digraph_schedule(n: int, period: int, rng, edge_prob: float = 0.5):
     return DigraphSchedule(n=n, graphs=tuple(graphs), period=period)
 
 
+def matrix_at_loop(schedule: DigraphSchedule, t: int) -> np.ndarray:
+    """``DigraphSchedule.matrix_at`` as two Python loops over the arcs: out-
+    degrees counted one arc at a time, then one entry set per arc. The
+    oracle the edge-array form is checked against, bit for bit."""
+    E = schedule.graph_at(t)
+    n = schedule.n
+    out_deg = np.zeros(n)
+    for a, _ in E:
+        out_deg[a] += 1
+    A = np.zeros((n, n))
+    for a, b in E:
+        A[b, a] = 1.0 / out_deg[a]
+    return A
+
+
 def metropolis_topology(n: int, rng, extra_edges: int = 2) -> StaticTopology:
     """Random connected graph with Metropolis weights: reversible with
     respect to the uniform distribution by construction."""

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     backward_product,
     check_geometric_decay,
+    matrix_at_loop,
     metropolis_topology,
     random_digraph_schedule,
     svd_spectral_gap,
@@ -215,6 +216,21 @@ class TestPushSumMatrix:
             A = sched.matrix_at(0)
             assert np.allclose(A.sum(axis=0), 1.0)
             assert np.all(A >= 0)
+
+    def test_edge_array_form_is_the_loop_form_bit_for_bit(self):
+        schedules = [
+            split_ring_schedule(n, phases)
+            for n, phases in ((1, 1), (2, 2), (3, 3), (5, 3), (7, 2), (10, 4), (50, 5), (200, 5))
+        ]
+        rng = np.random.default_rng(35)
+        schedules += [
+            random_digraph_schedule(int(rng.integers(1, 12)), 1, rng, edge_prob=rng.random())
+            for _ in range(60)
+        ]
+        for schedule in schedules:
+            for t in range(schedule.period):
+                want = matrix_at_loop(schedule, t)
+                assert np.array_equal(schedule.matrix_at(t).view(np.int64), want.view(np.int64))
 
     def test_missing_self_loop_rejected(self):
         with pytest.raises(ConfigError, match="node 1"):
