@@ -1,6 +1,7 @@
 """``tools/ab_simulate.py`` imports two netdual trees into one process,
 checks that their runs leave the same RunHistory bytes and times them in
-alternation. Run here on a short horizon of a benchmark workload."""
+alternation, set-up (``config_from_dict``) and ``simulate`` alike. Run here
+on a short horizon of a benchmark workload."""
 
 import json
 import shutil
@@ -28,6 +29,8 @@ def test_same_tree_on_both_sides_is_identical_and_timed():
     assert result["T"] == 30 and result["pairs"] == 2
     assert result["parent_us_per_round"] > 0 and result["change_us_per_round"] > 0
     assert 0 <= result["change_lower"] <= 2
+    assert result["parent_setup_us"] > 0 and result["change_setup_us"] > 0
+    assert 0 <= result["change_setup_lower"] <= 2
 
 
 def test_a_tree_that_moves_a_bit_is_refused(tmp_path):

@@ -1,4 +1,5 @@
-"""In-process A/B timing of ``simulate`` between two netdual source trees.
+"""In-process A/B timing of set-up and ``simulate`` between two netdual
+source trees.
 
     python3 tools/ab_simulate.py PARENT_SRC CHANGE_SRC --workload pushsum50-sched --pairs 20
 
@@ -7,9 +8,13 @@ package (a checkout's ``src``). Both trees are imported into this one
 process under distinct package names, and one benchmark workload's config
 (``bench/run.py``'s ``WORKLOADS``, read only) is built by each. The two runs
 must leave byte-identical ``RunHistory`` arrays, or the tool stops. It then
-times ``simulate`` on the two trees in alternation, the first call of each
-pair alternating too, and prints one JSON line: both medians in us per
-round and the number of pairs in which the change was lower.
+times the two trees in alternation, the first tree of each pair alternating
+too: in each pair, each tree builds the config with ``config_from_dict``
+(the benchmark's ``setup_s``; the mean of SETUP_CALLS calls) and runs
+``simulate``. It prints one JSON line: for each of the two timings, both
+medians (``*_us_per_round`` and ``*_setup_us``, in us) and the number of
+pairs in which the change was lower (``change_lower``,
+``change_setup_lower``).
 
 Timing both trees in one process keeps them on one heap, one BLAS and one
 CPU-speed state: between processes, run times on a small shared box swing
@@ -36,6 +41,7 @@ import numpy as np  # noqa: E402
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 5  # the RunConfig seed of both trees' runs
+SETUP_CALLS = 5  # config_from_dict calls a set-up timing averages
 
 
 def load_tree(src: str, name: str):
@@ -89,16 +95,25 @@ def timed_us_per_round(harness, config) -> float:
     return (perf_counter() - start) / max(config.T, 1) * 1e6
 
 
+def timed_setup_us(harness, spec: dict) -> float:
+    gc.collect()
+    start = perf_counter()
+    for _ in range(SETUP_CALLS):
+        harness.config_from_dict(dict(spec))
+    return (perf_counter() - start) / SETUP_CALLS * 1e6
+
+
 def compare(parent, change, spec: dict, pairs: int) -> dict:
     """Check the two trees' runs of one config dict, then time ``pairs``
-    alternating pairs of ``simulate`` calls."""
+    alternating pairs of ``config_from_dict`` and ``simulate`` calls."""
     configs = [tree.harness.config_from_dict(dict(spec)) for tree in (parent, change)]
     assert_identical(*(tree.harness.simulate(c) for tree, c in zip((parent, change), configs)))
-    times = ([], [])
+    times, setups = ([], []), ([], [])
     for k in range(pairs):
         order = (0, 1) if k % 2 == 0 else (1, 0)
         for side in order:
             tree = (parent, change)[side]
+            setups[side].append(timed_setup_us(tree.harness, spec))
             times[side].append(timed_us_per_round(tree.harness, configs[side]))
     return {
         "T": configs[0].T,
@@ -106,6 +121,9 @@ def compare(parent, change, spec: dict, pairs: int) -> dict:
         "parent_us_per_round": round(statistics.median(times[0]), 2),
         "change_us_per_round": round(statistics.median(times[1]), 2),
         "change_lower": sum(b < a for a, b in zip(*times)),
+        "parent_setup_us": round(statistics.median(setups[0]), 1),
+        "change_setup_us": round(statistics.median(setups[1]), 1),
+        "change_setup_lower": sum(b < a for a, b in zip(*setups)),
     }
 
 
