@@ -289,7 +289,7 @@ def _alpha_from_spec(spec) -> list | None:
 
 
 def _box_from_spec(spec, p: int) -> ActionBox:
-    if isinstance(spec, (list, tuple)) and len(spec) == 2 and np.isscalar(spec[0]):
+    if isinstance(spec, (list, tuple)) and len(spec) == 2:
         return ActionBox.uniform(spec[0], spec[1], p)
     if isinstance(spec, dict) and "lo" in spec and "hi" in spec:
         return ActionBox(lo=spec["lo"], hi=spec["hi"])

@@ -234,7 +234,9 @@ class DigraphSchedule:
         if not self.graphs:
             raise ConfigError("schedule needs at least one graph")
         graphs = tuple(_arcs(E, n, "arcs") for E in self.graphs)
-        loops = {(i, i) for i in range(n)}
+        # a graph of m arcs that lacks a self-loop lacks one at a node in
+        # 0..m, so a huge n from a file costs no more than its arcs
+        loops = {(i, i) for i in range(min(n, 1 + max(map(len, graphs))))}
         for k, E in enumerate(graphs):
             if not loops <= E:
                 node = min(i for i, _ in loops - E)
