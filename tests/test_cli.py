@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from conftest import INVARIANT_FLAGS, pushed_past
 
 from netdual import (
-    ActionBox, BlockMap, ConfigError, RunConfig, TopologyError, cli, harness, lazy_cycle_pair, run,
-    split_ring_schedule,
+    ActionBox, BlockMap, ConfigError, DigraphSchedule, ReversiblePair, RunConfig, StaticTopology,
+    TopologyError, UndirectedGraph, cli, harness, lazy_cycle_pair, run, split_ring_schedule,
 )
 from netdual.cli import _trace_checks, main
 
@@ -974,6 +974,213 @@ def test_numpy_horizon_and_step_array_still_run():
     )
     assert type(config.T) is int and config.alpha == (1.0,) * 4
     assert run(config).T == 3
+
+
+# One valid call of each graph, box and block-map constructor; the nested
+# values are lists, so a hostile value can go into any field or entry.
+def _valid_pieces() -> dict:
+    pair = ReversiblePair(r=[0.5, 0.5], M=[[0.5, 0.5], [0.5, 0.5]])
+    return {
+        UndirectedGraph: {"n": 3, "edges": [[0, 1], [1, 2]]},
+        ReversiblePair: {"r": [0.5, 0.5], "M": [[0.5, 0.5], [0.5, 0.5]]},
+        StaticTopology: {"graph": UndirectedGraph(2, {(0, 1)}), "pair": pair},
+        DigraphSchedule: {"n": 2, "graphs": [[[0, 0], [1, 1], [0, 1]], [[0, 0], [1, 1]]],
+                          "period": 2},
+        lazy_cycle_pair: {"n": 3},
+        split_ring_schedule: {"n": 3, "phases": 2},
+        ActionBox: {"lo": [-1.0, 0.0], "hi": [1.0, 2.0]},
+        ActionBox.uniform: {"lo": -1.0, "hi": 1.0, "p": 2},
+        BlockMap: {"blocks": [[1], [0, 2]]},
+        BlockMap.scalar: {"n": 2},
+    }
+
+
+def _slots(value, path=()):
+    """The key paths of a value and of every entry of its nested lists."""
+    yield path
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            yield from _slots(entry, path + (key,))
+    elif isinstance(value, list):
+        for k, entry in enumerate(value):
+            yield from _slots(entry, path + (k,))
+
+
+def _put(tree, path, value):
+    for key in path[:-1]:
+        tree = tree[key]
+    tree[path[-1]] = value
+
+
+def _check_piece(piece):
+    """A constructed piece holds what its constructor promises: ints where
+    it counts, finite floats where it measures."""
+    def ints(*values):
+        return all(type(v) is int for v in values)
+
+    if isinstance(piece, UndirectedGraph):
+        assert ints(piece.n)
+        assert all(ints(i, j) and 0 <= i < j < piece.n for i, j in piece.edges)
+    elif isinstance(piece, ReversiblePair):
+        assert piece.r.dtype == float and piece.r.ndim == 1
+        assert piece.M.dtype == float and piece.M.shape == (piece.n, piece.n)
+        assert np.all(np.isfinite(piece.r)) and np.all(np.isfinite(piece.M))
+    elif isinstance(piece, StaticTopology):
+        _check_piece(piece.graph)
+        _check_piece(piece.pair)
+        assert piece.graph.n == piece.pair.n
+    elif isinstance(piece, DigraphSchedule):
+        assert ints(piece.n, piece.period) and piece.period >= 0
+        for E in piece.graphs:
+            assert type(E) is frozenset
+            assert all(ints(i, j) and 0 <= i < piece.n and 0 <= j < piece.n for i, j in E)
+            assert all((i, i) in E for i in range(piece.n))
+    elif isinstance(piece, ActionBox):
+        assert piece.lo.dtype == float and piece.lo.ndim == 1 and piece.lo.shape == piece.hi.shape
+        assert np.all(np.isfinite(piece.lo)) and np.all(piece.lo <= piece.hi)
+    elif isinstance(piece, BlockMap):
+        assert type(piece.blocks) is tuple and all(type(b) is tuple and b for b in piece.blocks)
+        flat = [k for b in piece.blocks for k in b]
+        assert ints(*flat) and sorted(flat) == list(range(len(flat)))
+    else:
+        raise AssertionError(f"not a piece: {piece!r}")
+
+
+# beyond the library pool: numpy ints and floats, whole floats, a 3-tuple
+PIECE_POOL = LIBRARY_POOL + [
+    np.int64(1), np.int64(-1), np.float64(1.0), np.float64(0.5), 1.0, 2.0, 0, (0, 1, 2),
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(slot=st.integers(0, 63), value=st.sampled_from(PIECE_POOL))
+@example(slot=2, value=True)  # a bool block entry, box bound and arc
+@example(slot=2, value=2.5)
+@example(slot=0, value="x")
+def test_piece_constructor_refuses_or_builds_a_valid_piece(slot, value):
+    """One value in one field or entry of each constructor: a ConfigError,
+    or a piece that holds what it promises. Any other exception fails."""
+    for make, kwargs in _valid_pieces().items():
+        paths = list(_slots(kwargs))[1:]
+        _put(kwargs, paths[slot % len(paths)], value)
+        try:
+            piece = make(**kwargs)
+        except ConfigError:
+            continue
+        _check_piece(piece)
+
+
+PAIR = ReversiblePair(r=[0.5, 0.5], M=[[0.5, 0.5], [0.5, 0.5]])
+LOOPS = [(0, 0), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ActionBox(lo=np.array(["a"]), hi=[1.0]),
+        lambda: ActionBox(lo=[True], hi=[1.0]),
+        lambda: ActionBox.uniform("x", 1, 2),
+        lambda: ActionBox.uniform(0, 1, 2.5),
+        lambda: BlockMap("x"),
+        lambda: BlockMap(((0.5,),)),
+        lambda: BlockMap(((True,), (False,))),
+        lambda: BlockMap((("1",), ("0",))),
+        lambda: BlockMap.scalar(2.0),
+        lambda: UndirectedGraph(3, {(0, 1.5), (1, 2)}),
+        lambda: UndirectedGraph(3, {(0, "a")}),
+        lambda: UndirectedGraph(3, {(0, 1, 2)}),
+        lambda: UndirectedGraph("3", {(0, 1)}),
+        lambda: ReversiblePair(r=["a", 0.5], M=PAIR.M),
+        lambda: ReversiblePair(r=[math.nan, 0.5], M=PAIR.M),
+        lambda: StaticTopology(None, PAIR),
+        lambda: DigraphSchedule(2, (LOOPS + [(0, 1.5)],)),
+        lambda: DigraphSchedule(2, (LOOPS + [(True, 0)],)),
+        lambda: DigraphSchedule(2, "x"),
+        lambda: DigraphSchedule(2, (LOOPS,), period="1"),
+        lambda: DigraphSchedule("2", (LOOPS,)),
+        lambda: lazy_cycle_pair("x"),
+        lambda: lazy_cycle_pair(3.5),
+        lambda: split_ring_schedule("x", 2),
+    ],
+    ids=[
+        "box-str-array", "box-bool", "uniform-str", "uniform-p-float", "blocks-str",
+        "block-float", "block-bool", "block-str", "scalar-float", "edge-fraction", "edge-str",
+        "edge-triple", "graph-n-str", "pair-r-str", "pair-r-nan", "static-none",
+        "arc-fraction", "arc-bool", "graphs-str", "period-str", "schedule-n-str",
+        "cycle-str", "cycle-fraction", "ring-str",
+    ],
+)
+def test_piece_refuses_what_it_used_to_convert_or_raise_on(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
+def test_whole_floats_and_numpy_ints_build_pieces_with_ints():
+    schedule = DigraphSchedule(n=2.0, graphs=(LOOPS + [(np.int64(0), 1.0)],), period=1.0)
+    assert schedule.n == 2 and schedule.period == 1 and type(schedule.period) is int
+    assert schedule.graphs == (frozenset(LOOPS + [(0, 1)]),)
+    assert all(type(i) is int for E in schedule.graphs for arc in E for i in arc)
+    ring = split_ring_schedule(5, 2.0)
+    assert type(ring.period) is int and ring.period == 2
+    graph = UndirectedGraph(np.int64(3), {(np.int64(0), 1.0), (2, 1)})
+    assert graph.n == 3 and graph.edges == {(0, 1), (1, 2)}
+    blocks = BlockMap(((np.int64(1),), (np.int64(0),)))
+    assert blocks.blocks == ((1,), (0,)) and type(blocks.blocks[0][0]) is int
+
+
+# What a config file can hold in a graph, box or block field beyond the
+# valid value (NaN and infinities are not strict JSON)
+FILE_POOL = [v for v in POOL if v is None or not isinstance(v, float)] + [
+    2.5, 1.0, [0, 1, 2], {"a": 1}
+]
+# the valid configs of the file property test, with a uniform box on the
+# schedule's config
+PIECE_CONFIGS = (VALID_CONFIGS[0], {**VALID_CONFIGS[1], "box": [-2.0, 2.0]})
+
+
+def _pieces_from_python(d: dict) -> None:
+    """The graph, block and box constructors a Python caller calls with a
+    config file's values, in the order a file is read."""
+    g = d["graph"]
+    if g["mode"] == "static":
+        StaticTopology(UndirectedGraph(g["n"], g["edges"]), ReversiblePair(g["r"], g["M"]))
+    else:
+        DigraphSchedule(g["n"], g["graphs"], g["period"])
+    blocks = d["blocks"]
+    p = BlockMap(blocks).p if isinstance(blocks, list) else BlockMap.scalar(blocks).p
+    box = d["box"]
+    if isinstance(box, dict):
+        ActionBox(box["lo"], box["hi"])
+    else:
+        ActionBox.uniform(box[0], box[1], p)
+
+
+@pytest.mark.parametrize(
+    "which, path",
+    [
+        (which, path)
+        for which, d in enumerate(PIECE_CONFIGS)
+        for section in ("graph", "box", "blocks")
+        for path in list(_slots(d[section], (section,)))[1:]
+        if path[-1] != "mode" and not isinstance(d[section], int)
+    ],
+    ids=lambda v: v if isinstance(v, int) else "-".join(map(str, v)),
+)
+def test_file_and_constructor_give_one_message(which, path, tmp_path):
+    """A hostile value in a graph, box or block field that its constructor
+    refuses is refused with the same message from a config file."""
+    for value in FILE_POOL:
+        d = json.loads(json.dumps(PIECE_CONFIGS[which]))
+        _put(d, path, value)
+        try:
+            _pieces_from_python(d)
+        except ConfigError as e:
+            want = str(e)
+        else:
+            continue
+        with pytest.raises(ConfigError) as refused:
+            harness.load_config(write_json(tmp_path, "c.json", d))
+        assert str(refused.value) == want, value
 
 
 class TestVacuousBounds:
