@@ -32,15 +32,16 @@ def _count(value, name: str) -> int:
 
 def _arcs(value, n: int, name: str) -> frozenset:
     """The arcs ``value`` lists: [i, j] pairs of whole numbers in 0..n-1, as
-    int pairs, each arc read in one pass."""
+    a set of int pairs. Every arc is checked before the set merges equal
+    ones, so a bool arc is refused beside its int twin."""
     try:
-        arcs = frozenset(map(tuple, value))
-        if all(type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n for i, j in arcs):
-            return arcs  # ints, not bools, in range
+        arcs = [(i, j) for i, j in value]
     except (TypeError, ValueError):  # not a list, not pairs
         raise ConfigError(
             f"graph {name} must be a list of [i, j] pairs of whole numbers, got {value!r}"
         ) from None
+    if all(type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n for i, j in arcs):
+        return frozenset(arcs)  # ints, not bools, in range
     return frozenset(_arc(i, j, n) for i, j in arcs)
 
 

@@ -1090,6 +1090,8 @@ LOOPS = [(0, 0), (1, 1)]
         lambda: UndirectedGraph(3, {(0, "a")}),
         lambda: UndirectedGraph(3, {(0, 1, 2)}),
         lambda: UndirectedGraph("3", {(0, 1)}),
+        lambda: UndirectedGraph(3, [(0, 1.0), (0, 1, 2)]),
+        lambda: UndirectedGraph(3, [(1, 0), (True, 0)]),
         lambda: ReversiblePair(r=["a", 0.5], M=PAIR.M),
         lambda: ReversiblePair(r=[math.nan, 0.5], M=PAIR.M),
         lambda: StaticTopology(None, PAIR),
@@ -1105,7 +1107,7 @@ LOOPS = [(0, 0), (1, 1)]
     ids=[
         "box-str-array", "box-bool", "uniform-str", "uniform-p-float", "blocks-str",
         "block-float", "block-bool", "block-str", "scalar-float", "edge-fraction", "edge-str",
-        "edge-triple", "graph-n-str", "pair-r-str", "pair-r-nan", "static-none",
+        "edge-triple", "graph-n-str", "edge-whole-float-then-triple", "edge-bool-twin", "pair-r-str", "pair-r-nan", "static-none",
         "arc-fraction", "arc-bool", "graphs-str", "period-str", "schedule-n-str",
         "cycle-str", "cycle-fraction", "ring-str",
     ],
