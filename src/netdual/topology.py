@@ -103,7 +103,8 @@ class StaticTopology:
     def __post_init__(self):
         if not (isinstance(self.graph, UndirectedGraph) and isinstance(self.pair, ReversiblePair)):
             raise ConfigError(
-                f"a static topology is an UndirectedGraph and a ReversiblePair, got {self!r}"
+                "a static topology is an UndirectedGraph and a ReversiblePair, got "
+                f"{type(self.graph).__name__} and {type(self.pair).__name__}"
             )
         if self.pair.n != self.graph.n:
             raise ConfigError(f"pair has n={self.pair.n} but graph has n={self.graph.n}")
