@@ -27,7 +27,6 @@ from .harness import (
     network_constants,
     run,
     run_generator,
-    sensing_environment_factory,
     sweep,
     theory_bound,
     write_sweep_csv,
@@ -191,7 +190,7 @@ def cmd_validate_graph(args) -> int:
 def _apriori_constants(config: RunConfig) -> tuple:
     """Gradient/curvature constants certified before any simulation, over the
     a-priori measurement ball of the environment the run would build."""
-    env = (config.environment or sensing_environment_factory())(config.p, run_generator(config))
+    env = config.environment.draw(config.p, run_generator(config))
     center, radius = env.measurement_ball()
     return lipschitz_constants(QuadraticLoss(env.A, center), config.box, radius, center)
 

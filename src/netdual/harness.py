@@ -9,10 +9,10 @@ randomness flows through one PCG64 generator keyed by (seed, horizon), so a
 sweep row and a standalone run at the same horizon are bit-identical.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -83,27 +83,53 @@ def covariance_sqrt(P: np.ndarray) -> np.ndarray:
 # environments
 
 
+def _piece(value, name: str, shape: tuple):
+    """A given environment piece read by parse_numbers; None stays unset."""
+    return None if value is None else parse_numbers(value, name, shape)
+
+
 @dataclass
 class SensingEnvironment:
-    """Noisy linear measurements of a fixed target: q_t = A target + noise."""
+    """Noisy linear measurements of a fixed target: q_t = A target + noise of
+    covariance ``cov``. A run fills a piece left None when it draws the
+    environment: A, then the target from the run generator, and cov = 0.25 I."""
 
-    A: np.ndarray
-    target: np.ndarray
-    cov: np.ndarray
-    center: np.ndarray = field(init=False, repr=False)  # A target: the noise-free q
-    _cov_sqrt: np.ndarray = field(init=False, repr=False)
+    A: np.ndarray | None = None
+    target: np.ndarray | None = None
+    cov: np.ndarray | None = None
+    p: int | None = field(default=None, init=False, repr=False)  # the dimension checked against
+    _cov_sqrt: np.ndarray | None = field(default=None, init=False, repr=False)
+    center: np.ndarray | None = field(default=None, init=False, repr=False)  # A target, once drawn
 
-    def __post_init__(self):
-        self.target = parse_numbers(self.target, "environment target", (None,))
-        p = self.target.shape[0]
-        self.A = parse_numbers(self.A, "environment A", (p, p))
-        self.cov = parse_numbers(self.cov, "covariance", (p, p))
-        self._cov_sqrt = covariance_sqrt(self.cov)
-        self.center = self.A @ self.target
+    def checked(self, p: int) -> "SensingEnvironment":
+        """This environment with each given piece read against the dimension
+        p, and a given cov refused unless symmetric PSD: its root, formed once."""
+        if self.p == p:
+            return self
+        env = SensingEnvironment(
+            _piece(self.A, "environment A", (p, p)),
+            _piece(self.target, "environment target", (p,)),
+            _piece(self.cov, "covariance", (p, p)),
+        )
+        env.p = p
+        env._cov_sqrt = None if env.cov is None else covariance_sqrt(env.cov)
+        return env
 
-    @property
-    def p(self) -> int:
-        return self.target.shape[0]
+    def draw(self, p: int, rng: np.random.Generator) -> "SensingEnvironment":
+        """The run's environment: this one checked against p, with its unset
+        pieces filled, A first and then the target drawn from ``rng``."""
+        env = copy.copy(self.checked(p))
+        if env.A is None:
+            off = rng.uniform(-1.0, 1.0, size=(p, p))
+            np.fill_diagonal(off, 0.0)
+            env.A = np.eye(p) + 0.1 * off
+        if env.target is None:
+            env.target = rng.uniform(-10.0, 10.0, size=p)
+        if env.cov is None:
+            env.cov = 0.25 * np.eye(p)
+            env._cov_sqrt = covariance_sqrt(env.cov)
+        env.center = env.A @ env.target
+        return env
 
     def measurements(self, T: int, rng: np.random.Generator) -> np.ndarray:
         """The (T, p) stack q_1..q_T: the T rounds' standard normals drawn
@@ -138,55 +164,40 @@ class SensingEnvironment:
 
 @dataclass
 class FixedEnvironment:
-    """Cycles through a fixed list of measurement vectors with no noise."""
+    """Cycles through a fixed list of measurement vectors with no noise; A
+    left None is the identity."""
 
-    A: np.ndarray
-    q_list: np.ndarray  # (k, m): one measurement vector a row
+    q_list: np.ndarray  # (k, p): one measurement vector a row
+    A: np.ndarray | None = None
+    p: int | None = field(default=None, init=False, repr=False)  # the dimension checked against
 
-    def __post_init__(self):
-        self.A = parse_numbers(self.A, "environment A", (None, None))
-        self.q_list = parse_numbers(self.q_list, "environment q", (None, self.A.shape[0]))
+    def checked(self, p: int) -> "FixedEnvironment":
+        """This environment with the list read as rows of length p and a
+        given A as p x p."""
+        if self.p == p:
+            return self
+        env = FixedEnvironment(
+            parse_numbers(self.q_list, "environment q", (None, p)),
+            _piece(self.A, "environment A", (p, p)),
+        )
+        env.p = p
+        return env
+
+    def draw(self, p: int, rng: np.random.Generator) -> "FixedEnvironment":
+        """The run's environment: this one checked against p, with an unset
+        A the identity; nothing is drawn from ``rng``."""
+        env = copy.copy(self.checked(p))
+        if env.A is None:
+            env.A = np.eye(p)
+        return env
 
     def measurements(self, T: int, rng: np.random.Generator) -> np.ndarray:
-        """The (T, m) stack whose row t-1 is list entry (t-1) mod its length."""
+        """The (T, p) stack whose row t-1 is list entry (t-1) mod its length."""
         return self.q_list[np.arange(T) % len(self.q_list)]
 
     def measurement_ball(self) -> tuple:
         """(center, radius) of q_t: the origin and the list's largest norm."""
-        return np.zeros(self.A.shape[0]), max(float(np.linalg.norm(q)) for q in self.q_list)
-
-
-def sensing_environment_factory(
-    A=None, target=None, cov=None
-) -> Callable[[int, np.random.Generator], SensingEnvironment]:
-    """Factory for the sensing environment; unset pieces are drawn from the
-    run generator (A first, then the target) so runs stay reproducible. A
-    given target is read against the run's p, so a wrong length names it."""
-
-    def make(p: int, rng: np.random.Generator) -> SensingEnvironment:
-        if A is None:
-            off = rng.uniform(-1.0, 1.0, size=(p, p))
-            np.fill_diagonal(off, 0.0)
-            A_ = np.eye(p) + 0.1 * off
-        else:
-            A_ = A
-        if target is None:
-            target_ = rng.uniform(-10.0, 10.0, size=p)
-        else:
-            target_ = parse_numbers(target, "environment target", (p,))
-        cov_ = 0.25 * np.eye(p) if cov is None else cov
-        return SensingEnvironment(A=A_, target=target_, cov=cov_)
-
-    return make
-
-
-def fixed_environment_factory(
-    q_list, A=None
-) -> Callable[[int, np.random.Generator], FixedEnvironment]:
-    def make(p: int, rng: np.random.Generator) -> FixedEnvironment:
-        return FixedEnvironment(A=np.eye(p) if A is None else A, q_list=q_list)
-
-    return make
+        return np.zeros(self.p), max(float(np.linalg.norm(q)) for q in self.q_list)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +216,7 @@ class RunConfig:
     seed: int = 0
     blocks: BlockMap | None = None
     alpha: tuple | None = None  # the step sizes alpha(0), alpha(1), ...; None: 1/sqrt(s+1)
-    # (p, run generator) -> SensingEnvironment or FixedEnvironment
-    environment: Callable[[int, np.random.Generator], object] | None = None
+    environment: SensingEnvironment | FixedEnvironment | None = None  # None: SensingEnvironment()
 
     def __post_init__(self):
         if not isinstance(self.algorithm, str) or self.algorithm not in ("oda-c", "oda-ps"):
@@ -238,8 +248,12 @@ class RunConfig:
             raise ConfigError(
                 f"box dimension {self.box.p} disagrees with block map dimension {self.blocks.p}"
             )
-        if self.environment is not None and not callable(self.environment):
-            raise ConfigError(f"environment must be a factory (p, rng), got {self.environment!r}")
+        env = SensingEnvironment() if self.environment is None else self.environment
+        if not isinstance(env, (SensingEnvironment, FixedEnvironment)):
+            raise ConfigError(
+                f"environment must be a SensingEnvironment or FixedEnvironment, got {env!r}"
+            )
+        self.environment = env.checked(self.p)
         # finalize needs the step values after round T: fail before round 1
         if self.alpha is not None:
             if not (isinstance(self.alpha, (list, tuple)) or getattr(self.alpha, "ndim", 0) == 1):
@@ -296,35 +310,24 @@ def _box_from_spec(spec, p: int) -> ActionBox:
     raise ConfigError('box must be [lo, hi] or {"lo": [...], "hi": [...]}')
 
 
-def _environment_from_spec(spec, p: int):
-    """The environment factory, with every given piece converted and checked
-    against the dimension p here rather than inside the run."""
+def _environment_from_spec(spec):
+    """The environment value, its pieces as read: RunConfig checks them."""
     if spec is None:
         return None
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError('environment must be an object with a "type"')
-
-    def piece(key, shape):
-        value = spec.get(key)
-        return None if value is None else parse_numbers(value, f"environment {key}", shape)
-
     kind = spec["type"]
     if kind == "sensing":
-        return sensing_environment_factory(
-            A=piece("A", (p, p)), target=piece("target", (p,)), cov=piece("P", (p, p))
-        )
+        return SensingEnvironment(spec.get("A"), spec.get("target"), spec.get("P"))
     if kind == "fixed":
-        q = piece("q", (None, p))
-        if q is None:
-            raise ConfigError('fixed environment needs "q": a list of vectors')
-        return fixed_environment_factory(q, A=piece("A", (p, p)))
+        return FixedEnvironment(spec.get("q"), spec.get("A"))
     raise ConfigError(f'unknown environment type "{kind}"')
 
 
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from the experiment-file dict schema: the network,
-    blocks, box and environment factory are built here, and RunConfig
-    converts and checks every field."""
+    blocks, box and environment are built here, and RunConfig converts and
+    checks every field."""
     if not isinstance(d, dict):
         raise ConfigError("experiment config must be a JSON object")
     algorithm = d.get("algorithm")
@@ -360,7 +363,7 @@ def config_from_dict(d: dict) -> RunConfig:
         seed=d.get("seed", 0),
         blocks=blocks,
         alpha=_alpha_from_spec(d.get("alpha")),
-        environment=_environment_from_spec(d.get("environment"), blocks.p),
+        environment=_environment_from_spec(d.get("environment")),
     )
 
 
@@ -517,15 +520,11 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
         network = network_constants(config)
     p, T = config.p, config.T
     steps = step_sizes(T, config.alpha)
-    env = (config.environment or sensing_environment_factory())(p, rng)
+    env = config.environment.draw(p, rng)
     # nothing else draws from rng: the stack holds the noise in round order
     losses = QuadraticLoss(env.A, env.measurements(T, rng))
     del env  # its covariance and root, 2 p^2 floats the loop never reads
     A, Q = losses.A, losses.q
-    if A.shape[1] != p or Q.shape != (T, A.shape[0]):
-        raise ConfigError(
-            f"environment dimension: A is {A.shape}, measurements {Q.shape}, p={p}, T={T}"
-        )
     # the losses' Gram, held past the loop for the measurement, goes under the
     # engine on the heap: formed after the engine, it split the space the
     # engine frees, and ring200-wide's resident peak rose 9.6 -> 10.8 MB

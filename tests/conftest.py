@@ -214,7 +214,7 @@ def simulate_per_round(config: RunConfig) -> harness.RunHistory:
     engine = DualAveragingEngine(config.topology, config.blocks, config.box)
     p, T = config.p, config.T
     steps = step_sizes(T, config.alpha)
-    env = (config.environment or harness.sensing_environment_factory())(p, rng)
+    env = config.environment.draw(p, rng)
     losses = QuadraticLoss(env.A, env.measurements(T, rng))
     A, Q = losses.A, losses.q
     H = A.T @ A

@@ -30,7 +30,6 @@ from netdual import (
     sweep,
     write_trace_csv,
 )
-from netdual.harness import sensing_environment_factory
 from netdual.objectives import QuadraticLoss
 
 

@@ -83,7 +83,7 @@ def random_covariance(p, rng):
 def test_measurements_are_the_per_round_map(p, T):
     """The blocked map over the one-call draw, against the oracle that draws
     and maps one round after another, with a non-diagonal covariance."""
-    env = harness.sensing_environment_factory(cov=random_covariance(p, np.random.default_rng(p)))(
+    env = harness.SensingEnvironment(cov=random_covariance(p, np.random.default_rng(p))).draw(
         p, np.random.default_rng(3)
     )
     rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)

@@ -25,7 +25,7 @@ from netdual import (
 )
 from netdual import engine as engine_module
 from netdual.engine import block_diagnostics
-from netdual.harness import fixed_environment_factory
+from netdual.harness import FixedEnvironment
 
 GROUPED = BlockMap(blocks=((0, 5), (1, 2), (3,), (4, 6, 7)))
 
@@ -122,7 +122,7 @@ def test_a_nonfinite_round_in_mid_block_is_named(algorithm, block, monkeypatch):
     # round 10's measurement overflows the injection: the oracle stops there,
     # and the block holding rounds 8..14 (or 1..30) must name the same round
     q = [np.zeros(5)] * 9 + [np.full(5, 1e308)]
-    cfg = config(algorithm, 5, T=30, environment=fixed_environment_factory(q))
+    cfg = config(algorithm, 5, T=30, environment=FixedEnvironment(q))
     set_block(monkeypatch, block, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError) as oracle:

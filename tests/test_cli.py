@@ -920,7 +920,7 @@ def _valid_library_config(which: int) -> dict:
         return dict(
             algorithm="oda-c", topology=lazy_cycle_pair(3), box=box, T=4, seed=1,
             blocks=BlockMap(blocks=((0,), (2,), (1,))), alpha=(1.0, 0.5, 0.5, 0.25, 0.25),
-            environment=harness.fixed_environment_factory([[1.0, 2.0, 3.0]]),
+            environment=harness.FixedEnvironment([[1.0, 2.0, 3.0]]),
         )
     return dict(algorithm="oda-ps", topology=split_ring_schedule(3, 2), box=box, T=5, seed=2)
 

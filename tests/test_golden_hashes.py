@@ -47,7 +47,7 @@ def grouped_config() -> RunConfig:
     return RunConfig(
         "oda-c", lazy_cycle_pair(4), box(10), T=200, seed=6,
         blocks=BlockMap(blocks=((0, 5), (1, 2), (3,), (4, 6, 7, 8, 9))),
-        environment=harness.sensing_environment_factory(cov=cov),
+        environment=harness.SensingEnvironment(cov=cov),
     )
 
 

@@ -40,9 +40,7 @@ from netdual.harness import (
     SWEEP_HEADER,
     TRACE_HEADER,
     covariance_sqrt,
-    fixed_environment_factory,
     run_generator,
-    sensing_environment_factory,
 )
 from netdual.regret import pushsum_log_kappa, step_sizes
 from netdual.topology import PAIR_TOL
@@ -56,6 +54,14 @@ def base_config(algorithm="oda-c", T=20, **kw):
         box=ActionBox.uniform(-10.0, 10.0, 5),
         T=T,
         **kw,
+    )
+
+
+def env_config(p, environment):
+    """A p-agent push-sum run on the one-phase ring with the given environment."""
+    return RunConfig(
+        "oda-ps", split_ring_schedule(p, 1), ActionBox.uniform(-10.0, 10.0, p), T=3,
+        environment=environment,
     )
 
 
@@ -86,39 +92,39 @@ class TestEnvironments:
     def test_sensing_noise_free(self):
         A = np.array([[2.0, 0.0], [1.0, 1.0]])
         target = np.array([3.0, -1.0])
-        env = SensingEnvironment(A=A, target=target, cov=np.zeros((2, 2)))
         rng = np.random.Generator(np.random.PCG64(0))
+        env = SensingEnvironment(A=A, target=target, cov=np.zeros((2, 2))).draw(2, rng)
         q = env.measurements(1, rng)[0]
         assert np.array_equal(q, A @ target)
         assert np.array_equal(env.A, A)
 
     def test_sensing_rejects_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            SensingEnvironment(A=np.eye(3), target=np.zeros(2), cov=np.eye(2))
+            env_config(2, SensingEnvironment(A=np.eye(3), target=np.zeros(2), cov=np.eye(2)))
         with pytest.raises(ConfigError, match="covariance must be"):
-            SensingEnvironment(A=np.eye(2), target=np.zeros(2), cov=np.eye(3))
+            env_config(2, SensingEnvironment(A=np.eye(2), target=np.zeros(2), cov=np.eye(3)))
 
     def test_fixed_cycles(self):
-        env = FixedEnvironment(A=np.eye(1), q_list=(np.array([1.0]), np.array([2.0])))
         rng = np.random.Generator(np.random.PCG64(0))
-        qs = [q[0] for q in env.measurements(4, rng)]
+        env = FixedEnvironment(A=np.eye(1), q_list=(np.array([1.0]), np.array([2.0])))
+        qs = [q[0] for q in env.draw(1, rng).measurements(4, rng)]
         assert qs == [1.0, 2.0, 1.0, 2.0]
 
     def test_fixed_rejects_empty(self):
         with pytest.raises(ConfigError):
-            FixedEnvironment(A=np.eye(1), q_list=())
+            env_config(1, FixedEnvironment(A=np.eye(1), q_list=()))
 
     def test_fixed_rejects_q_of_the_wrong_length(self):
         with pytest.raises(ConfigError, match="environment q must be an array of numbers of shape"):
-            FixedEnvironment(A=np.eye(2), q_list=(np.zeros(2), np.zeros(3)))
+            env_config(2, FixedEnvironment(A=np.eye(2), q_list=(np.zeros(2), np.zeros(3))))
 
     @pytest.mark.parametrize(
         "environment, error",
         [
-            (fixed_environment_factory([["a", "b", "c", "d", "e"]]), "environment q must be"),
-            (sensing_environment_factory(A="x"), "environment A must be"),
+            (FixedEnvironment([["a", "b", "c", "d", "e"]]), "environment q must be"),
+            (SensingEnvironment(A="x"), "environment A must be"),
             (
-                sensing_environment_factory(target=[1.0, 2.0]),
+                SensingEnvironment(target=[1.0, 2.0]),
                 r"environment target must be an array of numbers of shape \(5,\)",
             ),
         ],
@@ -132,17 +138,92 @@ class TestEnvironments:
         assert steps == []
 
     def test_sensing_factory_deterministic(self):
-        make = sensing_environment_factory()
-        e1 = make(3, np.random.Generator(np.random.PCG64(9)))
-        e2 = make(3, np.random.Generator(np.random.PCG64(9)))
+        env = SensingEnvironment()
+        e1 = env.draw(3, np.random.Generator(np.random.PCG64(9)))
+        e2 = env.draw(3, np.random.Generator(np.random.PCG64(9)))
         assert np.array_equal(e1.A, e2.A)
         assert np.array_equal(e1.target, e2.target)
         assert np.array_equal(np.diag(e1.cov), np.full(3, 0.25))
 
     def test_fixed_factory_defaults_identity(self):
-        make = fixed_environment_factory([[1.0, 0.0]])
-        env = make(2, np.random.Generator(np.random.PCG64(0)))
+        env = FixedEnvironment([[1.0, 0.0]]).draw(2, np.random.Generator(np.random.PCG64(0)))
         assert np.array_equal(env.A, np.eye(2))
+
+    @pytest.mark.parametrize(
+        "spec, python, names",
+        [
+            (
+                {"type": "sensing", "A": (np.eye(5) + 0.1).tolist(), "target": [1.0] * 5,
+                 "P": (0.5 * np.eye(5)).tolist()},
+                SensingEnvironment(np.eye(5) + 0.1, [1.0] * 5, 0.5 * np.eye(5)),
+                ["environment A", "environment target", "covariance"],
+            ),
+            (
+                {"type": "fixed", "q": [[1.0] * 5, [2.0] * 5], "A": np.eye(5).tolist()},
+                FixedEnvironment([[1.0] * 5, [2.0] * 5], np.eye(5)),
+                ["environment q", "environment A"],
+            ),
+        ],
+        ids=["sensing", "fixed"],
+    )
+    def test_each_given_piece_is_read_once(self, spec, python, names, monkeypatch):
+        """From a file and from Python, each given piece goes through
+        parse_numbers once, and a given covariance's root is formed once:
+        through the config, a run, a fresh sweep (which rebuilds the config
+        at each horizon) and the a-priori constants."""
+        read, roots = [], []
+        parse, root = harness.parse_numbers, harness.covariance_sqrt
+        monkeypatch.setattr(
+            harness, "parse_numbers", lambda v, name, shape: read.append(name) or parse(v, name, shape)
+        )
+        monkeypatch.setattr(harness, "covariance_sqrt", lambda P: roots.append(P) or root(P))
+        for make in (
+            lambda: config_from_dict({"algorithm": "oda-c", "T": 3, "environment": spec}),
+            lambda: base_config(T=3, environment=python),
+        ):
+            read.clear(), roots.clear()
+            config = make()
+            run(config)
+            sweep(config, [1, 2, 3])
+            cli._apriori_constants(config)
+            assert read == names
+            assert len(roots) == ("P" in spec)
+
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            FixedEnvironment([[1, 2, 3]]),
+            FixedEnvironment([[1.0] * 5], A=np.ones((3, 5))),
+            SensingEnvironment(cov=-np.eye(5)),
+            SensingEnvironment(cov=np.triu(np.ones((5, 5)))),
+        ],
+        ids=["q-width-3", "A-3x5", "cov-indefinite", "cov-asymmetric"],
+    )
+    def test_malformed_environment_is_refused_before_the_network(self, environment, monkeypatch):
+        certified = []
+        monkeypatch.setattr(harness, "network_constants", certified.append)
+        with pytest.raises(ConfigError):
+            run(base_config(T=3, environment=environment))
+        assert certified == []
+
+    @pytest.mark.parametrize(
+        "environment",
+        [lambda p, rng: SensingEnvironment(), {"type": "sensing"}, SensingEnvironment],
+        ids=["factory", "spec", "class"],
+    )
+    def test_environment_is_a_value(self, environment):
+        with pytest.raises(
+            ConfigError, match="environment must be a SensingEnvironment or FixedEnvironment"
+        ):
+            base_config(environment=environment)
+
+    def test_no_environment_is_the_default_sensing_one(self):
+        default = base_config(T=5)
+        assert isinstance(default.environment, SensingEnvironment)
+        given = simulate(base_config(T=5, environment=SensingEnvironment()))
+        drawn = simulate(default)
+        assert np.array_equal(given.losses.A, drawn.losses.A)
+        assert np.array_equal(given.losses.q, drawn.losses.q)
 
 
 class TestRunConfig:
@@ -320,31 +401,26 @@ class TestSimulate:
         assert hist.losses.q.shape == (8, 5)
 
     def test_environment_dimension_guard(self):
-        cfg = base_config(
-            T=2,
-            environment=lambda p, rng: FixedEnvironment(A=np.eye(3), q_list=(np.zeros(3),)),
-        )
-        with pytest.raises(ConfigError, match="dimension"):
-            simulate(cfg)
+        with pytest.raises(ConfigError, match=r"environment q must be .* shape \(None, 5\)"):
+            environment = FixedEnvironment(A=np.eye(3), q_list=(np.zeros(3),))
+            simulate(base_config(T=2, environment=environment))
 
+    # a stack of the wrong length or width is a list of the wrong length or
+    # width: an empty one (no list length is wrong), or rows of length 4
     @pytest.mark.parametrize(
-        "A, rows, width",
-        [(np.eye(5, 4), 6, 5), (np.eye(5), 5, 5), (np.eye(5), 6, 4)],
+        "environment",
+        [
+            SensingEnvironment(A=np.eye(5, 4)),
+            FixedEnvironment(np.zeros((0, 5)), A=np.eye(5)),
+            FixedEnvironment(np.zeros((6, 4)), A=np.eye(5)),
+        ],
         ids=["A-width", "stack-rows", "stack-width"],
     )
-    def test_misshapen_environment_rejected_before_round_one(self, A, rows, width, monkeypatch):
-        class _Misshapen:
-            def __init__(self):
-                self.A = A
-
-            def measurements(self, T, rng):
-                return np.zeros((rows, width))
-
+    def test_misshapen_environment_rejected_before_round_one(self, environment, monkeypatch):
         steps = []
         monkeypatch.setattr(DualAveragingEngine, "step", lambda self, u, a: steps.append(a))
-        cfg = base_config(T=6, environment=lambda p, rng: _Misshapen())
         with pytest.raises(ConfigError):
-            simulate(cfg)
+            simulate(base_config(T=6, environment=environment))
         assert steps == []
 
     def test_step_vector_equals_the_rule(self):

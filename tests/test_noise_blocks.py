@@ -57,7 +57,7 @@ def test_buffered_half_word_survives_the_draw():
 def sensing_config(seed, T, cov=None):
     return RunConfig(
         "oda-c", lazy_cycle_pair(5), ActionBox.uniform(-10.0, 10.0, 5), T=T, seed=seed,
-        environment=harness.sensing_environment_factory(cov=cov),
+        environment=harness.SensingEnvironment(cov=cov),
     )
 
 
@@ -82,7 +82,7 @@ def test_blocked_draw_stays_near_its_output(p, T):
     """The draw fills the stack it returns and the map reuses one block
     buffer, so the peak stays within twice the stack."""
     rng = generator(5)
-    env = harness.sensing_environment_factory()(p, rng)
+    env = harness.SensingEnvironment().draw(p, rng)
     tracemalloc.start()
     try:
         Q = env.measurements(T, rng)

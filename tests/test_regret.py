@@ -243,7 +243,7 @@ class TestComparatorPricing:
         target = np.full(5, 100.0)
         config = RunConfig(
             "oda-c", lazy_cycle_pair(5), ActionBox.uniform(-200, 200, 5), T=300, seed=2,
-            environment=harness.sensing_environment_factory(target=target),
+            environment=harness.SensingEnvironment(target=target),
         )
         history = harness.simulate(config)
         trace, losses = harness.finalize(history), history.losses
@@ -267,7 +267,7 @@ class TestComparatorPricing:
         q = A @ rng.uniform(-5, 5, 20)
         config = RunConfig(
             "oda-c", lazy_cycle_pair(20), ActionBox.uniform(-10, 10, 20), T=300, seed=1,
-            environment=harness.fixed_environment_factory([q], A=A),
+            environment=harness.FixedEnvironment([q], A=A),
         )
         trace = harness.run(config)
         assert np.max(trace.comparator_costs) < 1e-20
