@@ -387,7 +387,6 @@ class NetworkConstants:
 
     fields: dict  # spectral_gap and r_min, or B and the contraction constants
     log_kappa: float  # log of the contraction factor both bound evaluators take
-    weighted: bool  # push-sum: finalize reports the weight-conservation residual
 
 
 def network_constants(config: RunConfig) -> NetworkConstants:
@@ -419,7 +418,6 @@ def network_constants(config: RunConfig) -> NetworkConstants:
         return NetworkConstants(
             {"spectral_gap": lam, "r_min": r_min},
             circulation_log_kappa(n, r_min, lam),
-            weighted=False,
         )
     # module-level names: bench/tracer.py wraps these two in this module
     B = validate_b_strong(config.topology)
@@ -439,7 +437,6 @@ def network_constants(config: RunConfig) -> NetworkConstants:
             "log_gamma": cc.log_gamma, "log_one_minus_theta": cc.log_one_minus_theta,
         },
         pushsum_log_kappa(n, cc),
-        weighted=True,
     )
 
 
@@ -531,7 +528,7 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     H = losses.gram
 
     flat = config.blocks.owner * p + np.arange(p)  # (owner[k], k) in a raveled (n, p)
-    r = None if network.weighted else config.topology.pair.r
+    r = config.topology.pair.r if isinstance(config.topology, StaticTopology) else None
     actions, updates, refs = (np.empty((T, p)) for _ in range(3))
     # every b_t = A^T q_t before round 1, into the updates that replace them:
     # one gemv per row, bit for bit the per-round Q[t] @ A, where a 2-D
@@ -582,6 +579,20 @@ def simulate(config: RunConfig, network: NetworkConstants | None = None) -> RunH
     )
 
 
+def _trace_constants(history: RunHistory, T: int, L: float, G: float, D: float, C: float) -> dict:
+    """The constants a trace of the first T rounds reports, T = 0 included:
+    the measured L, G, D and C, the network's certified fields and the
+    disagreement bound, and for push-sum the largest weight residual."""
+    config, net = history.config, history.network
+    constants = {
+        "L": L, "G": G, "D": D, "C": C, "n": config.n, **net.fields,
+        "disagreement_bound": disagreement_bound(config.n, L, net.log_kappa),
+    }
+    if isinstance(config.topology, DigraphSchedule):
+        constants["max_weight_residual"] = float(np.max(history.weight_residual[:T], initial=0.0))
+    return constants
+
+
 def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     """Measure regret and attach certified bounds over the first T rounds."""
     config = history.config
@@ -602,7 +613,7 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
             mean_field_residual=empty, e1=empty, e2=empty, e3=empty,
             bound_partial=empty, y_star=box.clamp(np.zeros(p)),
             comparator_value=0.0,
-            constants={"L": 0.0, "G": 0.0, "D": D, "C": C},
+            constants=_trace_constants(history, 0, 0.0, 0.0, D, C),
             theory_bound=theory_bound(config, history.network, 0, 0.0, 0.0, D, C),
         )
 
@@ -615,14 +626,6 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
     costs = cols.costs[:T].copy()
     regret_partial = network_regret(costs, comp.costs)
     terms = decomposition_terms(cols, history.ref_gaps[:T], L, C)
-    net = history.network
-    constants = {
-        "L": L, "G": G, "D": D, "C": C, "n": n, **net.fields,
-        "disagreement_bound": disagreement_bound(n, L, net.log_kappa),
-    }
-    if net.weighted:
-        constants["max_weight_residual"] = float(np.max(history.weight_residual[:T]))
-
     return RegretTrace(
         algorithm=config.algorithm,
         T=T, n=n, p=p, seed=config.seed,
@@ -638,8 +641,8 @@ def finalize(history: RunHistory, T: int | None = None) -> RegretTrace:
         comparator_value=comp.value,
         comparator_iterations=comp.iterations,
         comparator_residual=comp.grad_residual,
-        constants=constants,
-        theory_bound=theory_bound(config, net, T, L, G, D, C),
+        constants=_trace_constants(history, T, L, G, D, C),
+        theory_bound=theory_bound(config, history.network, T, L, G, D, C),
     )
 
 

@@ -30,6 +30,13 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _agent_count(value) -> int:
+    n = _count(value, "n")
+    if n < 1:
+        raise ConfigError(f"graph n must be at least 1, got {n}")
+    return n
+
+
 def _arcs(value, n: int, name: str) -> frozenset:
     """The arcs ``value`` lists: [i, j] pairs of whole numbers in 0..n-1, as
     a set of int pairs. Every arc is checked before the set merges equal
@@ -58,7 +65,7 @@ class UndirectedGraph:
     edges: frozenset
 
     def __post_init__(self):
-        n = _count(self.n, "n")
+        n = _agent_count(self.n)
         norm = set()
         for i, j in _arcs(self.edges, n, "edges"):
             if i == j:
@@ -228,7 +235,7 @@ class DigraphSchedule:
     def __post_init__(self):
         if not isinstance(self.graphs, (list, tuple)):
             raise ConfigError('schedule "graphs" must be a list of arc lists')
-        n, period = _count(self.n, "n"), _count(self.period, "period")
+        n, period = _agent_count(self.n), _count(self.period, "period")
         if period < 0:
             raise ConfigError("period must be >= 0")
         if period >= 1 and len(self.graphs) != period:

@@ -173,6 +173,15 @@ class TestRunCommand:
         assert payload["comparator"]["iterations"] >= 1
         assert 0.0 <= payload["comparator"]["residual"] <= 1e-8
 
+    @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+    def test_zero_rounds_have_no_vacuous_bound(self, algorithm, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"algorithm": algorithm, "T": 0})
+        code, payload = invoke(["run", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        checks = payload["checks"]
+        assert checks["vacuous_bounds"] == [] and checks["disagreement_within_bound"]
+        assert checks["max_mean_field_residual"] == 0.0
+
     @pytest.mark.parametrize("which", [0, 1], ids=["oda-c", "oda-ps"])
     def test_graph_file_runs_as_the_same_graph_inline(self, which, tmp_path, capsys):
         inline = dict(VALID_CONFIGS[which], T=30)
@@ -343,6 +352,14 @@ class TestSweepCommand:
             )
             assert code == 2
             assert "horizons" in payload["error"]
+
+    def test_negative_horizon_is_parse_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", {"algorithm": "oda-c", "T": 1})
+        code, payload = invoke(
+            ["sweep", "--config", cfg, "--horizons", "5,-1", "--out", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert payload["error"] == 'horizons must be nonnegative, got "5,-1"'
 
 
 class TestValidateGraphCommand:
@@ -1103,13 +1120,15 @@ LOOPS = [(0, 0), (1, 1)]
         lambda: lazy_cycle_pair("x"),
         lambda: lazy_cycle_pair(3.5),
         lambda: split_ring_schedule("x", 2),
+        lambda: UndirectedGraph(-2, []),
+        lambda: DigraphSchedule(0, ([],)),
     ],
     ids=[
         "box-str-array", "box-bool", "uniform-str", "uniform-p-float", "blocks-str",
         "block-float", "block-bool", "block-str", "scalar-float", "edge-fraction", "edge-str",
         "edge-triple", "graph-n-str", "edge-whole-float-then-triple", "edge-bool-twin", "pair-r-str", "pair-r-nan", "static-none",
         "arc-fraction", "arc-bool", "graphs-str", "period-str", "schedule-n-str",
-        "cycle-str", "cycle-fraction", "ring-str",
+        "cycle-str", "cycle-fraction", "ring-str", "graph-n-negative", "schedule-n-zero",
     ],
 )
 def test_piece_refuses_what_it_used_to_convert_or_raise_on(make):
@@ -1135,26 +1154,48 @@ def test_whole_floats_and_numpy_ints_build_pieces_with_ints():
 FILE_POOL = [v for v in POOL if v is None or not isinstance(v, float)] + [
     2.5, 1.0, [0, 1, 2], {"a": 1}
 ]
-# the valid configs of the file property test, with a uniform box on the
-# schedule's config
-PIECE_CONFIGS = (VALID_CONFIGS[0], {**VALID_CONFIGS[1], "box": [-2.0, 2.0]})
+EYE3 = np.eye(3).tolist()
+# the valid configs of the file property test, with every environment piece
+# given and a uniform box on the schedule's config; and one agent on no edge,
+# so that the graph's n alone can fall below one
+PIECE_CONFIGS = (
+    {**VALID_CONFIGS[0], "environment": {"type": "fixed", "q": [[1.0, 2.0, 3.0]], "A": EYE3}},
+    {
+        **VALID_CONFIGS[1], "box": [-2.0, 2.0],
+        "environment": {
+            "type": "sensing", "A": EYE3, "target": [1.0, -1.0, 0.5],
+            "P": (0.5 * np.eye(3)).tolist(),
+        },
+    },
+    {"algorithm": "oda-c", "T": 1, "blocks": 1, "box": [-2.0, 2.0], "graph": SINGLETON_GRAPH},
+)
 
 
-def _pieces_from_python(d: dict) -> None:
+def _pieces_from_python(d: dict, section: str) -> None:
     """The graph, block and box constructors a Python caller calls with a
-    config file's values, in the order a file is read."""
+    config file's values, in the order a file is read; for the environment
+    section, also the RunConfig that checks the environment's pieces."""
     g = d["graph"]
     if g["mode"] == "static":
-        StaticTopology(UndirectedGraph(g["n"], g["edges"]), ReversiblePair(g["r"], g["M"]))
+        topology = StaticTopology(
+            UndirectedGraph(g["n"], g["edges"]), ReversiblePair(g["r"], g["M"])
+        )
     else:
-        DigraphSchedule(g["n"], g["graphs"], g["period"])
+        topology = DigraphSchedule(g["n"], g["graphs"], g["period"])
     blocks = d["blocks"]
-    p = BlockMap(blocks).p if isinstance(blocks, list) else BlockMap.scalar(blocks).p
+    blocks = BlockMap(blocks) if isinstance(blocks, list) else BlockMap.scalar(blocks)
     box = d["box"]
     if isinstance(box, dict):
-        ActionBox(box["lo"], box["hi"])
+        box = ActionBox(box["lo"], box["hi"])
     else:
-        ActionBox.uniform(box[0], box[1], p)
+        box = ActionBox.uniform(box[0], box[1], blocks.p)
+    if section == "environment":
+        env = d["environment"]
+        if env["type"] == "sensing":
+            env = harness.SensingEnvironment(env.get("A"), env.get("target"), env.get("P"))
+        else:
+            env = harness.FixedEnvironment(env["q"], env.get("A"))
+        RunConfig(d["algorithm"], topology, box, d["T"], d["seed"], blocks, environment=env)
 
 
 @pytest.mark.parametrize(
@@ -1162,20 +1203,22 @@ def _pieces_from_python(d: dict) -> None:
     [
         (which, path)
         for which, d in enumerate(PIECE_CONFIGS)
-        for section in ("graph", "box", "blocks")
+        for section in ("graph", "box", "blocks", "environment")
+        if section in d
         for path in list(_slots(d[section], (section,)))[1:]
-        if path[-1] != "mode" and not isinstance(d[section], int)
+        if path[-1] not in ("mode", "type") and not isinstance(d[section], int)
     ],
     ids=lambda v: v if isinstance(v, int) else "-".join(map(str, v)),
 )
 def test_file_and_constructor_give_one_message(which, path, tmp_path):
     """A hostile value in a graph, box or block field that its constructor
-    refuses is refused with the same message from a config file."""
+    refuses, or in an environment piece that RunConfig refuses, is refused
+    with the same message from a config file."""
     for value in FILE_POOL:
         d = json.loads(json.dumps(PIECE_CONFIGS[which]))
         _put(d, path, value)
         try:
-            _pieces_from_python(d)
+            _pieces_from_python(d, path[0])
         except ConfigError as e:
             want = str(e)
         else:

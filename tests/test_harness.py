@@ -649,6 +649,15 @@ class TestFinalize:
         assert trace.regret == 0.0
         assert trace.theory_bound == prox_sup(ActionBox.uniform(-10, 10, 5))
 
+    @pytest.mark.parametrize("algorithm", ["oda-c", "oda-ps"])
+    def test_empty_prefix_reports_the_network(self, algorithm):
+        history = simulate(base_config(algorithm, T=4))
+        empty, full = finalize(history, 0).constants, finalize(history).constants
+        assert empty.keys() == full.keys()
+        assert empty["n"] == 5 and empty["disagreement_bound"] == 0.0
+        assert {k: empty[k] for k in history.network.fields} == history.network.fields
+        assert empty.get("max_weight_residual", 0.0) == 0.0
+
     def test_step_values_get_no_theory_certificate(self):
         values = tuple(inv_sqrt_step(s) for s in range(13))
         for T in (0, 12):

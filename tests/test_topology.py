@@ -69,6 +69,11 @@ class TestUndirectedGraph:
         with pytest.raises(ConfigError):
             UndirectedGraph(n=2, edges=frozenset({(0, 2)}))
 
+    def test_static_topology_rejects_a_pair_of_another_size(self):
+        pair = ReversiblePair(r=[0.5, 0.5], M=[[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ConfigError, match="pair has n=2 but graph has n=3"):
+            StaticTopology(UndirectedGraph(n=3, edges={(0, 1), (1, 2)}), pair)
+
 
 class TestValidateReversiblePair:
     def test_hand_pair_passes(self):
