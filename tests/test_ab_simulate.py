@@ -1,7 +1,8 @@
 """``tools/ab_simulate.py`` imports two netdual trees into one process,
 checks that their runs leave the same RunHistory bytes and times them in
-alternation, set-up (``config_from_dict``) and ``simulate`` alike. Run here
-on a short horizon of a benchmark workload."""
+alternation, set-up (``config_from_dict``) and ``simulate`` alike, and
+reports each tree's tracemalloc peak of one ``simulate``. Run here on a
+short horizon of a benchmark workload."""
 
 import json
 import shutil
@@ -31,6 +32,10 @@ def test_same_tree_on_both_sides_is_identical_and_timed():
     assert 0 <= result["change_lower"] <= 2
     assert result["parent_setup_us"] > 0 and result["change_setup_us"] > 0
     assert 0 <= result["change_setup_lower"] <= 2
+    # one tree on both sides: one run's traced peak, to within the
+    # interpreter's own bookkeeping
+    assert result["parent_peak_mb"] > 0
+    assert abs(result["change_peak_mb"] - result["parent_peak_mb"]) < 0.05
 
 
 def test_a_tree_that_moves_a_bit_is_refused(tmp_path):

@@ -11,10 +11,14 @@ must leave byte-identical ``RunHistory`` arrays, or the tool stops. It then
 times the two trees in alternation, the first tree of each pair alternating
 too: in each pair, each tree builds the config with ``config_from_dict``
 (the benchmark's ``setup_s``; the mean of SETUP_CALLS calls) and runs
-``simulate``. It prints one JSON line: for each of the two timings, both
-medians (``*_us_per_round`` and ``*_setup_us``, in us) and the number of
-pairs in which the change was lower (``change_lower``,
-``change_setup_lower``).
+``simulate``. Before the pairs, one untimed ``simulate`` per tree runs
+under ``tracemalloc``. It prints one JSON line: for each of the two
+timings, both medians (``*_us_per_round`` and ``*_setup_us``, in us) and
+the number of pairs in which the change was lower (``change_lower``,
+``change_setup_lower``), and each tree's traced peak (``*_peak_mb``, in
+MB of 10^6 bytes). The traced peak counts the bytes Python allocates; it
+does not move with heap layout, as the benchmark's resident ``peak_mb``
+does.
 
 Timing both trees in one process keeps them on one heap, one BLAS and one
 CPU-speed state: between processes, run times on a small shared box swing
@@ -30,6 +34,7 @@ import json
 import os
 import statistics
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from time import perf_counter
@@ -95,6 +100,16 @@ def timed_us_per_round(harness, config) -> float:
     return (perf_counter() - start) / max(config.T, 1) * 1e6
 
 
+def traced_peak_mb(harness, config) -> float:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        harness.simulate(config)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def timed_setup_us(harness, spec: dict) -> float:
     gc.collect()
     start = perf_counter()
@@ -108,6 +123,7 @@ def compare(parent, change, spec: dict, pairs: int) -> dict:
     alternating pairs of ``config_from_dict`` and ``simulate`` calls."""
     configs = [tree.harness.config_from_dict(dict(spec)) for tree in (parent, change)]
     assert_identical(*(tree.harness.simulate(c) for tree, c in zip((parent, change), configs)))
+    peaks = [traced_peak_mb(tree.harness, c) for tree, c in zip((parent, change), configs)]
     times, setups = ([], []), ([], [])
     for k in range(pairs):
         order = (0, 1) if k % 2 == 0 else (1, 0)
@@ -124,6 +140,8 @@ def compare(parent, change, spec: dict, pairs: int) -> dict:
         "parent_setup_us": round(statistics.median(setups[0]), 1),
         "change_setup_us": round(statistics.median(setups[1]), 1),
         "change_setup_lower": sum(b < a for a, b in zip(*setups)),
+        "parent_peak_mb": round(peaks[0], 3),
+        "change_peak_mb": round(peaks[1], 3),
     }
 
 
