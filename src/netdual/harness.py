@@ -103,7 +103,7 @@ class SensingEnvironment:
 
     def checked(self, p: int) -> "SensingEnvironment":
         """This environment with each given piece read against the dimension
-        p, and a given cov refused unless symmetric PSD: its root, formed once."""
+        p; a given cov must be symmetric PSD, and its root is formed here."""
         if self.p == p:
             return self
         env = SensingEnvironment(

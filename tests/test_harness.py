@@ -181,7 +181,8 @@ class TestEnvironments:
             lambda: config_from_dict({"algorithm": "oda-c", "T": 3, "environment": spec}),
             lambda: base_config(T=3, environment=python),
         ):
-            read.clear(), roots.clear()
+            read.clear()
+            roots.clear()
             config = make()
             run(config)
             sweep(config, [1, 2, 3])
@@ -405,8 +406,8 @@ class TestSimulate:
             environment = FixedEnvironment(A=np.eye(3), q_list=(np.zeros(3),))
             simulate(base_config(T=2, environment=environment))
 
-    # a stack of the wrong length or width is a list of the wrong length or
-    # width: an empty one (no list length is wrong), or rows of length 4
+    # a value's stack is (T, p) by construction: a fixed list can only be
+    # empty (it cycles at any other length) or hold rows of the wrong width
     @pytest.mark.parametrize(
         "environment",
         [
